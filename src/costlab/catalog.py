@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ApproximationTrace, CostFn, cost_fn, limit_estimate
 from .errors import NonAdditive
-from .machine import KProvider, RequestSet, kc_add
+from .machine import KProvider, RequestSet, request_set
 from .util import ZERO, Fenwick, least_length, pow2
 
 
@@ -340,12 +340,8 @@ def additive_requests(c: CostFn) -> RequestSet:
         raise NonAdditive(f"{c.name} is not declared additive")
     if limit_estimate(c, 0) > 1:
         raise ValueError("rescale first: the limit at 0 exceeds 1")
-    rs = RequestSet()
-    for w in range(1, c.horizon + 1):
-        v = c(w - 1, w)
-        if v > 0:
-            rs = kc_add(rs, least_length(v), w, w)
-    return rs
+    increments = ((w, c(w - 1, w)) for w in range(1, c.horizon + 1))
+    return request_set((least_length(v), w, w) for w, v in increments if v > 0)
 
 
 def rescale_to_unit(c: CostFn) -> CostFn:
@@ -393,11 +389,14 @@ def domination_grid_report(p: KProvider) -> DominationReport:
 
     All quantities are dyadic with a common scale, so the comparison runs on
     scaled integers: exact rational comparisons, vectorized per stage column.
+    Scaled values are at most 2^scale, so int64 holds them up to scale 62;
+    longer descriptions switch the columns to exact Python ints.
     """
     S = p.horizon
     scale = p.max_length
+    dtype = np.int64 if scale <= 62 else object
     events = p.k_improvement_events()
-    omega_scaled = np.zeros(S + 1, dtype=np.int64)
+    omega_scaled = np.zeros(S + 1, dtype=dtype)
     acc = 0
     grants_by_stage: dict[int, int] = {}
     for g in p.grants:
@@ -408,7 +407,7 @@ def domination_grid_report(p: KProvider) -> DominationReport:
         acc += grants_by_stage.get(s, 0)
         omega_scaled[s] = acc
 
-    m = np.zeros(S + 2, dtype=np.int64)  # current scaled weight 2^(scale - K_s(w)) per w
+    m = np.zeros(S + 2, dtype=dtype)  # current scaled weight 2^(scale - K_s(w)) per w
     current: dict[int, int] = {}
     idx = 0
     omega_bad: list[tuple[int, int]] = []

@@ -28,7 +28,7 @@ from .errors import (
     ScheduleInsufficient,
     WeightOverflow,
 )
-from .machine import KProvider, RequestSet, kc_add, register_requests
+from .machine import KProvider, RequestSet, kc_add, register_requests, request_set
 from .util import ZERO, Fenwick, bits_to_nat, drop_trailing_zeros, pow2
 
 
@@ -648,9 +648,7 @@ def weak_ktrivial_requests(
         entries.append((r + 1, bits_to_nat(drop_trailing_zeros(prefix)), s))
         changes += 1
     entries.sort(key=lambda e: e[2])
-    rs = RequestSet()
-    for r, yv, stage in entries:
-        rs = kc_add(rs, r, yv, stage)
+    rs = request_set(entries)
     ledger_total = cost_of_trace(cm, a).total
     return rs, WeakTrivialityReport(
         rs.weight, drops, changes, ledger_total, p.omega(p.horizon)
@@ -790,10 +788,12 @@ def separation_run(
     x_0 + 1 and x_1 + 1 put two positive terms beyond x_0, so the check at
     x_0 fails for good.  The greedy grant search agrees: its condition
     2^b * 2^-L >= need + 2^-L has no solution at b = 0 when need > 0, and
-    has one for every b >= 1.  The run then stops with status
-    ``response_impossible``.  The bound of two elements is attained by a
-    provider with no schedule of its own; a provider that already describes
-    x_0 + 2 when x_0 is first checked, such as the baseline, stops at one.
+    has one for every b >= 1.  The run stops with status
+    ``response_impossible`` as soon as the sum beyond an element exceeds
+    its largest term, without waiting for pending grants.  The bound of two
+    elements is attained by a provider with no schedule of its own; a
+    provider that already describes x_0 + 2 when x_0 is first checked, such
+    as the baseline, stops at one.
     """
     k = 1 << (b + d + 1)
     declared = 1 << min(k, 62)
@@ -844,6 +844,11 @@ def separation_run(
                 if best is not None and pow2(best) * (1 << b) >= need:
                     continue
                 ok = False
+                if b == 0 and best is not None:
+                    # the sum beyond seq[i] exceeds its largest term: two positive
+                    # terms lie there and never shrink, so this check never passes
+                    status = "response_impossible"
+                    break
                 if opponent != "greedy":
                     if not live.pending_events:
                         status = "budget_exhausted"  # nothing can change anymore

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import WeightOverflow
-from .util import ZERO, floor_log2, pow2
+from .util import ZERO, dyadic_sum, floor_log2, pow2
 
 INF = None  # complexity value for "no description yet"
 
@@ -32,7 +32,6 @@ class RequestSet:
     weight: Fraction = ZERO
 
     def __post_init__(self):
-        w = ZERO
         last_stage = 0
         for r, y, stage in self.entries:
             if r < 0 or y < 0 or stage < 0:
@@ -40,7 +39,7 @@ class RequestSet:
             if stage < last_stage:
                 raise ValueError("request stages must be nondecreasing")
             last_stage = stage
-            w += pow2(r)
+        w = dyadic_sum(r for r, _y, _stage in self.entries)
         if w != self.weight:
             raise ValueError("declared weight does not match entries")
         if w > 1:
@@ -67,10 +66,9 @@ def kc_add(rs: RequestSet, r: int, y: int, stage: int) -> RequestSet:
 
 
 def request_set(items: Iterable[tuple[int, int, int]]) -> RequestSet:
-    rs = RequestSet()
-    for r, y, stage in items:
-        rs = kc_add(rs, r, y, stage)
-    return rs
+    """The request set of a complete schedule, validated once."""
+    entries = tuple((r, y, stage) for r, y, stage in items)
+    return RequestSet(entries, dyadic_sum(r for r, _y, _stage in entries))
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class PrefixMachine:
     coding_constant: int = 0
 
     def kraft_sum(self) -> Fraction:
-        return sum((pow2(len(sigma)) for sigma, _ in self.descriptions), ZERO)
+        return dyadic_sum(len(sigma) for sigma, _ in self.descriptions)
 
     def domain(self) -> tuple[str, ...]:
         return tuple(sigma for sigma, _ in self.descriptions)
@@ -123,14 +121,12 @@ class _IntervalAllocator:
 
     def __init__(self):
         self._free: list[tuple[int, int]] = [(0, 0)]  # (index k, length l): [k*2^-l, (k+1)*2^-l)
-        self.allocated = ZERO
 
     def take(self, length: int) -> str:
         for pos, (k, l) in enumerate(self._free):
             if l <= length:
                 del self._free[pos]
                 if l == length:
-                    self.allocated += pow2(length)
                     return format(k, f"0{length}b") if length else ""
                 # split: keep the leftmost sub-piece, free the siblings
                 taken = k << (length - l)
@@ -138,7 +134,6 @@ class _IntervalAllocator:
                 self._free[pos:pos] = [
                     (piece, m) for piece, m in zip(pieces, range(length, l, -1))
                 ]
-                self.allocated += pow2(length)
                 return format(taken, f"0{length}b") if length else ""
         raise WeightOverflow("no free interval fits the requested length")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -15,14 +16,17 @@ def pow2(n: int) -> Fraction:
     return Fraction(1, 1 << n)
 
 
+def dyadic_sum(lengths: Iterable[int]) -> Fraction:
+    """sum(2**(-r)) exactly: ints scaled by 2**max(r), divided once at the end."""
+    lengths = list(lengths)
+    top = max([0, *lengths])
+    return Fraction(sum(1 << (top - r) for r in lengths), 1 << top)
+
+
 def floor_log2(n: int) -> int:
     if n <= 0:
         raise ValueError("floor_log2 needs a positive argument")
     return n.bit_length() - 1
-
-
-def is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 def least_length(v: Fraction) -> int:
@@ -59,12 +63,6 @@ def bits_to_nat(bits: str) -> int:
     if bits and set(bits) - {"0", "1"}:
         raise ValueError("not a bit string")
     return int("1" + bits, 2) - 1
-
-
-def nat_to_bits(n: int) -> str:
-    if n < 0:
-        raise ValueError("negative code")
-    return bin(n + 1)[3:]
 
 
 def drop_trailing_zeros(bits: str) -> str:

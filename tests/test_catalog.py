@@ -22,7 +22,12 @@ from costlab.catalog import (
 from costlab.core import ApproximationTrace, check_monotone
 from costlab.errors import NonAdditive
 from costlab.generate import left_ce_real, rng_for
-from costlab.machine import baseline_provider, provider_from_requests, request_set
+from costlab.machine import (
+    baseline_provider,
+    provider_from_requests,
+    register_requests,
+    request_set,
+)
 from costlab.util import ZERO, least_length, pow2
 
 
@@ -67,6 +72,19 @@ def test_domination_grid_matches_naive_small():
     for x in range(25):
         for s in range(x, 25):
             assert cm(x, s) <= ck(x, s) <= co(x, s)
+
+
+def test_domination_grid_beyond_int64_scale():
+    # descriptions longer than 62 bits leave int64; the exact path must agree
+    # with the int64 one on the same schedule shifted by a coding constant,
+    # since every compared quantity scales by the same power of two
+    rs = request_set([(3, 5, 1), (2, 9, 4), (6, 2, 7), (4, 12, 12), (5, 3, 15)])
+    short = domination_grid_report(provider_from_requests(rs, 0, 20))
+    long_ = domination_grid_report(provider_from_requests(rs, 64, 20))
+    assert short.omega_violations
+    assert long_ == short
+    p = register_requests(baseline_provider(64), request_set([(70, 5, 3)]), 0)
+    assert domination_grid_report(p).ok
 
 
 def test_cost_omega_additive_and_diagonal():

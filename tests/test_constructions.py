@@ -350,6 +350,14 @@ def test_separation_b0_response_impossible():
     assert len(out.sequence) < 3
 
 
+def test_separation_b0_stops_once_two_terms_lie_beyond():
+    # once the sum beyond an element exceeds its largest term, the b = 0 check
+    # there can never pass again: the run stops instead of walking the schedule
+    out = separation_run(0, baseline_provider(4096), 1, 100_000)
+    assert out.status == "response_impossible"
+    assert out.stages_used < 16
+
+
 def test_separation_deterministic():
     p = baseline_provider(1024)
     a = separation_run(1, p, 1, 20_000)

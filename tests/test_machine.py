@@ -88,6 +88,60 @@ def test_machine_existence_on_random_schedules(lengths):
     assert check_prefix_free(m.domain()) == check_prefix_free_pairwise(m.domain())
 
 
+@st.composite
+def bounded_schedules(draw):
+    """Schedules within the unit budget, lengths up to 130 (beyond int64)."""
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=130), max_size=40))
+    steps = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=40, max_size=40))
+    entries, total, stage = [], Fraction(0), 0
+    for i, (r, step) in enumerate(zip(lengths, steps)):
+        if total + pow2(r) > 1:
+            break
+        total += pow2(r)
+        stage += step
+        entries.append((r, i, stage))
+    return entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_schedules(), st.integers(min_value=0, max_value=3))
+def test_scaled_weights_match_fraction_reference(entries, d):
+    reference = sum((pow2(r) for r, _y, _stage in entries), Fraction(0))
+    rs = request_set(entries)
+    assert rs.entries == tuple(entries)
+    assert rs.weight == reference
+    m = kc_machine(rs, d)
+    assert m.kraft_sum() == pow2(d) * reference
+    assert check_prefix_free(m.domain()) == []
+
+
+@pytest.mark.parametrize(
+    "entries", [[(2, 0, 0), (-1, 1, 1)], [(2, -1, 0)], [(2, 0, -1)], [(-1, 0, 0)]]
+)
+def test_request_set_rejects_negative_field(entries):
+    with pytest.raises(ValueError, match="naturals"):
+        request_set(entries)
+
+
+def test_request_set_rejects_decreasing_stage():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        request_set([(3, 0, 5), (70, 1, 6), (3, 2, 4)])
+
+
+def test_request_set_rejects_weight_above_one():
+    # exceeds 1 by 2^-70 only, a difference no int64 scale can carry
+    with pytest.raises(WeightOverflow):
+        request_set([(1, 0, 0), (1, 1, 0), (70, 2, 0)])
+    assert request_set([(1, 0, 0), (2, 1, 0), (2, 2, 0)]).weight == 1
+
+
+def test_request_set_rejects_wrong_declared_weight():
+    entries = ((1, 0, 0), (70, 1, 0))
+    with pytest.raises(ValueError, match="declared weight"):
+        RequestSet(entries, Fraction(1, 2))
+    assert RequestSet(entries, Fraction(1, 2) + pow2(70)).weight == request_set(entries).weight
+
+
 def test_baseline_infinity_convention():
     p = baseline_provider(32)
     for s in range(0, 33):
