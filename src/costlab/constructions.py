@@ -677,15 +677,20 @@ class _LiveComplexity:
     Base grants come from the provider; the run's own requests (honored with
     the declared coding constant at the next stage) and the opponent's
     responses are appended as the game proceeds.  Queries replay against a
-    Fenwick tree of scaled integer weights, exactly.
+    Fenwick tree of weights scaled by 2^scale, exactly; ``scale`` covers every
+    description length the view holds.  The improvements are also indexed
+    by target, so a claim audit reads only one target's list per query.
     """
 
-    SCALE = 62
+    MIN_SCALE = 62
 
-    def __init__(self, p: KProvider, budget_cap: Fraction):
+    def __init__(self, p: KProvider, budget_cap: Fraction, max_length: int):
+        self.scale = max(self.MIN_SCALE, p.max_length, max_length)
         self.fen_size = max(p.horizon * 4, 1 << 14)
         self._fen = Fenwick(self.fen_size)
         self._events: list[tuple[int, int, int]] = sorted(p.k_improvement_events())
+        # target -> [(effect stage, length), ...] in stage order
+        self._by_target = {w: list(best) for w, best in p.best_by_target.items()}
         self._idx = 0
         self._cursor = 0
         self._current: dict[int, int] = {}
@@ -720,7 +725,9 @@ class _LiveComplexity:
         if self._measure + weight > self._cap:
             raise WeightOverflow("response measure exhausted")
         self._measure += weight
-        bisect.insort(self._events, (max(effect_stage, w + 1), w, length))
+        stage = max(effect_stage, w + 1)
+        bisect.insort(self._events, (stage, w, length))
+        bisect.insort(self._by_target.setdefault(w, []), (stage, length))
 
     def advance(self, s: int) -> None:
         if s < self._cursor:
@@ -729,11 +736,11 @@ class _LiveComplexity:
         while self._idx < len(self._events) and self._events[self._idx][0] <= s:
             _stage, w, length = self._events[self._idx]
             self._idx += 1
-            delta = 1 << (self.SCALE - length)
+            delta = 1 << (self.scale - length)
             if w in self._current:
                 if length >= self._current[w]:
                     continue
-                delta -= 1 << (self.SCALE - self._current[w])
+                delta -= 1 << (self.scale - self._current[w])
             self._current[w] = length
             self._fen.add(w, delta)
             for i, x in enumerate(self._watches):
@@ -747,17 +754,17 @@ class _LiveComplexity:
         if x >= self._cursor:
             return ZERO
         acc = self._fen.prefix(self.fen_size - 1) - self._fen.prefix(x)
-        return Fraction(acc, 1 << self.SCALE)
+        return Fraction(acc, 1 << self.scale)
 
     def k_at(self, w: int, s: int) -> int | None:
         """Best length for w granted by stage s (for post-hoc claim audits)."""
         if w >= s:
             return None
         best = None
-        for stage, ww, length in self._events:
+        for stage, length in self._by_target.get(w, ()):
             if stage > s:
                 break
-            if ww == w and (best is None or length < best):
+            if best is None or length < best:
                 best = length
         return best
 
@@ -797,7 +804,7 @@ def separation_run(
     """
     k = 1 << (b + d + 1)
     declared = 1 << min(k, 62)
-    live = _LiveComplexity(p, Fraction(1))
+    live = _LiveComplexity(p, Fraction(1), k + d)
 
     if x0 is None:
         probe = 1
@@ -858,7 +865,7 @@ def separation_run(
                 # cheapest self-consistent grant: 2^b * 2^-L must cover the
                 # sum including the grant's own weight
                 L = None
-                for cand in range(0, live.SCALE):
+                for cand in range(0, live.MIN_SCALE):
                     if pow2(cand) * (1 << b) >= need + pow2(cand):
                         L = cand
                 if L is None:
@@ -885,18 +892,22 @@ def separation_run(
     if status == "running":
         status = "budget_exhausted" if used >= V else "completed"
 
+    # the claim ledger sums min(2^-K_s(w), 2^-cap) = 2^-max(K_s(w), cap) as
+    # integers scaled by 2^top, one Fraction per check
     checks = []
     v = len(seq) - 1
+    top = max(live.scale, k + b + d)
     for r in range(0, min(2, k) + 1):
         R = 1 << r
+        cap = k + b + d - r
         for pi in range(0, v - R + 1):
             s = seq[pi + R]
-            cap = pow2(k + b + d - r)
-            lhs = ZERO
+            acc = 0
             for w in range(seq[pi] + 1, min(s, live.fen_size) + 1):
                 kw = live.k_at(w, s)
                 if kw is not None:
-                    lhs += min(pow2(kw), cap)
+                    acc += 1 << (top - max(kw, cap))
+            lhs = Fraction(acc, 1 << top)
             rhs = (r + 1) * pow2(k + b + d - r + 1)
             checks.append((pi, r, lhs, rhs))
     return SeparationResult(

@@ -52,9 +52,13 @@ class RequestSet:
 def kc_add(rs: RequestSet, r: int, y: int, stage: int) -> RequestSet:
     """Append a request, updating the weight exactly.
 
-    Raises WeightOverflow when the new weight would exceed 1, signalling that
-    the caller's schedule is not a bounded request set.
+    Only the new entry is checked: ``rs`` is already a validated request set,
+    so an append does not recheck the whole set.  Raises WeightOverflow when
+    the new weight would exceed 1, signalling that the caller's schedule is
+    not a bounded request set.
     """
+    if r < 0 or y < 0 or stage < 0:
+        raise ValueError("request fields must be naturals")
     if rs.entries and stage < rs.entries[-1][2]:
         raise ValueError("request stages must be nondecreasing")
     new_weight = rs.weight + pow2(r)
@@ -62,7 +66,10 @@ def kc_add(rs: RequestSet, r: int, y: int, stage: int) -> RequestSet:
         raise WeightOverflow(
             f"adding 2^-{r} lifts the weight to {new_weight} > 1"
         )
-    return RequestSet(rs.entries + ((r, y, stage),), new_weight)
+    out = object.__new__(RequestSet)  # skips __post_init__'s full recheck
+    object.__setattr__(out, "entries", rs.entries + ((r, y, stage),))
+    object.__setattr__(out, "weight", new_weight)
+    return out
 
 
 def request_set(items: Iterable[tuple[int, int, int]]) -> RequestSet:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from costlab.catalog import cost_from_approx, cost_k
+from costlab.catalog import additive_from_real, additive_requests, cost_from_approx, cost_k
 from costlab.constructions import (
     Universe,
     build_complete_model,
@@ -33,8 +33,14 @@ from costlab.errors import (
     NoWitness,
     ScheduleInsufficient,
 )
-from costlab.generate import halting_schedule, rng_for, universe
-from costlab.machine import baseline_provider, provider_from_requests, request_set
+from costlab.generate import halting_schedule, left_ce_real, rng_for, universe
+from costlab.machine import (
+    KProvider,
+    baseline_provider,
+    provider_from_requests,
+    register_requests,
+    request_set,
+)
 from costlab.util import ZERO, bits_to_nat, pow2
 
 
@@ -356,6 +362,50 @@ def test_separation_b0_stops_once_two_terms_lie_beyond():
     out = separation_run(0, baseline_provider(4096), 1, 100_000)
     assert out.status == "response_impossible"
     assert out.stages_used < 16
+
+
+def test_separation_live_view_beyond_scale_62():
+    # a legal provider with a length-70 description: the live view's integer
+    # scale grows to cover it instead of failing on a negative shift
+    rs = request_set([(70, 5, 3)] + [(12, y, y) for y in range(6, 300)])
+    out = separation_run(1, provider_from_requests(rs, 0, 4096), 1, 100_000, x0=2)
+    assert out.status in ("measure_exhausted", "budget_exhausted", "completed")
+    assert len(out.sequence) >= 3
+    assert out.claim_ok
+
+
+def _registered_provider(seed: int, S: int) -> KProvider:
+    extra = additive_requests(additive_from_real(left_ce_real(rng_for(seed, "query0"), 100)))
+    return register_requests(baseline_provider(S), extra, 3)
+
+
+@pytest.mark.parametrize(
+    "provider", [lambda: baseline_provider(2048), lambda: _registered_provider(11, 2048)],
+    ids=["baseline", "registered"],
+)
+def test_separation_claim_ledger_matches_reference_provider(provider):
+    # the claim audit reads the run's live view; recompute every lhs from a
+    # provider holding the same descriptions, with a horizon past the last element
+    b, d = 1, 1
+    p = provider()
+    out = separation_run(b, p, d, 100_000)
+    # the request beyond the last element lies outside every audited range; a
+    # run that ends measure_exhausted lists it without the live view holding it
+    audited = request_set(e for e in out.requests.entries if e[1] <= out.sequence[-1])
+    q = register_requests(p, audited, d)
+    q = register_requests(
+        q, request_set((length, w, stage - 1) for stage, w, length in out.grants), 0
+    )
+    q = KProvider(max(q.horizon, out.sequence[-1] + 1), q.grants, q.budget_used)
+    assert len(out.sequence) >= 3 and out.claim_checks
+    for pi, r, lhs, _rhs in out.claim_checks:
+        s = out.sequence[pi + (1 << r)]
+        expected = ZERO
+        for w in range(out.sequence[pi] + 1, s + 1):
+            kw = q.k(w, s)
+            if kw is not None:
+                expected += min(pow2(kw), pow2(out.k + b + d - r))
+        assert lhs == expected, (pi, r)
 
 
 def test_separation_deterministic():

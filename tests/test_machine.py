@@ -142,6 +142,37 @@ def test_request_set_rejects_wrong_declared_weight():
     assert RequestSet(entries, Fraction(1, 2) + pow2(70)).weight == request_set(entries).weight
 
 
+@settings(max_examples=80, deadline=None)
+@given(bounded_schedules())
+def test_kc_add_chain_matches_request_set(entries):
+    rs = RequestSet()
+    for r, y, stage in entries:
+        rs = kc_add(rs, r, y, stage)
+    assert rs == request_set(entries)
+    assert rs.weight == request_set(entries).weight
+
+
+@pytest.mark.parametrize("field", [(-1, 1, 1), (2, -1, 1), (2, 1, -1)])
+def test_kc_add_rejects_negative_field(field):
+    rs = request_set([(2, 0, 0)])
+    with pytest.raises(ValueError, match="naturals"):
+        kc_add(rs, *field)
+
+
+def test_kc_add_rejects_decreasing_stage():
+    rs = request_set([(3, 0, 5), (70, 1, 6)])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        kc_add(rs, 3, 2, 5)
+
+
+def test_kc_add_rejects_weight_above_one():
+    # the full set plus 2^-70 exceeds 1 by that much only
+    rs = request_set([(1, 0, 0), (1, 1, 0)])
+    with pytest.raises(WeightOverflow):
+        kc_add(rs, 70, 2, 0)
+    assert kc_add(request_set([(1, 0, 0), (2, 1, 0)]), 2, 2, 0).weight == 1
+
+
 def test_baseline_infinity_convention():
     p = baseline_provider(32)
     for s in range(0, 33):
