@@ -72,53 +72,53 @@ def _run_simplicity(
     S: int,
     prompt: bool,
 ) -> tuple[EnumerationTrace, RequirementLedger]:
+    """Event-driven stage loop shared by the plain and prompt variants.
+
+    Requirement e first looks at its set at stage e + 1, so an element that
+    arrives at stage t is fresh for e at max(t, e + 1); in prompt mode it
+    qualifies only if that is its own arrival stage.  Under a stage-monotone
+    cost a candidate that failed at some stage fails at every later one, so
+    only fresh elements are tested and only stages with arrivals are visited.
+    Other costs retest every accumulated candidate of each unmet requirement
+    at every stage.
+    """
     records = [RequirementRecord(e) for e in range(u.size)]
-    arrivals: list[list[tuple[int, int]]] = []  # per e: (stage, x) sorted by stage
-    for w in u.sets:
-        arrivals.append(sorted((s, x) for s, x, _v in w.events))
-    pointers = [0] * u.size
-    candidates: list[list[int]] = [[] for _ in range(u.size)]
+    arrivals = [sorted((s, x) for s, x, _v in w.events) for w in u.sets]
+    fresh_at: dict[int, dict[int, list[int]]] = {}  # stage -> e -> fresh elements
+    for e, arr in enumerate(arrivals):
+        for stage_in, x in arr:
+            s = max(stage_in, e + 1)
+            if s <= S and x >= 2 * e and (not prompt or stage_in == s):
+                fresh_at.setdefault(s, {}).setdefault(e, []).append(x)
+    only_fresh = prompt or c.props.monotone_stage
+    candidates: dict[int, list[int]] = {}  # unmet e -> elements seen so far
     events = []
     in_a: set[int] = set()
     threshold = [pow2(e) for e in range(u.size)]
 
-    for s in range(1, S + 1):
-        for e in range(min(u.size, s)):
+    for s in (sorted(fresh_at) if only_fresh else range(1, S + 1)):
+        fresh = fresh_at.get(s, {})
+        if only_fresh:
+            pools = sorted(fresh.items())
+        else:
+            for e, xs in fresh.items():
+                if not records[e].met:
+                    candidates.setdefault(e, []).extend(xs)
+            pools = sorted(candidates.items())
+        for e, pool in pools:
             rec = records[e]
-            arr = arrivals[e]
-            fresh = []
-            while pointers[e] < len(arr) and arr[pointers[e]][0] <= s:
-                stage_in, x = arr[pointers[e]]
-                pointers[e] += 1
-                if x >= 2 * e and (not prompt or stage_in == s):
-                    fresh.append(x)
             if rec.met:
                 continue
-            if prompt:
-                pool = sorted(fresh)
-            elif c.props.monotone_stage:
-                # failed candidates stay failed under a stage-monotone cost,
-                # so only fresh arrivals and past survivors need testing
-                pool = sorted(candidates[e] + fresh)
-            else:
-                candidates[e].extend(fresh)
-                pool = sorted(candidates[e])
-            chosen = None
-            survivors = []
-            for x in pool:
+            for x in sorted(pool):
                 if c(x, s) <= threshold[e]:
-                    chosen = x
+                    rec.met = True
                     rec.had_candidate = True
+                    rec.witness = (s, x)
+                    candidates.pop(e, None)
+                    if x not in in_a:
+                        in_a.add(x)
+                        events.append((s, x, 1))
                     break
-                survivors.append(x)
-            if not prompt and c.props.monotone_stage:
-                candidates[e] = [] if chosen is not None else survivors
-            if chosen is not None:
-                rec.met = True
-                rec.witness = (s, chosen)
-                if chosen not in in_a:
-                    in_a.add(chosen)
-                    events.append((s, chosen, 1))
     # a starved requirement may still have had a qualifying pair at some stage
     for e, rec in enumerate(records):
         if not rec.met and not rec.had_candidate:
@@ -448,8 +448,9 @@ def build_complete_model(
     K_max = max([kk for kk in phis] + [kk for _s, kk, _v in halting.events] + [0])
     markers = {kk: kk for kk in range(K_max + 1)}
     high_water = K_max
-    beta_steps = [ZERO]
-    pending_bump = ZERO
+    # beta in units of 2^-K_max: every bump 2^-k has k <= K_max
+    beta_units = [0]
+    pending_bump = 0
     in_a: set[int] = set()
     events: list[tuple[int, int, int]] = []
     marker_log: list[tuple[int, int, int, int]] = []
@@ -469,14 +470,14 @@ def build_complete_model(
                 live_axiom[kk] = None
 
     for s in range(1, S + 1):
-        beta_steps.append(beta_steps[-1] + pending_bump)
-        pending_bump = ZERO
+        beta_units.append(beta_units[-1] + pending_bump)
+        pending_bump = 0
 
         k_conv = phi_by_stage.get(s)
         if k_conv is not None and k_conv <= K_max:
             enumerate_element(markers[k_conv], s)
             actions.append((s, k_conv))
-            pending_bump = pow2(k_conv)  # takes effect at the next stage
+            pending_bump = 1 << (K_max - k_conv)  # takes effect at the next stage
             high_water = max(high_water, s, *markers.values())
             for i in range(k_conv, K_max + 1):
                 high_water += 1
@@ -498,12 +499,17 @@ def build_complete_model(
                 )
                 live_axiom[kk] = (use, val)
 
-        for kk in range(K_max + 1):
-            anchor = min(markers[kk], s)
-            if beta_steps[s] - beta_steps[anchor] > pow2(kk):
+        b_s = beta_units[s]
+        for kk, m in markers.items():
+            if b_s - beta_units[m if m < s else s] > 1 << (K_max - kk):
                 violations.append((s, kk))
 
-    beta = LeftCEReal(tuple(beta_steps), cap=beta_steps[-1] + 1)
+    as_fraction: dict[int, Fraction] = {}  # beta changes at few stages
+    for v in beta_units:
+        if v not in as_fraction:
+            as_fraction[v] = Fraction(v, 1 << K_max)
+    beta_steps = tuple(as_fraction[v] for v in beta_units)
+    beta = LeftCEReal(beta_steps, cap=beta_steps[-1] + 1)
     trace = EnumerationTrace(S, sorted(events, key=lambda e: e[0]))
     total = cost_of_trace(additive_from_real(beta), trace).total
 
@@ -827,11 +833,12 @@ def separation_run(
     while used < V and len(seq) - 1 < declared:
         xv = seq[-1]
         try:
-            requests = kc_add(requests, k, xv + 1, cur)
+            grown = kc_add(requests, k, xv + 1, cur)
             live.add_description(xv + 1, k + d, cur + 1)
         except (WeightOverflow, ValueError):
             status = "measure_exhausted"
             break
+        requests = grown  # listed only once the live view has honored it
         while live.ck(xv) < pow2(k + d) and used < V:
             cur += 1
             used += 1

@@ -9,8 +9,10 @@ State is an event-sourced log enabling replay-based assertions.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .core import EnumerationTrace
@@ -74,14 +76,22 @@ def oracle_from_set(members: frozenset[int]) -> OracleBit:
 
 
 def nondeficiency_stages(d: EnumerationTrace) -> frozenset[int]:
-    """Stages whose enumeration is final below the entering element."""
-    entries = [(s, x) for s, x, _v in d.events]
+    """Stages whose enumeration is final below the entering element.
+
+    A stage qualifies when no later stage enters an element below the least
+    element entering at it.
+    """
+    least: dict[int, int] = {}
+    for s, x, _v in d.events:
+        if s not in least or x < least[s]:
+            least[s] = x
     out = set()
-    for i, (s, x) in enumerate(entries):
-        stage_entries = [xx for ss, xx in entries if ss == s]
-        least = min(stage_entries)
-        if all(xx >= least for ss, xx in entries if ss > s):
+    later: int | None = None  # least element entering after the current stage
+    for s in sorted(least, reverse=True):
+        if later is None or later >= least[s]:
             out.add(s)
+        if later is None or least[s] < later:
+            later = least[s]
     return frozenset(out)
 
 
@@ -189,6 +199,36 @@ class DualState:
         return [(s, x) for s, x, _v in self.d_trace.events]
 
 
+class _GammaIndex:
+    """Lookup tables behind the decoded values of one finished state.
+
+    Holds the wishes grouped by x and, for the D entries sorted by element,
+    the prefix maximum of their stages, so the last stage entering an
+    element below t is one bisect away.
+    """
+
+    def __init__(self, st: DualState):
+        self._halting_entries = st.halting_entries
+        entries = sorted((x, s) for s, x in st.d_entry_stages())
+        self._elements = [x for x, _s in entries]
+        self._last_stage = list(accumulate((s for _x, s in entries), max, initial=0))
+        self.wishes_by_x: dict[int, list[Wish]] = {}
+        for w in st.wishes:
+            self.wishes_by_x.setdefault(w.x, []).append(w)
+
+    def gamma(self, x: int, t: int) -> Fraction:
+        s_star = self._last_stage[bisect.bisect_left(self._elements, t)]
+        best = ZERO
+        for w in self.wishes_by_x.get(x, ()):
+            if w.u <= t and w.born <= s_star:
+                if w.removed is None or w.removed > s_star:
+                    best = max(best, w.alpha)
+        return best
+
+    def halting_cost(self) -> Fraction:
+        return sum((self.gamma(n, s) for s, n in self._halting_entries), ZERO)
+
+
 def gamma_eval(st: DualState, x: int, t: int) -> Fraction:
     """Decoded value at x with use bound t: the largest granted wish.
 
@@ -196,23 +236,12 @@ def gamma_eval(st: DualState, x: int, t: int) -> Fraction:
     final below t; wishes about x with use within t that are alive there
     contribute their alpha.
     """
-    s_star = 0
-    for s, xx in st.d_entry_stages():
-        if xx < t:
-            s_star = max(s_star, s)
-    best = ZERO
-    for w in st.wishes:
-        if w.x == x and w.u <= t and w.born <= s_star:
-            if w.removed is None or w.removed > s_star:
-                best = max(best, w.alpha)
-    return best
+    return _GammaIndex(st).gamma(x, t)
 
 
 def halting_cost(st: DualState) -> Fraction:
     """Exact decoded-cost ledger of the mock halting set's enumeration."""
-    return sum(
-        (gamma_eval(st, n, s) for s, n in st.halting_entries), ZERO
-    )
+    return _GammaIndex(st).halting_cost()
 
 
 def dual_construct(
@@ -238,7 +267,14 @@ def dual_construct(
     f_members: set[int] = set()
     f_events: list[tuple[int, int, int]] = []
     halting: set[int] = set()
+    halting_sorted: list[int] = []
     halting_entries: list[tuple[int, int]] = []
+    entry_stages: list[int] = []
+    # entry_suffix_min[i]: least entrant at the i-th entry stage or later
+    entry_suffix_min: list[int] = []
+    f_sorted: list[int] = []
+    value_cap = [Fraction(1, 2 * 3**e) for e in range(E)]
+    held_cap = [Fraction(1, 3**e) for e in range(E)]
     active: dict[int, _Active] = {}
     activations: list[tuple[int, int, int, int]] = []
     cancellations: list[tuple[int, int, int, int]] = []
@@ -265,10 +301,10 @@ def dual_construct(
             d_events.append((s, key, 1))
         live_by_x[w.x].remove(w)
 
-    def halting_changed_below(born: int, s: int, x: int) -> bool:
-        return any(
-            born < stage <= s and n <= x for stage, n in halting_entries
-        )
+    def halting_changed_below(born: int, x: int) -> bool:
+        """Whether an entrant <= x entered after stage born (up to now)."""
+        i = bisect.bisect_right(entry_stages, born)
+        return i < len(entry_suffix_min) and entry_suffix_min[i] <= x
 
     stage = 1
     zp_idx = 0
@@ -280,7 +316,14 @@ def dual_construct(
         if n in halting:
             raise ValueError("halting-set entrants must be distinct")
         halting.add(n)
+        bisect.insort(halting_sorted, n)
         halting_entries.append((s, n))
+        entry_stages.append(s)
+        i = len(entry_suffix_min)
+        while i > 0 and entry_suffix_min[i - 1] > n:
+            i -= 1
+            entry_suffix_min[i] = n
+        entry_suffix_min.append(n)
         high_water = max(high_water, s, n)
 
         # 1. cancel requirements whose guess was overtaken
@@ -297,7 +340,7 @@ def dual_construct(
         for ws in [list(ws) for ws in live_by_x.values()]:
             for w in ws:
                 if w.removed is None and w.holder is None:
-                    if halting_changed_below(w.born, s, w.x):
+                    if halting_changed_below(w.born, w.x):
                         remove_wish(w, s)
 
         # 3. add wishes at the current relative prices
@@ -326,12 +369,12 @@ def dual_construct(
             for v in range(e, n + 1):
                 if v <= floor:
                     continue
-                if c.value(d_bit, v, s) > Fraction(1, 2 * 3**e):
+                if c.value(d_bit, v, s) > value_cap[e]:
                     continue
-                m = sum(1 for kk in halting if kk < v)
+                m = bisect.bisect_left(halting_sorted, v)
                 x = triple_pair(e, v, m)
                 if phis[e].support(d_bit, x) != frozenset(
-                    y for y in f_members if y <= x
+                    f_sorted[: bisect.bisect_right(f_sorted, x)]
                 ):
                     continue
                 takeover = [
@@ -343,7 +386,7 @@ def dual_construct(
                 per_x: dict[int, Fraction] = {}
                 for w in takeover:
                     per_x[w.x] = max(per_x.get(w.x, ZERO), w.alpha)
-                if sum(per_x.values(), ZERO) > Fraction(1, 3**e):
+                if sum(per_x.values(), ZERO) > held_cap[e]:
                     continue
                 chosen = (v, x, takeover)
                 break
@@ -356,6 +399,7 @@ def dual_construct(
                 activations.append((s, e, v, x))
                 if x not in f_members:
                     f_members.add(x)
+                    bisect.insort(f_sorted, x)
                     f_events.append((s, x, 1))
                 high_water = max(high_water, x, v)
 
@@ -407,17 +451,18 @@ def audit_dual(st: DualState) -> DualAudit:
         total <= Fraction(1, 3**e) for _s, e, total in st.held_history
     )
 
+    index = _GammaIndex(st)
     gamma_monotone = True
-    for x in {w.x for w in st.wishes}:
-        grid = sorted({w.u for w in st.wishes if w.x == x} | {st.horizon})
+    for x, ws in index.wishes_by_x.items():
+        grid = sorted({w.u for w in ws} | {st.horizon})
         prev = ZERO
         for t in grid:
-            g = gamma_eval(st, x, t)
+            g = index.gamma(x, t)
             if g < prev:
                 gamma_monotone = False
             prev = g
 
-    total = halting_cost(st)
+    total = index.halting_cost()
     justified = all(n < v for _s, _e, v, n in st.cancellations)
     return DualAudit(
         held_ok, gamma_monotone, total, total <= Fraction(3, 2), justified
@@ -432,12 +477,12 @@ def audit_diagonalization(st: DualState, phis: Sequence[PhiMock]) -> bool:
         return 1 if i in final_d else 0
 
     f_final = st.f_trace.final_set()
+    last_cancel: dict[tuple[int, int], int] = {}  # (e, v) -> last cancellation stage
+    for cs, ce, cv, _n in st.cancellations:
+        last_cancel[ce, cv] = max(cs, last_cancel.get((ce, cv), cs))
     ok = True
     for s, e, v, x in st.activations:
-        later_cancel = any(
-            cs >= s and ce == e and cv == v for cs, ce, cv, _n in st.cancellations
-        )
-        if later_cancel:
+        if last_cancel.get((e, v), -1) >= s:
             continue
         value, _use = phis[e].rule(bit, x)
         if (x in f_final) == (value == 1):

@@ -389,10 +389,7 @@ def test_separation_claim_ledger_matches_reference_provider(provider):
     b, d = 1, 1
     p = provider()
     out = separation_run(b, p, d, 100_000)
-    # the request beyond the last element lies outside every audited range; a
-    # run that ends measure_exhausted lists it without the live view holding it
-    audited = request_set(e for e in out.requests.entries if e[1] <= out.sequence[-1])
-    q = register_requests(p, audited, d)
+    q = register_requests(p, out.requests, d)
     q = register_requests(
         q, request_set((length, w, stage - 1) for stage, w, length in out.grants), 0
     )
@@ -406,6 +403,31 @@ def test_separation_claim_ledger_matches_reference_provider(provider):
             if kw is not None:
                 expected += min(pow2(kw), pow2(out.k + b + d - r))
         assert lhs == expected, (pi, r)
+
+
+def test_separation_lists_only_honored_requests():
+    # the run ends measure_exhausted at the request step: the request the live
+    # view refused is not listed, so the provider can hold everything listed
+    b, d = 1, 1
+    p = _registered_provider(11, 2048)
+    out = separation_run(b, p, d, 100_000)
+    assert out.status == "measure_exhausted"
+    total = (
+        p.budget_used
+        + sum(pow2(r + d) for r, _y, _t in out.requests.entries)
+        + sum(pow2(length) for _s, _w, length in out.grants)
+    )
+    assert total <= 1
+    # one request per element but the last, just beyond it
+    assert [y for _r, y, _t in out.requests.entries] == [x + 1 for x in out.sequence[:-1]]
+    q = register_requests(p, out.requests, d)
+    q = register_requests(
+        q, request_set((length, w, stage - 1) for stage, w, length in out.grants), 0
+    )
+    assert q.budget_used == total
+    q = KProvider(max(q.horizon, out.sequence[-1] + 1), q.grants, q.budget_used)
+    for r, y, t in out.requests.entries:
+        assert q.k(y, max(t + 1, y + 1)) <= r + d
 
 
 def test_separation_deterministic():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from costlab.core import EnumerationTrace
 from costlab.dual import (
@@ -58,6 +60,30 @@ def test_nondeficiency_out_of_order_entry():
 
 def test_nondeficiency_empty():
     assert nondeficiency_stages(EnumerationTrace(20)) == frozenset()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hst.lists(
+        hst.tuples(hst.integers(1, 12), hst.integers(0, 30)),
+        max_size=20,
+        unique_by=lambda entry: entry[1],
+    )
+)
+def test_nondeficiency_stages_match_definition(entries):
+    # a stage qualifies when no later stage enters an element below the least
+    # element entering at it
+    d = EnumerationTrace(12, sorted((s, x, 1) for s, x in entries))
+    expected = {
+        s
+        for s, _x in entries
+        if all(
+            xx >= min(y for ss, y in entries if ss == s)
+            for ss, xx in entries
+            if ss > s
+        )
+    }
+    assert nondeficiency_stages(d) == expected
 
 
 def test_hat_sup_oracle_free():
