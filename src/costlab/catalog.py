@@ -15,10 +15,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .complexity import Cursor, weight_change
 from .core import ApproximationTrace, CostFn, cost_fn, limit_estimate
 from .errors import NonAdditive
 from .machine import KProvider, RequestSet, request_set
-from .util import ZERO, Fenwick, least_length, pow2
+from .util import ZERO, least_length, pow2
 
 
 @dataclass(frozen=True)
@@ -53,72 +54,35 @@ class LeftCEReal:
 def cost_k(p: KProvider) -> CostFn:
     """Complexity-sum cost: c(x, s) = sum of 2^-K_s(w) for x < w <= s.
 
-    The pointwise evaluator walks the provider's improvement lists; ``bulk``
-    replays stage-sorted queries against a Fenwick tree of scaled weights,
-    and ``stage_scan`` advances s incrementally.  All three agree exactly.
+    Every evaluator reads the provider's K_s index with s clamped to the
+    horizon: ``ev`` bisects each target's improvements, ``bulk`` moves one
+    cursor over the stage-sorted queries, and ``stage_scan`` sums the
+    changes a cursor applies beyond x.  All three agree exactly.
     """
-    scale = p.max_length
-    events = p.k_improvement_events()  # (stage, w, length), stage-sorted
     horizon = p.horizon
 
     def ev(x: int, s: int) -> Fraction:
-        if x >= s:
-            return ZERO
-        s_eff = min(s, horizon)
-        acc = 0
-        for w, best in p.best_by_target.items():
-            if x < w:
-                cur = None
-                for stage, length in best:
-                    if stage <= s_eff:
-                        cur = length
-                    else:
-                        break
-                if cur is not None:
-                    acc += 1 << (scale - cur)
-        return Fraction(acc, 1 << scale)
+        return p.index.sum_at(x, min(s, horizon))
 
     def bulk(pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-        size = horizon + 2
-        fen = Fenwick(size)
-        current: dict[int, int] = {}
-        idx = 0
+        cursor = Cursor(p.index)
         out = []
-        last_s = -1
         for x, s in pairs:
-            if s < last_s:
-                raise ValueError("bulk queries must be stage-sorted")
-            last_s = s
-            while idx < len(events) and events[idx][0] <= min(s, horizon):
-                _stage, w, length = events[idx]
-                delta = 1 << (scale - length)
-                if w in current:
-                    delta -= 1 << (scale - current[w])
-                current[w] = length
-                if w < size:
-                    fen.add(w, delta)
-                idx += 1
-            if x >= s:
-                out.append(ZERO)
-            else:
-                acc = fen.prefix(size - 1) - fen.prefix(x)
-                out.append(Fraction(acc, 1 << scale))
+            cursor.advance(min(s, horizon))  # a cursor only moves forward: s must not fall
+            out.append(cursor.sum_beyond(x))
         return out
 
     def stage_scan(x: int, s_from: int):
-        idx = 0
-        current: dict[int, int] = {}
-        acc = 0
-        for s in range(s_from, horizon + 1):
-            while idx < len(events) and events[idx][0] <= s:
-                _stage, w, length = events[idx]
+        scale = p.max_length
+        acc, value = 0, ZERO
+        yield from ((s, ZERO) for s in range(s_from, 1))  # stages before any grant
+        for s, changes in Cursor(p.index).steps(horizon):
+            for w, old, new in changes:
                 if w > x:
-                    acc += 1 << (scale - length)
-                    if w in current:
-                        acc -= 1 << (scale - current[w])
-                current[w] = length
-                idx += 1
-            yield s, (Fraction(acc, 1 << scale) if x < s else ZERO)
+                    acc += weight_change(scale, old, new)
+                    value = Fraction(acc, 1 << scale)
+            if s >= s_from:
+                yield s, value
 
     return cost_fn(
         "complexity-sum",
@@ -230,20 +194,7 @@ def cost_max(p: KProvider) -> CostFn:
     horizon = p.horizon
 
     def ev(x: int, s: int) -> Fraction:
-        if x >= s:
-            return ZERO
-        s_eff = min(s, horizon)
-        best = None
-        for w, entries in p.best_by_target.items():
-            if x < w:
-                cur = None
-                for stage, length in entries:
-                    if stage <= s_eff:
-                        cur = length
-                    else:
-                        break
-                if cur is not None and (best is None or cur < best):
-                    best = cur
+        best = min(p.index.lengths(x, min(s, horizon)), default=None)
         return pow2(best) if best is not None else ZERO
 
     return cost_fn(
@@ -395,44 +346,19 @@ def domination_grid_report(p: KProvider) -> DominationReport:
     S = p.horizon
     scale = p.max_length
     dtype = np.int64 if scale <= 62 else object
-    events = p.k_improvement_events()
-    omega_scaled = np.zeros(S + 1, dtype=dtype)
-    acc = 0
-    grants_by_stage: dict[int, int] = {}
-    for g in p.grants:
-        grants_by_stage[g.omega_stage] = grants_by_stage.get(g.omega_stage, 0) + (
-            1 << (scale - g.length)
-        )
-    for s in range(1, S + 1):
-        acc += grants_by_stage.get(s, 0)
-        omega_scaled[s] = acc
-
-    m = np.zeros(S + 2, dtype=dtype)  # current scaled weight 2^(scale - K_s(w)) per w
-    current: dict[int, int] = {}
-    idx = 0
+    omega_scaled = np.array([p.omega_scaled(s) for s in range(S + 1)], dtype=dtype)
+    m = np.zeros(S + 1, dtype=dtype)  # current scaled weight 2^(scale - K_s(w)) per w
     omega_bad: list[tuple[int, int]] = []
     max_bad: list[tuple[int, int]] = []
-    for s in range(1, S + 1):
-        while idx < len(events) and events[idx][0] <= s:
-            _stage, w, length = events[idx]
-            delta = 1 << (scale - length)
-            if w in current:
-                delta -= 1 << (scale - current[w])
-            current[w] = length
-            m[w] += delta
-            idx += 1
+    for s, changes in Cursor(p.index).steps(S):
+        for w, old, new in changes:
+            m[w] += weight_change(scale, old, new)
         col = m[: s + 1]
-        # c_sum(x, s) scaled = suffix sum over w in (x, s]
-        rev = col[::-1]
-        suffix = np.concatenate(([0], np.cumsum(rev)))[::-1]  # suffix[x] = sum w >= x
-        ck = suffix[1 : s + 2][: s + 1].copy()  # ck[x] = sum w > x .. s
-        cmx = np.concatenate(
-            (np.maximum.accumulate(rev)[::-1][1:], [0])
-        )  # cmx[x] = max w > x
+        # ck[x] and cmx[x]: the sum and the maximum of col over w in (x, s]
+        ck = np.cumsum(col[::-1])[::-1] - col
+        cmx = np.concatenate((np.maximum.accumulate(col[::-1])[::-1][1:], [0]))
         om = omega_scaled[s] - omega_scaled[: s + 1]
-        bad1 = np.nonzero(ck > om)[0]
-        bad2 = np.nonzero(cmx > ck)[0]
-        omega_bad.extend((int(x), s) for x in bad1)
-        max_bad.extend((int(x), s) for x in bad2)
+        omega_bad.extend((int(x), s) for x in np.nonzero(ck > om)[0])
+        max_bad.extend((int(x), s) for x in np.nonzero(cmx > ck)[0])
     points = (S + 1) * (S + 2) // 2
     return DominationReport(S, points, tuple(omega_bad), tuple(max_bad))

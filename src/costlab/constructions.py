@@ -8,12 +8,12 @@ be replayed and audited.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .catalog import LeftCEReal, additive_from_real, cost_from_approx, cost_k, cost_max
+from .complexity import Cursor, KIndex
 from .core import (
     ApproximationTrace,
     CostFn,
@@ -26,10 +26,9 @@ from .errors import (
     NotErasing,
     NoWitness,
     ScheduleInsufficient,
-    WeightOverflow,
 )
 from .machine import KProvider, RequestSet, kc_add, register_requests, request_set
-from .util import ZERO, Fenwick, bits_to_nat, drop_trailing_zeros, pow2
+from .util import ZERO, bits_to_nat, drop_trailing_zeros, pow2
 
 
 @dataclass(frozen=True)
@@ -636,20 +635,16 @@ def weak_ktrivial_requests(
     cm = cost_max(p)
     entries: list[tuple[int, int, int]] = []
     drops = 0
-    for stage, n, length in p.k_improvement_events():
-        if stage > a.horizon:
-            continue
-        prefix = "".join(str(a.value(i, stage)) for i in range(n))
-        entries.append((length + 1, bits_to_nat(drop_trailing_zeros(prefix)), stage))
-        drops += 1
+    for stage, changes in Cursor(p.index).steps(a.horizon):
+        for n, _old, length in changes:
+            prefix = "".join(str(a.value(i, stage)) for i in range(n))
+            entries.append((length + 1, bits_to_nat(drop_trailing_zeros(prefix)), stage))
+            drops += 1
     changes = 0
     for s, x, _v in a.events:
-        v = cm(x, s)
-        if v == 0:
+        r = min(p.index.lengths(x, min(s, p.horizon)), default=None)  # c_max = 2^-r
+        if r is None:
             continue
-        r = v.denominator.bit_length() - 1
-        if pow2(r) != v:
-            raise ValueError("max cost is not a power of two")
         prefix = "".join(str(a.value(i, s)) for i in range(x + 1))
         entries.append((r + 1, bits_to_nat(drop_trailing_zeros(prefix)), s))
         changes += 1
@@ -677,102 +672,15 @@ class SeparationResult:
         return all(lhs >= rhs for _p, _r, lhs, rhs in self.claim_checks)
 
 
-class _LiveComplexity:
-    """Mutable complexity view used inside the separation run.
+def _grant_length(b: int, need: Fraction) -> int | None:
+    """The greedy opponent's cheapest self-consistent grant for a positive need.
 
-    Base grants come from the provider; the run's own requests (honored with
-    the declared coding constant at the next stage) and the opponent's
-    responses are appended as the game proceeds.  Queries replay against a
-    Fenwick tree of weights scaled by 2^scale, exactly; ``scale`` covers every
-    description length the view holds.  The improvements are also indexed
-    by target, so a claim audit reads only one target's list per query.
+    2^b * 2^-L must cover the sum including the grant's own weight, so L is
+    the largest length with 2^L * need <= 2^b - 1; None when there is none,
+    which is always the case at b = 0.
     """
-
-    MIN_SCALE = 62
-
-    def __init__(self, p: KProvider, budget_cap: Fraction, max_length: int):
-        self.scale = max(self.MIN_SCALE, p.max_length, max_length)
-        self.fen_size = max(p.horizon * 4, 1 << 14)
-        self._fen = Fenwick(self.fen_size)
-        self._events: list[tuple[int, int, int]] = sorted(p.k_improvement_events())
-        # target -> [(effect stage, length), ...] in stage order
-        self._by_target = {w: list(best) for w, best in p.best_by_target.items()}
-        self._idx = 0
-        self._cursor = 0
-        self._current: dict[int, int] = {}
-        self._measure = p.budget_used
-        self._cap = budget_cap
-        self._watches: list[int] = []       # positions of interest
-        self._watch_best: list[int | None] = []  # best length strictly beyond each
-
-    def measure_left(self) -> Fraction:
-        return self._cap - self._measure
-
-    @property
-    def pending_events(self) -> bool:
-        return self._idx < len(self._events)
-
-    def watch(self, x: int) -> None:
-        best = None
-        for w, length in self._current.items():
-            if w > x and (best is None or length < best):
-                best = length
-        self._watches.append(x)
-        self._watch_best.append(best)
-
-    def best_beyond(self, i: int) -> int | None:
-        """Best (least) description length strictly beyond the i-th watch."""
-        return self._watch_best[i]
-
-    def add_description(self, w: int, length: int, effect_stage: int) -> None:
-        if w >= self.fen_size:
-            raise ValueError("target outside the live view")
-        weight = pow2(length)
-        if self._measure + weight > self._cap:
-            raise WeightOverflow("response measure exhausted")
-        self._measure += weight
-        stage = max(effect_stage, w + 1)
-        bisect.insort(self._events, (stage, w, length))
-        bisect.insort(self._by_target.setdefault(w, []), (stage, length))
-
-    def advance(self, s: int) -> None:
-        if s < self._cursor:
-            raise ValueError("the live view only moves forward")
-        self._cursor = s
-        while self._idx < len(self._events) and self._events[self._idx][0] <= s:
-            _stage, w, length = self._events[self._idx]
-            self._idx += 1
-            delta = 1 << (self.scale - length)
-            if w in self._current:
-                if length >= self._current[w]:
-                    continue
-                delta -= 1 << (self.scale - self._current[w])
-            self._current[w] = length
-            self._fen.add(w, delta)
-            for i, x in enumerate(self._watches):
-                if w > x:
-                    best = self._watch_best[i]
-                    if best is None or length < best:
-                        self._watch_best[i] = length
-
-    def ck(self, x: int) -> Fraction:
-        """Complexity-sum cost at the cursor stage, exactly."""
-        if x >= self._cursor:
-            return ZERO
-        acc = self._fen.prefix(self.fen_size - 1) - self._fen.prefix(x)
-        return Fraction(acc, 1 << self.scale)
-
-    def k_at(self, w: int, s: int) -> int | None:
-        """Best length for w granted by stage s (for post-hoc claim audits)."""
-        if w >= s:
-            return None
-        best = None
-        for stage, length in self._by_target.get(w, ()):
-            if stage > s:
-                break
-            if best is None or length < best:
-                best = length
-        return best
+    q = ((1 << b) - 1) * need.denominator // need.numerator
+    return q.bit_length() - 1 if q else None
 
 
 def separation_run(
@@ -810,12 +718,15 @@ def separation_run(
     """
     k = 1 << (b + d + 1)
     declared = 1 << min(k, 62)
-    live = _LiveComplexity(p, Fraction(1), k + d)
+    # the game's own copy of K_s: it appends the builder's requests and the
+    # opponent's grants as it plays
+    live = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
+    view = Cursor(live)
+    measure = p.budget_used
 
     if x0 is None:
         probe = 1
-        ckf = cost_k(p)
-        while probe < p.horizon and ckf(probe, p.horizon) > pow2(min(k + d + 2, 60)):
+        while probe < p.horizon and p.index.sum_at(probe, p.horizon) > pow2(min(k + d + 2, 60)):
             probe <<= 1
         if probe >= p.horizon:
             raise ScheduleInsufficient("no cheap starting point below the horizon")
@@ -825,70 +736,63 @@ def separation_run(
     requests = RequestSet()
     grants: list[tuple[int, int, int]] = []
     cur = x0 + 1
-    live.advance(cur)
-    live.watch(x0)
+    view.advance(cur)
     status = "running"
     used = 0
 
     while used < V and len(seq) - 1 < declared:
         xv = seq[-1]
-        try:
-            grown = kc_add(requests, k, xv + 1, cur)
-            live.add_description(xv + 1, k + d, cur + 1)
-        except (WeightOverflow, ValueError):
+        if requests.weight + pow2(k) > 1 or measure + pow2(k + d) > 1:
             status = "measure_exhausted"
             break
-        requests = grown  # listed only once the live view has honored it
-        while live.ck(xv) < pow2(k + d) and used < V:
+        requests = kc_add(requests, k, xv + 1, cur)
+        live.add(xv + 1, k + d, cur + 1)
+        measure += pow2(k + d)
+        while view.sum_beyond(xv) < pow2(k + d) and used < V:
             cur += 1
             used += 1
-            live.advance(cur)
-        if live.ck(xv) < pow2(k + d):
+            view.advance(cur)
+        if view.sum_beyond(xv) < pow2(k + d):
             status = "budget_exhausted"
             break
         responded = False
         while used < V:
             cur += 1
             used += 1
-            live.advance(cur)
+            view.advance(cur)
             ok = True
-            for i in range(len(seq)):
-                need = live.ck(seq[i])
-                best = live.best_beyond(i)
+            for x in seq:
+                need = view.sum_beyond(x)
+                best = view.min_beyond(x)
                 if best is not None and pow2(best) * (1 << b) >= need:
                     continue
                 ok = False
                 if b == 0 and best is not None:
-                    # the sum beyond seq[i] exceeds its largest term: two positive
+                    # the sum beyond x exceeds its largest term: two positive
                     # terms lie there and never shrink, so this check never passes
                     status = "response_impossible"
                     break
                 if opponent != "greedy":
-                    if not live.pending_events:
+                    if not view.pending:
                         status = "budget_exhausted"  # nothing can change anymore
                     break
-                if live.pending_events:
+                if view.pending:
                     break  # let earlier grants register before adding more
-                # cheapest self-consistent grant: 2^b * 2^-L must cover the
-                # sum including the grant's own weight
-                L = None
-                for cand in range(0, live.MIN_SCALE):
-                    if pow2(cand) * (1 << b) >= need + pow2(cand):
-                        L = cand
+                L = _grant_length(b, need)
                 if L is None:
                     status = "response_impossible"
                     break
-                if pow2(L) > live.measure_left():
+                if pow2(L) > 1 - measure:
                     status = "measure_exhausted"
                     break
-                live.add_description(cur + 1, L, cur + 2)
+                live.add(cur + 1, L, cur + 2)
+                measure += pow2(L)
                 grants.append((cur + 2, cur + 1, L))
                 break
             if status != "running":
                 break
             if ok:
                 seq.append(cur)
-                live.watch(cur)
                 responded = True
                 break
         if status != "running":
@@ -909,11 +813,7 @@ def separation_run(
         cap = k + b + d - r
         for pi in range(0, v - R + 1):
             s = seq[pi + R]
-            acc = 0
-            for w in range(seq[pi] + 1, min(s, live.fen_size) + 1):
-                kw = live.k_at(w, s)
-                if kw is not None:
-                    acc += 1 << (top - max(kw, cap))
+            acc = sum(1 << (top - max(kw, cap)) for kw in live.lengths(seq[pi], s))
             lhs = Fraction(acc, 1 << top)
             rhs = (r + 1) * pow2(k + b + d - r + 1)
             checks.append((pi, r, lhs, rhs))

@@ -357,31 +357,12 @@ def benign_witness(c: CostFn, n: int, S: int) -> BenignChain:
         raise ValueError("chain bound exceeds the horizon")
     threshold = pow2(n)
     chain = [0]
-    x = 0
-    while True:
-        nxt = None
-        for s, v in c.scan(x, x + 1):
-            if s > S:
-                break
-            if v >= threshold:
-                nxt = s
-                break
-        if nxt is None:
-            break
-        chain.append(nxt)
-        x = nxt
+    # c is nondecreasing in s, so a next link up to S exists exactly when
+    # c(x, S) reaches the threshold; only then is it worth a scan
+    while chain[-1] < S and c(chain[-1], S) >= threshold:
+        x = chain[-1]
+        chain.append(next(s for s, v in c.scan(x, x + 1) if v >= threshold))
     return BenignChain(n, tuple(chain))
-
-
-def max_chain_brute(c: CostFn, n: int, S: int) -> int:
-    """Exhaustive longest-chain search; small-instance oracle for the greedy."""
-    threshold = pow2(n)
-    best = {s: 0 for s in range(S + 1)}
-    for x in range(S, -1, -1):
-        for s in range(x + 1, S + 1):
-            if c(x, s) >= threshold:
-                best[x] = max(best[x], 1 + best[s])
-    return best[0] if best else 0
 
 
 def require_same_final_set(a: ApproximationTrace, b: ApproximationTrace) -> frozenset[int]:

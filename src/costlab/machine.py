@@ -12,8 +12,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable
 
+from .complexity import KIndex
 from .errors import WeightOverflow
 from .util import ZERO, dyadic_sum, floor_log2, pow2
 
@@ -106,17 +109,6 @@ def check_prefix_free(strings: Iterable[str]) -> list[tuple[str, str]]:
     return conflicts
 
 
-def check_prefix_free_pairwise(strings: Iterable[str]) -> list[tuple[str, str]]:
-    """Quadratic reference check used to validate the sorted one."""
-    items = list(strings)
-    conflicts = []
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            if a != b and (b.startswith(a) or a.startswith(b)):
-                conflicts.append((a, b) if b.startswith(a) else (b, a))
-    return conflicts
-
-
 class _IntervalAllocator:
     """Leftmost-fit allocation of dyadic subintervals of [0, 1).
 
@@ -196,9 +188,11 @@ class KProvider:
     """Stagewise complexity table and domain measure of a schedule-driven machine.
 
     ``k(w, s)`` is the least description length for w granted before or at
-    stage s, with the convention that it is infinite (None) whenever w >= s.
-    ``omega(s)`` is the exact domain measure after stage s.  Providers are
-    immutable after construction and safe for concurrent reads.
+    stage s, with the convention that it is infinite (None) whenever w >= s
+    or s lies beyond the horizon; ``index`` holds these values (see
+    ``costlab.complexity``).  ``omega(s)`` is the exact domain measure after
+    stage s.  Providers are immutable after construction, apart from the
+    index they build once on first use, and safe for concurrent reads.
     """
 
     def __init__(
@@ -219,61 +213,30 @@ class KProvider:
             raise WeightOverflow(f"schedule weight {budget_used} exceeds 1")
 
         self.max_length = max((g.length for g in self.grants), default=0)
-        scale = self.max_length
+        # omega sums the grants in omega-stage order, scaled by 2^max_length
+        self._omega_stages = [g.omega_stage for g in self.grants]
+        self._omega_scaled = list(
+            accumulate((1 << (self.max_length - g.length) for g in self.grants), initial=0)
+        )
 
-        improvements: dict[int, list[tuple[int, int]]] = {}
-        for g in self.grants:
-            improvements.setdefault(g.target, []).append((g.k_stage, g.length))
-        self.best_by_target: dict[int, list[tuple[int, int]]] = {}
-        for w, entries in improvements.items():
-            entries.sort()
-            best: list[tuple[int, int]] = []
-            cur = None
-            for stage, length in entries:
-                if cur is None or length < cur:
-                    cur = length
-                    if best and best[-1][0] == stage:
-                        best[-1] = (stage, cur)
-                    else:
-                        best.append((stage, cur))
-            self.best_by_target[w] = best
-
-        omega_stages = [0]
-        omega_scaled = [0]
-        acc = 0
-        for g in self.grants:
-            acc += 1 << (scale - g.length)
-            if g.omega_stage == omega_stages[-1]:
-                omega_scaled[-1] = acc
-            else:
-                omega_stages.append(g.omega_stage)
-                omega_scaled.append(acc)
-        self._omega_stages = omega_stages
-        self._omega_scaled = omega_scaled
-        self._scale = scale
+    @cached_property
+    def index(self) -> KIndex:
+        """The K_s index of the grants, built on the first query."""
+        return KIndex((g.target, g.length, g.k_stage) for g in self.grants)
 
     def k(self, w: int, s: int) -> int | None:
-        """K_s(w): infinite (None) for w >= s, else the best granted length."""
-        if w >= s or s > self.horizon:
-            return INF
-        best = self.best_by_target.get(w)
-        if not best:
-            return INF
-        value = INF
-        for stage, length in best:
-            if stage <= s:
-                value = length
-            else:
-                break
-        return value
+        """K_s(w): infinite (None) for w >= s or s > horizon, else the best granted length."""
+        return self.index.k(w, s) if s <= self.horizon else INF
+
+    def omega_scaled(self, s: int) -> int:
+        """omega(s) * 2^max_length, with s clamped to the horizon."""
+        return self._omega_scaled[bisect.bisect_right(self._omega_stages, min(s, self.horizon))]
 
     def omega(self, s: int) -> Fraction:
         """Exact domain measure of the machine at stage s."""
         if s < 0:
             raise ValueError("stage must be a natural")
-        s = min(s, self.horizon)
-        idx = bisect.bisect_right(self._omega_stages, s) - 1
-        return Fraction(self._omega_scaled[idx], 1 << self._scale) if self._scale else Fraction(self._omega_scaled[idx])
+        return Fraction(self.omega_scaled(s), 1 << self.max_length)
 
     def request_schedule(self) -> RequestSet:
         """The full granted schedule, as a bounded request set."""
@@ -282,15 +245,6 @@ class KProvider:
     def machine(self) -> PrefixMachine:
         """Materialize the prefix-free machine behind this provider."""
         return kc_machine(self.request_schedule(), 0)
-
-    def k_improvement_events(self) -> list[tuple[int, int, int]]:
-        """All (k_stage, target, length) strict-improvement events, stage order."""
-        events = []
-        for w, best in self.best_by_target.items():
-            for stage, length in best:
-                events.append((stage, w, length))
-        events.sort()
-        return events
 
 
 def baseline_provider(S: int, config: BaselineConfig | None = None) -> KProvider:
@@ -343,7 +297,4 @@ def register_requests(p: KProvider, rs: RequestSet, d: int) -> KProvider:
 
 def provider_from_requests(rs: RequestSet, d: int, S: int) -> KProvider:
     """Provider backed by an explicit schedule only (no baseline)."""
-    grants = [
-        _Grant(r + d, y, t + 1, max(t + 1, y + 1)) for r, y, t in rs.entries
-    ]
-    return KProvider(S, grants, pow2(d) * rs.weight)
+    return register_requests(KProvider(S, (), ZERO), rs, d)

@@ -69,30 +69,3 @@ def drop_trailing_zeros(bits: str) -> str:
     """Longest prefix ending in 1 (empty if the string has no 1)."""
     i = bits.rfind("1")
     return bits[: i + 1]
-
-
-class Fenwick:
-    """Integer Fenwick tree: point updates, prefix sums. Exact by construction."""
-
-    __slots__ = ("_n", "_a")
-
-    def __init__(self, n: int):
-        self._n = n
-        self._a = [0] * (n + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        i += 1
-        while i <= self._n:
-            self._a[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Sum of values at positions 0..i inclusive."""
-        if i < 0:
-            return 0
-        i = min(i, self._n - 1) + 1
-        total = 0
-        while i > 0:
-            total += self._a[i]
-            i -= i & (-i)
-        return total

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from costlab.catalog import additive_from_real, additive_requests, cost_from_approx, cost_k
+from costlab.catalog import additive_from_real, additive_requests, cost_from_approx, cost_k, cost_max
 from costlab.constructions import (
     Universe,
+    _grant_length,
     build_complete_model,
     build_prompt_simple,
     build_simple,
@@ -36,6 +37,7 @@ from costlab.errors import (
 from costlab.generate import halting_schedule, left_ce_real, rng_for, universe
 from costlab.machine import (
     KProvider,
+    RequestSet,
     baseline_provider,
     provider_from_requests,
     register_requests,
@@ -303,6 +305,14 @@ def test_weak_ktrivial_quiet_trace_only_drops():
     assert rs.weight == pow2(4) + pow2(3)
 
 
+def test_weak_ktrivial_drops_every_improvement_of_a_stage():
+    # targets 5 and 6 both improve at stage 7; each drop buys its own request
+    p = provider_from_requests(request_set([(3, 5, 6), (4, 6, 6)]), 0, 20)
+    rs, report = weak_ktrivial_requests(ApproximationTrace(20), p)
+    assert report.drop_requests == 2
+    assert sorted(r for r, _y, _s in rs.entries) == [4, 5]
+
+
 def test_weak_ktrivial_change_request_rule():
     p = provider_from_requests(request_set([(3, 5, 1)]), 0, 20)
     a = ApproximationTrace(20, [(7, 2, 1)])  # c_max(2, 7) = 2^-3
@@ -403,6 +413,68 @@ def test_separation_claim_ledger_matches_reference_provider(provider):
             if kw is not None:
                 expected += min(pow2(kw), pow2(out.k + b + d - r))
         assert lhs == expected, (pi, r)
+
+
+def test_separation_shift_invariant_past_the_old_view_size():
+    # a provider with no schedule of its own gives the game nothing that
+    # depends on where it starts: a run from x0 = 16383 is the x0 = 2 run
+    # shifted, well past any fixed size of the live view
+    p = provider_from_requests(RequestSet(), 0, 1024)
+    shift = 16381
+    near = separation_run(1, p, 1, 3000, x0=2)
+    far = separation_run(1, p, 1, 3000, x0=2 + shift)
+    assert len(near.sequence) > 3 and near.grants
+    assert far.status == near.status and far.stages_used == near.stages_used
+    assert far.sequence == tuple(x + shift for x in near.sequence)
+    assert far.grants == tuple((e + shift, w + shift, n) for e, w, n in near.grants)
+    assert far.requests.entries == tuple(
+        (r, y + shift, t + shift) for r, y, t in near.requests.entries
+    )
+    assert [c[2:] for c in far.claim_checks] == [c[2:] for c in near.claim_checks]
+
+
+def _grant_length_ref(b, need):
+    # unbounded search for the largest L with 2^b * 2^-L >= need + 2^-L; the
+    # condition holds for every L up to the answer and fails beyond it
+    best, cand = None, 0
+    while pow2(cand) * (1 << b) >= need + pow2(cand):
+        best, cand = cand, cand + 1
+    return best
+
+
+def test_grant_length_closed_form_matches_unbounded_search():
+    for b in (0, 1, 2, 5, 9):
+        for e in (0, 1, 2, 5, 61, 62, 63, 64, 129, 200):
+            for need in (
+                pow2(e),
+                pow2(e) - pow2(e + 70),
+                pow2(e) + pow2(e + 70),
+                pow2(e) * Fraction(3, 4),
+                pow2(e) * Fraction(5, 4),
+                pow2(e) * Fraction(31, 32),
+            ):
+                if 0 < need <= 1:
+                    assert _grant_length(b, need) == _grant_length_ref(b, need), (b, need)
+
+
+def test_separation_b5_grants_beyond_the_old_cap():
+    # at b = 5, d = 1 each request has length k + d = 129, so the cheapest
+    # covering grant is far longer than 61; recompute every grant from the
+    # need a provider holding the run's descriptions shows at its stage
+    b, d = 5, 1
+    p = provider_from_requests(RequestSet(), 0, 1024)
+    out = separation_run(b, p, d, 300, x0=2)
+    assert out.claim_ok and out.grants
+    q = register_requests(p, out.requests, d)
+    q = register_requests(
+        q, request_set((length, w, stage - 1) for stage, w, length in out.grants), 0
+    )
+    q = KProvider(max(q.horizon, out.sequence[-1] + 3), q.grants, q.budget_used)
+    ck, cm = cost_k(q), cost_max(q)
+    for stage, _w, length in out.grants:
+        c = stage - 2  # the stage whose response check asked for the grant
+        x = next(x for x in out.sequence if x < c and cm(x, c) * (1 << b) < ck(x, c))
+        assert length == _grant_length_ref(b, ck(x, c)) >= 64
 
 
 def test_separation_lists_only_honored_requests():

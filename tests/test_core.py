@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from costlab.catalog import LeftCEReal, additive_from_real, cost_omega
+from costlab.catalog import LeftCEReal, additive_from_real, cost_k, cost_omega
 from costlab.core import (
     ApproximationTrace,
     EnumerationTrace,
@@ -17,12 +17,22 @@ from costlab.core import (
     cost_of_trace,
     geometric_cost,
     limit_estimate,
-    max_chain_brute,
     obeys_at_horizon,
 )
 from costlab.generate import approximation_trace, left_ce_real, monotone_cost, rng_for
 from costlab.machine import baseline_provider
 from costlab.util import ZERO, pow2
+
+
+def max_chain_brute(c, n, S):
+    """Exhaustive longest-chain search: the small-instance oracle for the greedy."""
+    threshold = pow2(n)
+    best = {s: 0 for s in range(S + 1)}
+    for x in range(S, -1, -1):
+        for s in range(x + 1, S + 1):
+            if c(x, s) >= threshold:
+                best[x] = max(best[x], 1 + best[s])
+    return best[0] if best else 0
 
 
 def test_empty_trace_costs_nothing():
@@ -153,6 +163,25 @@ def test_benign_greedy_matches_brute_force():
         for n in range(4):
             greedy = benign_witness(c, n, 14).k
             assert greedy == max_chain_brute(c, n, 14)
+
+
+def test_benign_chain_matches_scanning_greedy():
+    # reference: scan from every link up to S, without the c(x, S) test
+    def scanning_greedy(c, n, S):
+        chain = [0]
+        while True:
+            x = chain[-1]
+            nxt = next((s for s, v in c.scan(x, x + 1) if s <= S and v >= pow2(n)), None)
+            if nxt is None:
+                return tuple(chain)
+            chain.append(nxt)
+
+    costs = [geometric_cost(8), geometric_cost(40), cost_k(baseline_provider(300))]
+    costs += [additive_from_real(left_ce_real(rng_for(seed, "chain"), 60)) for seed in range(4)]
+    for c in costs:
+        for S in (c.horizon, c.horizon // 2):
+            for n in range(10):
+                assert benign_witness(c, n, S).chain == scanning_greedy(c, n, S)
 
 
 def test_trace_rejects_noop_events():

@@ -12,7 +12,6 @@ from costlab.machine import (
     RequestSet,
     baseline_provider,
     check_prefix_free,
-    check_prefix_free_pairwise,
     kc_add,
     kc_machine,
     provider_from_requests,
@@ -20,6 +19,17 @@ from costlab.machine import (
     request_set,
 )
 from costlab.util import pow2
+
+
+def check_prefix_free_pairwise(strings):
+    """Quadratic reference check used to validate the sorted one."""
+    items = list(strings)
+    conflicts = []
+    for i, a in enumerate(items):
+        for b in items[i + 1 :]:
+            if a != b and (b.startswith(a) or a.startswith(b)):
+                conflicts.append((a, b) if b.startswith(a) else (b, a))
+    return conflicts
 
 
 def test_single_request_weight():
