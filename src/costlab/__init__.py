@@ -8,11 +8,13 @@ construction) as bounded, replayable stage loops.
 """
 
 from .core import (
+    AdditiveCost,
     ApproximationTrace,
     CostFn,
     CostLedger,
     CostProps,
     EnumerationTrace,
+    additive_cost,
     benign_witness,
     check_monotone,
     check_proper,

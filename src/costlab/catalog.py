@@ -11,12 +11,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .complexity import Cursor, weight_change
-from .core import ApproximationTrace, CostFn, cost_fn, limit_estimate
+from .complexity import Cursor, KIndex, weight_change
+from .core import ApproximationTrace, CostFn, additive_cost, cost_fn, limit_estimate
 from .errors import NonAdditive
 from .machine import KProvider, RequestSet, request_set
 from .util import ZERO, least_length, pow2
@@ -51,21 +52,20 @@ class LeftCEReal:
         return self.seq[min(s, self.horizon)]
 
 
-def cost_k(p: KProvider) -> CostFn:
-    """Complexity-sum cost: c(x, s) = sum of 2^-K_s(w) for x < w <= s.
+def complexity_sum(index: KIndex, horizon: int, name: str) -> CostFn:
+    """c(x, s) = sum of 2^-K_s(w) for x < w <= s, with K_s read from ``index``.
 
-    Every evaluator reads the provider's K_s index with s clamped to the
-    horizon: ``ev`` bisects each target's improvements, ``bulk`` moves one
-    cursor over the stage-sorted queries, and ``stage_scan`` sums the
-    changes a cursor applies beyond x.  All three agree exactly.
+    Every evaluator clamps s to the horizon: ``ev`` bisects each target's
+    improvements, ``bulk`` moves one cursor over the stage-sorted queries,
+    and ``stage_scan`` sums the changes a cursor applies beyond x.  All
+    three agree exactly.
     """
-    horizon = p.horizon
 
     def ev(x: int, s: int) -> Fraction:
-        return p.index.sum_at(x, min(s, horizon))
+        return index.sum_at(x, min(s, horizon))
 
     def bulk(pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-        cursor = Cursor(p.index)
+        cursor = Cursor(index)
         out = []
         for x, s in pairs:
             cursor.advance(min(s, horizon))  # a cursor only moves forward: s must not fall
@@ -73,10 +73,10 @@ def cost_k(p: KProvider) -> CostFn:
         return out
 
     def stage_scan(x: int, s_from: int):
-        scale = p.max_length
+        scale = index.scale
         acc, value = 0, ZERO
-        yield from ((s, ZERO) for s in range(s_from, 1))  # stages before any grant
-        for s, changes in Cursor(p.index).steps(horizon):
+        yield from ((s, ZERO) for s in range(s_from, 1))  # stages before any description
+        for s, changes in Cursor(index).steps(horizon):
             for w, old, new in changes:
                 if w > x:
                     acc += weight_change(scale, old, new)
@@ -85,7 +85,7 @@ def cost_k(p: KProvider) -> CostFn:
                 yield s, value
 
     return cost_fn(
-        "complexity-sum",
+        name,
         horizon,
         ev,
         monotone_main=True,
@@ -96,48 +96,24 @@ def cost_k(p: KProvider) -> CostFn:
     )
 
 
+def cost_k(p: KProvider) -> CostFn:
+    """Complexity-sum cost of a provider: c(x, s) = sum of 2^-K_s(w), x < w <= s."""
+    return complexity_sum(p.index, p.horizon, "complexity-sum")
+
+
 def cost_omega(p: KProvider) -> CostFn:
     """Domain-measure cost: c(x, s) = omega(s) - omega(x) for x <= s, else 0."""
-
-    def ev(x: int, s: int) -> Fraction:
-        if x > s:
-            return ZERO
-        return p.omega(s) - p.omega(x)
-
-    return cost_fn(
-        "domain-measure",
-        p.horizon,
-        ev,
-        monotone_main=True,
-        monotone_stage=True,
-        additive=True,
-        proper=False,
-    )
+    units = [p.omega_scaled(s) for s in range(p.horizon + 1)]
+    return additive_cost("domain-measure", units, 1 << p.max_length)
 
 
 def additive_from_real(b: LeftCEReal) -> CostFn:
     """The additive cost function c(x, s) = b(s) - b(x) of a left-c.e. real."""
-    # integer numerators over one common denominator, so evaluation
-    # subtracts ints instead of Fractions; exact for every rational real
-    h, den = b.horizon, math.lcm(*(v.denominator for v in b.seq))
-    nums = [v.numerator * (den // v.denominator) for v in b.seq]
-
-    def ev(x: int, s: int) -> Fraction:
-        if x > s:
-            return ZERO
-        if x < 0:
-            raise ValueError("stage must be a natural")
-        return Fraction(nums[min(s, h)] - nums[min(x, h)], den)
-
+    # integer numerators over one common denominator: exact for every rational real
+    den = math.lcm(*(v.denominator for v in b.seq))
     strictly = all(b.seq[i] < b.seq[i + 1] for i in range(len(b.seq) - 1))
-    return cost_fn(
-        "additive",
-        b.horizon if b.horizon >= 1 else 1,
-        ev,
-        monotone_main=True,
-        monotone_stage=True,
-        additive=True,
-        proper=strictly,
+    return additive_cost(
+        "additive", (v.numerator * (den // v.denominator) for v in b.seq), den, proper=strictly
     )
 
 
@@ -154,12 +130,20 @@ def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:
 
 
 def check_additivity(c: CostFn, bound: int) -> None:
-    """Exhaustive telescoping check on all triples x < y < z <= bound."""
+    """Exhaustive telescoping check on all triples x < y < z <= bound.
+
+    c is evaluated at every point; the sums compare exact integers over the
+    least common denominator of those values.
+    """
     vals = [[c(x, s) for s in range(bound + 1)] for x in range(bound + 1)]
+    den = math.lcm(*(v.denominator for row in vals for v in row))
+    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in vals]
     for x in range(bound + 1):
+        row_x = scaled[x]
         for y in range(x + 1, bound + 1):
+            row_y, head = scaled[y], row_x[y]
             for z in range(y + 1, bound + 1):
-                if vals[x][y] + vals[y][z] != vals[x][z]:
+                if head + row_y[z] != row_x[z]:
                     raise NonAdditive(
                         f"{c.name}: c({x},{y}) + c({y},{z}) != c({x},{z})"
                     )
@@ -167,26 +151,14 @@ def check_additivity(c: CostFn, bound: int) -> None:
 
 def cost_g(g: Callable[[int], int], horizon: int, cap: Fraction = Fraction(1)) -> CostFn:
     """Additive cost from a length function: c(x, s) = sum of 2^-g(w), x < w <= s."""
-    prefix = [ZERO]
-    for w in range(1, horizon + 1):
-        prefix.append(prefix[-1] + pow2(g(w)))
-    if prefix[-1] > cap:
+    lengths = [g(w) for w in range(1, horizon + 1)]
+    if min(lengths, default=0) < 0:
+        raise ValueError("negative length")
+    scale = max(lengths, default=0)
+    units = list(accumulate((1 << (scale - n) for n in lengths), initial=0))
+    if Fraction(units[-1], 1 << scale) > cap:
         raise ValueError(f"sum of 2^-g(w) on [0, {horizon}] exceeds the cap {cap}")
-
-    def ev(x: int, s: int) -> Fraction:
-        if x >= s:
-            return ZERO
-        return prefix[min(s, horizon)] - prefix[min(x, horizon)]
-
-    return cost_fn(
-        "length-sum",
-        horizon,
-        ev,
-        monotone_main=True,
-        monotone_stage=True,
-        additive=True,
-        proper=True,
-    )
+    return additive_cost("length-sum", units, 1 << scale, proper=True)
 
 
 def cost_max(p: KProvider) -> CostFn:

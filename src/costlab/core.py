@@ -10,7 +10,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import Mismatch
 from .util import ZERO, pow2
@@ -36,9 +39,9 @@ class CostFn:
 
     Evaluators must be pure and deterministic.  ``bulk`` is an optional fast
     path for ledger replay over stage-sorted queries; ``stage_scan`` an
-    optional incremental scan of s -> c(x, s); ``grid`` an optional
-    (matrix, scale) pair with matrix[x][s] == c(x, s) * 2**scale as integers.
-    All must agree with ``eval`` exactly.
+    optional incremental scan of s -> c(x, s).  Both must agree with
+    ``eval`` exactly.  Every stage is a natural: the public calls raise on
+    a negative x.
     """
 
     name: str
@@ -47,7 +50,6 @@ class CostFn:
     props: CostProps = field(default_factory=CostProps)
     bulk: Callable[[Sequence[tuple[int, int]]], list[Fraction]] | None = None
     stage_scan: Callable[[int, int], Iterable[tuple[int, Fraction]]] | None = None
-    grid: tuple | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -60,6 +62,8 @@ class CostFn:
                 self._checked(x, s)
 
     def _checked(self, x: int, s: int) -> Fraction:
+        if x < 0:
+            raise ValueError("stage must be a natural")
         v = self.eval_fn(x, s)
         if v < 0:
             raise ValueError(f"{self.name}: negative cost at ({x}, {s})")
@@ -78,6 +82,8 @@ class CostFn:
 
     def scan(self, x: int, s_from: int) -> Iterable[tuple[int, Fraction]]:
         """Yield (s, c(x, s)) for s = s_from .. horizon."""
+        if x < 0:
+            raise ValueError("stage must be a natural")
         if self.stage_scan is not None:
             yield from self.stage_scan(x, s_from)
         else:
@@ -96,10 +102,51 @@ def cost_fn(
     proper: bool = False,
     bulk=None,
     stage_scan=None,
-    grid=None,
 ) -> CostFn:
     props = CostProps(monotone_main, monotone_stage, additive, proper)
-    return CostFn(name, horizon, eval_fn, props, bulk, stage_scan, grid)
+    return CostFn(name, horizon, eval_fn, props, bulk, stage_scan)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AdditiveCost(CostFn):
+    """c(x, s) = (units[min(s, h)] - units[min(x, h)]) / den for x <= s, else 0.
+
+    ``units`` is a nondecreasing integer column on stages 0..h.  ``grid`` is
+    the pair (matrix, den) with matrix[x][s] == c(x, s) * den, built from the
+    column when first read; int64 when the column fits, exact ints beyond.
+    """
+
+    units: tuple[int, ...] = field(repr=False)
+    den: int
+
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, int]:
+        u = self.units
+        fits = -(1 << 62) <= u[0] and u[-1] < 1 << 62
+        col = np.array(u, dtype=np.int64 if fits else object)
+        # units never decrease, so s < x gives a nonpositive difference
+        matrix = col[None, :] - col[:, None]
+        return np.maximum(matrix, 0, out=matrix), self.den
+
+
+def additive_cost(name: str, units: Iterable[int], den: int, *, proper: bool = False) -> AdditiveCost:
+    """The additive cost of an integer column over one denominator (see AdditiveCost)."""
+    units = tuple(units)
+    h = len(units) - 1
+    if h < 0 or den < 1:
+        raise ValueError("an additive cost needs a unit column and a positive denominator")
+    if any(a > b for a, b in zip(units, units[1:])):
+        raise ValueError(f"{name}: units must not decrease")
+
+    def ev(x: int, s: int) -> Fraction:
+        if x > s:
+            return ZERO
+        if x < 0:
+            raise ValueError("stage must be a natural")
+        return Fraction(units[s if s < h else h] - units[x if x < h else h], den)
+
+    props = CostProps(monotone_main=True, monotone_stage=True, additive=True, proper=proper)
+    return AdditiveCost(name, max(h, 1), ev, props, units=units, den=den)
 
 
 def geometric_cost(horizon: int) -> CostFn:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
-import numpy as np
-
-from .catalog import LeftCEReal, additive_from_real
+from .catalog import LeftCEReal, complexity_sum
+from .complexity import KIndex
 from .constructions import Adversary, Universe, copycat_adversary, stubborn_adversary
-from .core import ApproximationTrace, CostFn, EnumerationTrace, cost_fn
+from .core import ApproximationTrace, CostFn, EnumerationTrace, additive_cost
 from .dual import PhiMock, blank_phi, scripted_phi, sensitive_phi
 from .util import ZERO, pow2
 
@@ -111,20 +111,28 @@ def left_ce_real(
     rng: random.Random, S: int, cap: Fraction = Fraction(1), jumps: int | None = None
 ) -> LeftCEReal:
     """Nondecreasing dyadic sequence below the cap, jumping at random stages."""
+    units = _left_ce_units(rng, S, cap, jumps)
+    values = {u: Fraction(u, 1 << SCALE) for u in set(units)}  # one per jump, not per stage
+    return LeftCEReal(tuple(values[u] for u in units), cap)
+
+
+def _left_ce_units(
+    rng: random.Random, S: int, cap: Fraction = Fraction(1), jumps: int | None = None
+) -> list[int]:
+    """``left_ce_real``'s sequence in units of 2^-SCALE."""
     n_jumps = jumps if jumps is not None else rng.randint(1, max(2, S // 4))
     stages = sorted(rng.sample(range(1, S + 1), min(n_jumps, S)))
-    total_units = int(cap * (1 << SCALE))
-    values = [ZERO] * (S + 1)
-    cur = ZERO
-    remaining = total_units
+    remaining = int(cap * (1 << SCALE))
+    units = [0] * (S + 1)
+    cur = 0
     for s in range(1, S + 1):
         if stages and s == stages[0]:
             stages.pop(0)
             step = rng.randint(1, max(1, remaining // 4)) if remaining > 0 else 0
             remaining -= step
-            cur += Fraction(step, 1 << SCALE)
-        values[s] = cur
-    return LeftCEReal(tuple(values), cap)
+            cur += step
+        units[s] = cur
+    return units
 
 
 def strict_left_ce_real(rng: random.Random, S: int, cap: Fraction = Fraction(1)) -> LeftCEReal:
@@ -147,24 +155,8 @@ def strict_left_ce_real(rng: random.Random, S: int, cap: Fraction = Fraction(1))
 def additive_grid_cost(
     rng: random.Random, S: int, name: str = "generated-additive"
 ) -> CostFn:
-    """Additive cost with an attached exact integer grid for vectorized checks."""
-    b = left_ce_real(rng, S)
-    base = additive_from_real(b)
-    units = np.array([int(v * (1 << SCALE)) for v in b.seq], dtype=np.int64)
-    xs = units[:, None]
-    ss = units[None, :]
-    grid = np.where(
-        np.arange(S + 1)[:, None] <= np.arange(S + 1)[None, :], ss - xs, 0
-    ).astype(np.int64)
-    return cost_fn(
-        name,
-        S,
-        base.eval_fn,
-        monotone_main=True,
-        monotone_stage=True,
-        additive=True,
-        grid=(grid, SCALE),
-    )
+    """Additive cost of a random left-c.e. real (as ``left_ce_real``), in units of 2^-SCALE."""
+    return additive_cost(name, _left_ce_units(rng, S), 1 << SCALE)
 
 
 def dominated_cost_pair(rng: random.Random, S: int, N: int) -> tuple[CostFn, CostFn]:
@@ -173,78 +165,30 @@ def dominated_cost_pair(rng: random.Random, S: int, N: int) -> tuple[CostFn, Cos
     Both are additive with per-stage dyadic increments; d's increment stays
     strictly below N times c's, so domination holds with margin on each cell.
     """
-    gamma = np.array(
-        [0] + [rng.randint(1, 1 << 8) for _ in range(S)], dtype=np.int64
+    gamma = [0] + [rng.randint(1, 1 << 8) for _ in range(S)]
+    delta = [0] + [rng.randint(0, N * g - 1) for g in gamma[1:]]
+    return (
+        additive_cost("dominating", accumulate(gamma), 1 << SCALE, proper=True),
+        additive_cost("dominated", accumulate(delta), 1 << SCALE, proper=True),
     )
-    delta = np.array(
-        [0] + [rng.randint(0, int(N * g) - 1) for g in gamma[1:]], dtype=np.int64
-    )
-    c_units = np.cumsum(gamma)
-    d_units = np.cumsum(delta)
-
-    def make(units: np.ndarray, name: str) -> CostFn:
-        vals = [Fraction(int(u), 1 << SCALE) for u in units]
-
-        def ev(x: int, s: int) -> Fraction:
-            if x > s:
-                return ZERO
-            return vals[min(s, S)] - vals[min(x, S)]
-
-        mask = np.arange(S + 1)[:, None] <= np.arange(S + 1)[None, :]
-        grid = np.where(mask, units[None, :] - units[:, None], 0).astype(np.int64)
-        return cost_fn(
-            name,
-            S,
-            ev,
-            monotone_main=True,
-            monotone_stage=True,
-            additive=True,
-            proper=True,
-            grid=(grid, SCALE),
-        )
-
-    return make(c_units, "dominating"), make(d_units, "dominated")
 
 
 def monotone_cost(rng: random.Random, S: int) -> CostFn:
     """Monotone, generally non-additive cost: a sum of weight-step terms.
 
-    c(x, s) sums, over positions w in (x, s], a weight that steps up once at
-    a per-position stage; this mimics complexity-sum behavior cheaply.
+    c(x, s) sums 2^-L over positions w in (x, s], where L is a per-position
+    length from stage w + 1 that drops once at a per-position stage; this is
+    a complexity sum over these descriptions, evaluated by the K_s index.
     """
     width = S + 1
     base_len = [rng.randint(4, 4 + SCALE // 2) for _ in range(width)]
     improved_len = [max(1, L - rng.randint(0, 3)) for L in base_len]
     improve_at = [rng.randint(w + 1, S) if S > w + 1 else S for w in range(width)]
-
-    def weight(w: int, s: int) -> Fraction:
-        if s <= w:
-            return ZERO
-        return pow2(improved_len[w] if s >= improve_at[w] else base_len[w])
-
-    prefix_cache: dict[int, list[Fraction]] = {}
-
-    def ev(x: int, s: int) -> Fraction:
-        if x >= s:
-            return ZERO
-        s_eff = min(s, S)
-        col = prefix_cache.get(s_eff)
-        if col is None:
-            col = [ZERO] * (width + 1)
-            for w in range(width):
-                col[w + 1] = col[w] + weight(w, s_eff)
-            prefix_cache[s_eff] = col
-        hi = min(s_eff, width - 1)
-        return col[hi + 1] - col[x + 1]
-
-    return cost_fn(
-        "generated-monotone",
-        S,
-        ev,
-        monotone_main=True,
-        monotone_stage=True,
-        proper=True,
+    index = KIndex(
+        [(w, base_len[w], w + 1) for w in range(width)]
+        + [(w, improved_len[w], improve_at[w]) for w in range(width)]
     )
+    return complexity_sum(index, S, "generated-monotone")
 
 
 def same_final_pair(

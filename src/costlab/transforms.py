@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .catalog import LeftCEReal, additive_from_real
 from .core import (
+    AdditiveCost,
     ApproximationTrace,
     CostFn,
     EnumerationTrace,
@@ -418,15 +421,15 @@ def implication_transfer(
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    grid = _grid_pair(c, d, N)
+    fails = _first_failures(c, d, N)
     stages = [0]
     s = 0
     while s < a.horizon:
         top = stages[-1]
         nxt = None
         for cand in range(top + 1, a.horizon + 1):
-            if grid is not None:
-                ok = bool(grid[cand][:top].all()) if top else True
+            if fails is not None:
+                ok = fails[cand] >= top
             else:
                 ok = all(N * c(x, cand) > d(x, cand) for x in range(top))
             if ok:
@@ -470,16 +473,20 @@ def implication_transfer(
     return LookAheadResult(out, seq, total, bound)
 
 
-def _grid_pair(c: CostFn, d: CostFn, N: int):
-    """Columnwise boolean table N*c(x, s) > d(x, s) when both carry integer grids."""
-    gc = getattr(c, "grid", None)
-    gd = getattr(d, "grid", None)
-    if gc is None or gd is None:
+def _first_failures(c: CostFn, d: CostFn, N: int) -> list[int] | None:
+    """Per stage s, the least x with N*c(x, s) <= d(x, s), read off the grids.
+
+    Only for two additive costs over one denominator; None otherwise.  Both
+    costs vanish at x = s, so every stage has such an x.
+    """
+    if not (isinstance(c, AdditiveCost) and isinstance(d, AdditiveCost)) or c.den != d.den:
         return None
-    (mc, sc), (md, sd) = gc, gd
-    if sc != sd or mc.shape != md.shape:
+    (mc, _), (md, _) = c.grid, d.grid
+    if mc.shape != md.shape:
         return None
-    return (N * mc > md).T  # indexed [s][x]
+    if mc.dtype != object and N * (c.units[-1] - c.units[0]) >= 1 << 63:
+        mc = mc.astype(object)  # N * c would wrap around in int64
+    return np.argmin(N * mc > md, axis=0).tolist()
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,13 @@ def test_provider_queries_match_reference(p, rnd):
     for s in range(0, S + 3):
         for w in range(-1, S + 3):
             assert p.k(w, s) == (at(s).get(w) if s <= S else None)
-        for x in range(-1, S + 2):
+        for x in range(0, S + 2):
             assert ck(x, s) == sum_ref(at(s), x)
             n = min_ref(at(s), x)
             assert cm(x, s) == (pow2(n) if n is not None else ZERO)
+        for c in (ck, cm):
+            with pytest.raises(ValueError, match="stage must be a natural"):
+                c(-1, s)
     pairs = sorted(
         ((rnd.randint(0, S + 2), rnd.randint(0, S + 2)) for _ in range(40)), key=lambda q: q[1]
     )
