@@ -244,7 +244,7 @@ def solovay_translate(
     for q in samples:
         if q >= aS:
             continue
-        x = next(i for i in range(a.horizon + 1) if q < a.seq[i])
+        x = bisect.bisect_right(a.seq, q)  # least x with q < a(x); a.seq never decreases
         val = b.at(x)
         pairs.append((q, val))
         if bS - val >= N * (aS - q):
@@ -273,11 +273,8 @@ def rescale_to_unit(c: CostFn) -> CostFn:
     Powers of two keep dyadic values dyadic; the result has limit at 0 within
     the unit interval.
     """
-    top = c(0, c.horizon)
-    k = 0
-    while (1 << k) < top:
-        k += 1
-    factor = Fraction(1, 1 << k)
+    top = Fraction(c(0, c.horizon))
+    factor = pow2(least_length(1 / top) if top > 1 else 0)  # least 2^k >= top, k >= 0
 
     def ev(x: int, s: int) -> Fraction:
         return c(x, s) * factor

@@ -566,15 +566,11 @@ def sjt_reduction(
         raise BudgetExceeded(
             f"trace cost {ledger.total} exceeds the declared budget 2^{u}"
         )
-    y_changes: dict[int, list[int]] = {}
-    for s, e, _v in y.events:
-        y_changes.setdefault(e, []).append(s)
-
     rs = RequestSet()
     for s, x, _v in a.events:
         e_found = x
         for e in range(0, x):
-            if any(x <= t < s for t in y_changes.get(e, ())):
+            if any(x <= t < s for t in y.stages_of(e)):
                 e_found = e
                 break
         prefix = "".join(str(y.value(i, s)) for i in range(e_found))

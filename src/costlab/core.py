@@ -254,6 +254,10 @@ class ApproximationTrace:
             xs.sort()
         return by_stage
 
+    def stages_of(self, x: int) -> list[int]:
+        """Stages at which x changes, in increasing order."""
+        return [s for s, _v in self._per_x.get(x, ())]
+
     def change_count(self, x: int) -> int:
         return len(self._per_x.get(x, ()))
 

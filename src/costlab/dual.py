@@ -81,10 +81,7 @@ def nondeficiency_stages(d: EnumerationTrace) -> frozenset[int]:
     A stage qualifies when no later stage enters an element below the least
     element entering at it.
     """
-    least: dict[int, int] = {}
-    for s, x, _v in d.events:
-        if s not in least or x < least[s]:
-            least[s] = x
+    least = {s: xs[0] for s, xs in d.change_stages().items()}
     out = set()
     later: int | None = None  # least element entering after the current stage
     for s in sorted(least, reverse=True):
@@ -102,12 +99,10 @@ def hat_sup(c: TotalCostFunctional, d: EnumerationTrace, x: int) -> Fraction:
     element entering at that stage (the hat-computation discipline).
     """
     best = ZERO
-    entries_by_stage: dict[int, list[int]] = {}
-    for s, xx, _v in d.events:
-        entries_by_stage.setdefault(s, []).append(xx)
+    entries_by_stage = d.change_stages()
     for s in sorted(nondeficiency_stages(d)):
         value, use = c.eval_fn(oracle_from_trace(d, s), x, s)
-        if use <= min(entries_by_stage[s]):
+        if use <= entries_by_stage[s][0]:
             best = max(best, value)
     return best
 
@@ -281,7 +276,7 @@ def dual_construct(
     held_history: list[tuple[int, int, Fraction]] = []
     ever_activated: set[int] = set()
     visited: list[int] = []
-    high_water = max([S and 0, E] + list(zp))
+    high_water = max(0, E, *zp)
 
     def d_bit(i: int) -> int:
         return 1 if i in d_members else 0

@@ -125,8 +125,8 @@ def run_prompt_existence(seed: int, count: int = 20, sets: int = 16, S: int = 20
         for rec in ledger.records:
             if rec.met and rec.witness is not None:
                 stage, x = rec.witness
-                arrived = [s for s, xx, _v in u.sets[rec.index].events if xx == x]
-                if arrived and min(arrived) != stage:
+                arrived = u.sets[rec.index].stages_of(x)
+                if arrived and arrived[0] != stage:
                     ok_witness = False
     res.add("prompt total cost <= 2", ok_cost, f"{count} universes")
     res.add("promptness witness at appearance stage", ok_witness, f"{count} universes")
@@ -560,7 +560,7 @@ def parse_scenario(text: str) -> Scenario:
     lines and `#` comments are ignored.  Errors report line positions.
     """
     kind = None
-    seed = 0
+    seed = None
     params: dict[str, int] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -576,16 +576,20 @@ def parse_scenario(text: str) -> Scenario:
         elif parts[0] == "seed":
             if len(parts) != 2:
                 raise ParseError(no, "seed takes one integer")
+            if seed is not None:
+                raise ParseError(no, "repeated seed line")
             seed = _int(no, parts[1])
         elif parts[0] == "param":
             if len(parts) != 3:
                 raise ParseError(no, "param takes a name and an integer")
+            if parts[1] in params:
+                raise ParseError(no, f"repeated param {parts[1]!r}")
             params[parts[1]] = _int(no, parts[2])
         else:
             raise ParseError(no, f"unknown directive {parts[0]!r}")
     if kind is None:
         raise ParseError(1, "missing scenario line")
-    return Scenario(kind, seed, params)
+    return Scenario(kind, seed or 0, params)
 
 
 def _int(no: int, token: str) -> int:

@@ -42,7 +42,7 @@ def dump_trace(a: ApproximationTrace) -> str:
 
 def load_trace(text: str, enumeration: bool = False) -> ApproximationTrace:
     horizon = None
-    initial: list[int] = []
+    initial: list[int] | None = None
     events = []
     for no, line in _lines(text):
         parts = line.split()
@@ -51,6 +51,8 @@ def load_trace(text: str, enumeration: bool = False) -> ApproximationTrace:
                 raise ParseError(no, "misplaced horizon line")
             horizon = _nat(no, parts[1])
         elif parts[0] == "initial":
+            if initial is not None:
+                raise ParseError(no, "repeated initial line")
             initial = [_nat(no, p) for p in parts[1:]]
         else:
             if len(parts) != 3:
@@ -61,7 +63,7 @@ def load_trace(text: str, enumeration: bool = False) -> ApproximationTrace:
         raise ParseError(1, "missing horizon line")
     cls = EnumerationTrace if enumeration else ApproximationTrace
     try:
-        return cls(horizon, events, initial)
+        return cls(horizon, events, initial or ())
     except ValueError as exc:
         raise ParseError(1, str(exc)) from exc
 

@@ -4,6 +4,14 @@ Each transform is deterministic, preserves the final set (verified, not
 assumed), and carries an exact ledger comparison documenting the cost bound
 it promises.  Stage sequences are built by explicit bounded search; running
 out of horizon is an error (StageSeqExhausted), never a silent truncation.
+
+The re-approximations share one block rule (``_change_blocks``).  Along a
+stage sequence ``stages``, block k is read at its look-ahead stage
+``stages[k + lag]``.  A position's history opens with the read of one block
+lo, and gets a further entry only at a block k > lo whose look-ahead stage
+is the first to see one of the position's changes.  The lag is 2 in
+``ibT_transfer``, 1 in ``conjoin`` and ``implication_transfer``, and 0 in
+``same_real_transfer``.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -142,11 +150,7 @@ def to_enumeration(a: ApproximationTrace, b: EnumerationTrace) -> EnumerationTra
     events = []
     for x in sorted((set(a.positions()) | set(b.positions())) & final):
         # piece boundaries: stages where either value can change
-        bounds = sorted(
-            {1}
-            | {s for s, y, _v in a.events if y == x}
-            | {s for s, y, _v in b.events if y == x}
-        )
+        bounds = sorted({1, *a.stages_of(x), *b.stages_of(x)})
         flip = None
         for p in bounds:
             t = next(
@@ -211,22 +215,13 @@ def join(a: ApproximationTrace, b: ApproximationTrace) -> ApproximationTrace:
 
 def normalize_zero_before_diagonal(a: ApproximationTrace) -> ApproximationTrace:
     """Force value 0 at every (x, s) with s < x; cost-neutral for any cost function."""
-    events = []
-    initial = set()
-    for x in sorted(a.positions()):
-        stages = sorted({s for s, y, _v in a.events if y == x} | {max(x, 1)})
-        prev = a.value(0, 0) if x == 0 else 0
-        if x == 0 and prev == 1:
-            initial.add(0)
-        for s in stages:
-            if s < x:
-                continue
-            v = a.value(x, s)
-            if v != prev:
-                events.append((s, x, v))
-                prev = v
-    events.sort(key=lambda e: e[0])
-    return ApproximationTrace(a.horizon, events, initial)
+    events = [
+        (s, x, a.value(x, s))
+        for x in sorted(a.positions())
+        for s in {max(x, 1), *a.stages_of(x)}
+        if s >= x
+    ]
+    return ApproximationTrace.from_values(a.horizon, events, a.initial & {0})
 
 
 def _blocks_to_trace(
@@ -236,23 +231,23 @@ def _blocks_to_trace(
 ) -> ApproximationTrace:
     """Assemble a trace from per-position (block index, value) timelines.
 
-    A change at block 0 lands in the initial snapshot; later blocks become
+    A 1 at block 0 lands in the initial snapshot; later blocks become
     events at the corresponding real stages.  Values persist between entries.
     """
-    initial = set()
-    events = []
-    for x, history in timelines.items():
-        prev = 0
-        for k, v in history:
-            if v == prev:
-                continue
-            if k == 0:
-                initial.add(x)
-            else:
-                events.append((stages[k], x, v))
-            prev = v
-    events.sort(key=lambda e: e[0])
-    return ApproximationTrace(horizon, events, initial)
+    initial = [x for x, history in timelines.items() if (0, 1) in history]
+    events = [(stages[k], x, v) for x, history in timelines.items() for k, v in history if k]
+    return ApproximationTrace.from_values(horizon, events, initial)
+
+
+def _change_blocks(
+    changes: Iterable[int], stages: Sequence[int], lo: int, lag: int
+) -> list[tuple[int, int]]:
+    """(k, stages[k + lag]) for each block k > lo whose look-ahead stage first sees a change.
+
+    k runs up to len(stages) - 1 - lag, the last block with a look-ahead stage.
+    """
+    ks = {bisect.bisect_left(stages, t) - lag for t in changes}
+    return [(k, stages[k + lag]) for k in sorted(ks) if lo < k < len(stages) - lag]
 
 
 def _check_final(out: ApproximationTrace, expected: frozenset[int], what: str) -> None:
@@ -293,41 +288,23 @@ def ibT_transfer(
     seq = StageSeq(tuple(stages), "functional-convergence")
     K = len(stages) - 1
 
-    if x_bound is None:
-        width = g.window if g.window is not None else 0
-        x_bound = max([x + width + 1 for x in b.positions()] or [1])
-    x_bound = min(x_bound, stages[K - 2])
-
     width = g.window
-    event_stages_by_pos: dict[int, list[int]] = {}
-    for s, y, _v in b.events:
-        event_stages_by_pos.setdefault(y, []).append(s)
+    positions = b.positions()
+    if x_bound is None:
+        x_bound = max([x + (width or 0) + 1 for x in positions] or [1])
+    x_bound = min(x_bound, stages[K - 2])
 
     timelines: dict[int, list[tuple[int, int]]] = {}
     for x in range(x_bound):
         i = seq.block_of(x)
-        if i + 2 > K:
-            continue
-        relevant: set[int] = set()
-        if width is None:
-            for y, ss in event_stages_by_pos.items():
-                if y <= x:
-                    relevant.update(ss)
-        else:
-            for y in range(max(0, x - width), x + 1):
-                relevant.update(event_stages_by_pos.get(y, ()))
-        ks = {i}
-        for t in relevant:
-            pos = bisect.bisect_left(stages, t)
-            k = pos - 2
-            if i < k <= K - 2:
-                ks.add(k)
+        near = positions if width is None else range(max(0, x - width), x + 1)
+        changes = [t for y in near if y <= x for t in b.stages_of(y)]
         history = []
-        for k in sorted(ks):
-            v = g.at(b, x, stages[k + 2])
+        for k, t in [(0, stages[i + 2])] + _change_blocks(changes, stages, i, 2):
+            v = g.at(b, x, t)
             if v is None:
                 raise StageSeqExhausted(f"functional diverges on input {x}")
-            history.append((0 if k == i else k, v))
+            history.append((k, v))
         timelines[x] = history
 
     out = _blocks_to_trace(b.horizon, stages, timelines)
@@ -374,10 +351,6 @@ def conjoin(
     seq = StageSeq(tuple(stages), "agreement")
     K = len(stages) - 1
 
-    e_events_by_pos: dict[int, list[int]] = {}
-    for s, y, _v in e.events:
-        e_events_by_pos.setdefault(y, []).append(s)
-
     timelines: dict[int, list[tuple[int, int]]] = {}
     for x in sorted(e.positions() | f.positions()):
         i = seq.block_of(x)
@@ -388,17 +361,9 @@ def conjoin(
                 break
         if j is None:
             raise StageSeqExhausted(f"no agreement on position {x} within the horizon")
-        v = e.value(x, stages[j + 1])
-        history = [(0 if i == 0 else i, v)]
-        ks = set()
-        for t in e_events_by_pos.get(x, ()):
-            pos = bisect.bisect_left(stages, t)
-            k = pos - 1
-            if j < k <= K - 1:
-                ks.add(k)
-        for k in sorted(ks):
-            history.append((k, e.value(x, stages[k + 1])))
-        timelines[x] = history
+        timelines[x] = [(i, e.value(x, stages[j + 1]))] + [
+            (k, e.value(x, t)) for k, t in _change_blocks(e.stages_of(x), stages, j, 1)
+        ]
 
     out = _blocks_to_trace(e.horizon, stages, timelines)
     _check_final(out, final, "conjunction")
@@ -446,25 +411,15 @@ def implication_transfer(
     seq = StageSeq(tuple(stages), "domination")
     K = len(stages) - 1
 
-    a_events_by_pos: dict[int, list[int]] = {}
-    for s_ev, y, _v in a.events:
-        a_events_by_pos.setdefault(y, []).append(s_ev)
-
     timelines: dict[int, list[tuple[int, int]]] = {}
     for x in sorted(a.positions()):
         i = seq.block_of(x)
         if i + 2 > K:
             continue
-        history = [(0, a.value(x, stages[i + 2]))]
-        ks = set()
-        for t in a_events_by_pos.get(x, ()):
-            pos = bisect.bisect_left(stages, t)
-            k = pos - 1
-            if i + 1 <= k <= K - 1:
-                ks.add(k)
-        for k in sorted(ks):
-            history.append((k, a.value(x, stages[k + 1])))
-        timelines[x] = history
+        # the first entry reads block i + 1's look-ahead stage
+        timelines[x] = [(0, a.value(x, stages[i + 2]))] + [
+            (k, a.value(x, t)) for k, t in _change_blocks(a.stages_of(x), stages, i + 1, 1)
+        ]
 
     out = _blocks_to_trace(a.horizon, stages, timelines)
     _check_final(out, a.final_set(), "implication transfer")
@@ -526,7 +481,7 @@ def omega_ce_bound(a: ApproximationTrace, c: CostFn, X: int) -> OmegaCeBound:
         g = witnesses.witnesses[x]
         v = c(x, g)
         bounds[x] = int(-(-total // v)) if total > 0 else 0
-        counts[x] = sum(1 for s, y, _v in a.events if y == x and s > g)
+        counts[x] = sum(1 for s in a.stages_of(x) if s > g)
         if counts[x] > bounds[x]:
             bad.append(x)
     return OmegaCeBound(bounds, dict(witnesses.witnesses), counts, tuple(bad))
@@ -582,8 +537,8 @@ def same_real_transfer(
     f: dict[int, int] = {}
     prev = -1
     for x in sorted(ta.positions() | {0}):
-        t = next((t for t in range(horizon + 1) if b.at(t) >= a.at(x)), None)
-        if t is None:
+        t = bisect.bisect_left(b.seq, a.at(x), 0, horizon + 1)
+        if t > horizon:
             raise StageSeqExhausted(f"f({x}) is unwitnessed at the horizon")
         f[x] = max(t, prev + 1)
         prev = f[x]
@@ -592,7 +547,7 @@ def same_real_transfer(
         events = []
         exceptions = set()
         for s_ev, x, _v in ta.events:
-            idx = bisect.bisect_right(stages, s_ev) - 1
+            idx = seq.block_of(s_ev)
             if idx < 0 or f[x] > stages[idx]:
                 exceptions.add(x)
                 continue
@@ -607,14 +562,12 @@ def same_real_transfer(
     else:
         timelines: dict[int, list[tuple[int, int]]] = {}
         for x in sorted(ta.positions()):
-            t = next((si for si in stages if si >= f[x]), None)
-            if t is None:
+            k0 = bisect.bisect_left(stages, f[x])
+            if k0 == len(stages):
                 raise StageSeqExhausted(f"no synchronizing stage above f({x})")
-            history = [(0, ta.value(x, t))]
-            for k, si in enumerate(stages):
-                if si >= t and k > 0:
-                    history.append((k, ta.value(x, si)))
-            timelines[f[x]] = history
+            timelines[f[x]] = [(0, ta.value(x, stages[k0]))] + [
+                (k, ta.value(x, t)) for k, t in _change_blocks(ta.stages_of(x), stages, k0, 0)
+            ]
         out = _blocks_to_trace(horizon, stages, timelines)
         exc = None
 

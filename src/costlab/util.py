@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -33,10 +34,11 @@ def least_length(v: Fraction) -> int:
     """Least r >= 0 with 2**(-r) <= v, for a positive rational v <= 1."""
     if v <= 0:
         raise ValueError("least_length needs a positive value")
-    r = 0
-    while pow2(r) > v:
-        r += 1
-    return r
+    p, q = v.numerator, v.denominator
+    if p >= q:
+        return 0
+    r = q.bit_length() - p.bit_length()  # p << r has q's bit length
+    return r if p << r >= q else r + 1
 
 
 def cantor_pair(x: int, i: int) -> int:
@@ -46,9 +48,8 @@ def cantor_pair(x: int, i: int) -> int:
 
 
 def cantor_unpair(p: int) -> tuple[int, int]:
-    m = 0
-    while (m + 1) * (m + 2) // 2 <= p:
-        m += 1
+    """Inverse of cantor_pair on the naturals."""
+    m = (math.isqrt(8 * p + 1) - 1) // 2  # greatest m with m(m+1)/2 <= p
     x = p - m * (m + 1) // 2
     return x, m - x
 

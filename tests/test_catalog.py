@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costlab.catalog import (
     LeftCEReal,
@@ -16,10 +18,11 @@ from costlab.catalog import (
     cost_omega,
     domination_grid_report,
     real_from_additive,
+    SolovayCertificate,
     rescale_to_unit,
     solovay_translate,
 )
-from costlab.core import ApproximationTrace, check_monotone
+from costlab.core import ApproximationTrace, check_monotone, cost_fn
 from costlab.errors import NonAdditive
 from costlab.generate import left_ce_real, rng_for
 from costlab.machine import (
@@ -28,7 +31,7 @@ from costlab.machine import (
     register_requests,
     request_set,
 )
-from costlab.util import ZERO, least_length, pow2
+from costlab.util import ZERO, cantor_pair, cantor_unpair, least_length, pow2
 
 
 def test_cost_k_zero_above_diagonal():
@@ -207,6 +210,106 @@ def test_solovay_detects_late_jump():
         LeftCEReal(tuple(a_seq), Fraction(2)), LeftCEReal(tuple(b_seq), Fraction(2)), 1
     )
     assert not cert.ok
+
+
+def solovay_translate_scan(a, b, N, samples):
+    """The scanning form of ``solovay_translate``: x found by a walk from stage 0."""
+    aS, bS = a.at(a.horizon), b.at(b.horizon)
+    pairs, violations = [], []
+    for q in samples:
+        if q >= aS:
+            continue
+        x = next(i for i in range(a.horizon + 1) if q < a.seq[i])
+        pairs.append((q, b.at(x)))
+        if bS - b.at(x) >= N * (aS - q):
+            violations.append(q)
+    return SolovayCertificate(tuple(pairs), N, tuple(violations))
+
+
+def test_solovay_bisect_matches_scanning_search():
+    rng = rng_for(14)
+    for i in range(40):
+        S = rng.randint(1, 60)
+        a = left_ce_real(rng, S, jumps=rng.randint(1, 4))  # long plateaus
+        b = left_ce_real(rng, rng.randint(1, 60))
+        values = sorted(set(a.seq))
+        samples = values + [(u + v) / 2 for u, v in zip(values, values[1:])]
+        samples += [Fraction(rng.randint(0, 1 << 20), 1 << 20) for _ in range(10)]
+        rng.shuffle(samples)
+        for N in (1, 3):
+            assert solovay_translate(a, b, N, samples) == solovay_translate_scan(
+                a, b, N, samples
+            )
+        default = solovay_translate(a, b, 2)
+        assert default == solovay_translate_scan(a, b, 2, [q for q, _v in default.phi])
+
+
+def least_length_loop(v: Fraction) -> int:
+    r = 0
+    while pow2(r) > v:
+        r += 1
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1 << 100), st.integers(1, 1 << 100))
+def test_least_length_matches_loop(p, q):
+    v = Fraction(min(p, q), max(p, q))
+    assert least_length(v) == least_length_loop(v)
+    assert least_length(Fraction(1, q)) == least_length_loop(Fraction(1, q))
+    assert least_length(Fraction(p, 1 << 70)) == least_length_loop(Fraction(p, 1 << 70))
+
+
+def test_least_length_at_powers_of_two():
+    for r in (0, 1, 63, 64, 65, 200):
+        assert least_length(pow2(r)) == r
+        assert least_length(pow2(r) + pow2(r + 90)) == r
+        assert least_length(pow2(r) - pow2(r + 90)) == r + 1
+
+
+def cantor_unpair_loop(p: int) -> tuple[int, int]:
+    m = 0
+    while (m + 1) * (m + 2) // 2 <= p:
+        m += 1
+    x = p - m * (m + 1) // 2
+    return x, m - x
+
+
+def test_cantor_unpair_matches_loop():
+    for p in range(5000):
+        assert cantor_unpair(p) == cantor_unpair_loop(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 80), st.integers(0, 1 << 80))
+def test_cantor_unpair_inverts_pairing(x, i):
+    assert cantor_unpair(cantor_pair(x, i)) == (x, i)
+    m = x + i  # the diagonal's first and last codes, next to its neighbours'
+    assert cantor_unpair(m * (m + 1) // 2) == (0, m)
+    assert cantor_unpair(m * (m + 1) // 2 + m) == (m, 0)
+
+
+def rescale_exponent_loop(top: Fraction) -> int:
+    k = 0
+    while (1 << k) < top:
+        k += 1
+    return k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1 << 90), st.integers(1, 1 << 90))
+def test_rescale_to_unit_matches_loop(num, den):
+    top = Fraction(num, den)
+    c = cost_fn("flat", 3, lambda x, s: top if x == 0 and s >= 3 else ZERO)
+    assert rescale_to_unit(c)(0, 3) == top * pow2(rescale_exponent_loop(top))
+
+
+def test_rescale_to_unit_exponent_stays_zero_at_or_below_one():
+    for top in (ZERO, Fraction(1, 3), Fraction(1)):
+        c = cost_fn("flat", 3, lambda x, s: top if x == 0 and s >= 3 else ZERO)
+        assert rescale_to_unit(c)(0, 3) == top
+    c = cost_fn("flat", 3, lambda x, s: Fraction(1 << 64) + 1 if x == 0 and s >= 3 else ZERO)
+    assert rescale_to_unit(c)(0, 3) == (Fraction(1 << 64) + 1) / (1 << 65)
 
 
 def test_additive_requests_zero_cost_empty():

@@ -58,6 +58,14 @@ def test_nondeficiency_out_of_order_entry():
     assert nondeficiency_stages(d) == {6}
 
 
+def test_hat_sup_restrains_use_below_least_entry():
+    # stage 3 enters 6 and 2, so a use of 4 is restrained there; stage 7 enters 8
+    d = EnumerationTrace(10, [(3, 6, 1), (3, 2, 1), (7, 8, 1)])
+    c = TotalCostFunctional("inverse-stage", lambda bit, x, s: (Fraction(1, s), 4))
+    assert nondeficiency_stages(d) == {3, 7}
+    assert hat_sup(c, d, 0) == Fraction(1, 7)
+
+
 def test_nondeficiency_empty():
     assert nondeficiency_stages(EnumerationTrace(20)) == frozenset()
 

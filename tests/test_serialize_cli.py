@@ -44,6 +44,12 @@ def test_trace_missing_horizon():
         load_trace("3 2 1\n")
 
 
+def test_trace_rejects_repeated_initial_line():
+    with pytest.raises(ParseError) as err:
+        load_trace("horizon 10\ninitial 1 2\ninitial 3\n4 5 1\n")
+    assert err.value.line_no == 3 and "repeated initial" in str(err.value)
+
+
 def test_enumeration_load_rejects_removals():
     text = "horizon 10\n2 1 1\n4 1 0\n"
     with pytest.raises(ParseError):
@@ -94,6 +100,20 @@ def test_parse_scenario_and_errors():
     with pytest.raises(ParseError) as err:
         parse_scenario("scenario kraft-audit\nparam S sixty\n")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line_no, what",
+    [
+        ("scenario kraft-audit\nseed 1\nseed 2\n", 3, "repeated seed"),
+        ("seed 1\n# again\nseed 1\nscenario kraft-audit\n", 3, "repeated seed"),
+        ("scenario kraft-audit\nparam J 3\nparam S 8\nparam J 12\n", 4, "repeated param 'J'"),
+    ],
+)
+def test_parse_scenario_rejects_repeated_lines(text, line_no, what):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert err.value.line_no == line_no and what in str(err.value)
 
 
 def test_cli_run_deterministic(tmp_path: Path):
