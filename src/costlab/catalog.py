@@ -31,13 +31,12 @@ class LeftCEReal:
     cap: Fraction = Fraction(1)
 
     def __post_init__(self):
-        prev = None
-        for v in self.seq:
-            if v < 0:
-                raise ValueError("left-c.e. approximations are nonnegative")
-            if prev is not None and v < prev:
-                raise ValueError("left-c.e. approximations are nondecreasing")
-            prev = v
+        # one comparison per stage: the first value against 0, each later one
+        # against its predecessor; the first drop is negative or a decrease
+        for prev, v in zip((ZERO, *self.seq), self.seq):
+            if v < prev:
+                kind = "nonnegative" if v < 0 else "nondecreasing"
+                raise ValueError(f"left-c.e. approximations are {kind}")
         if self.seq and self.seq[-1] > self.cap:
             raise ValueError("sequence exceeds its declared cap")
 
@@ -53,47 +52,16 @@ class LeftCEReal:
 
 
 def complexity_sum(index: KIndex, horizon: int, name: str) -> CostFn:
-    """c(x, s) = sum of 2^-K_s(w) for x < w <= s, with K_s read from ``index``.
+    """c(x, s) = sum of 2^-K_s(w) for x < w <= s, with s clamped to the horizon.
 
-    Every evaluator clamps s to the horizon: ``ev`` bisects each target's
-    improvements, ``bulk`` moves one cursor over the stage-sorted queries,
-    and ``stage_scan`` sums the changes a cursor applies beyond x.  All
-    three agree exactly.
+    One pointwise evaluator serves every query: ``index.sum_at`` bisects
+    the index's stage column and sums the weight changes beyond x.
     """
 
     def ev(x: int, s: int) -> Fraction:
         return index.sum_at(x, min(s, horizon))
 
-    def bulk(pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-        cursor = Cursor(index)
-        out = []
-        for x, s in pairs:
-            cursor.advance(min(s, horizon))  # a cursor only moves forward: s must not fall
-            out.append(cursor.sum_beyond(x))
-        return out
-
-    def stage_scan(x: int, s_from: int):
-        scale = index.scale
-        acc, value = 0, ZERO
-        yield from ((s, ZERO) for s in range(s_from, 1))  # stages before any description
-        for s, changes in Cursor(index).steps(horizon):
-            for w, old, new in changes:
-                if w > x:
-                    acc += weight_change(scale, old, new)
-                    value = Fraction(acc, 1 << scale)
-            if s >= s_from:
-                yield s, value
-
-    return cost_fn(
-        name,
-        horizon,
-        ev,
-        monotone_main=True,
-        monotone_stage=True,
-        proper=True,
-        bulk=bulk,
-        stage_scan=stage_scan,
-    )
+    return cost_fn(name, horizon, ev, monotone_main=True, monotone_stage=True, proper=True)
 
 
 def cost_k(p: KProvider) -> CostFn:
@@ -166,7 +134,7 @@ def cost_max(p: KProvider) -> CostFn:
     horizon = p.horizon
 
     def ev(x: int, s: int) -> Fraction:
-        best = min(p.index.lengths(x, min(s, horizon)), default=None)
+        best = p.index.min_at(x, min(s, horizon))
         return pow2(best) if best is not None else ZERO
 
     return cost_fn(

@@ -1,11 +1,12 @@
 """Stagewise prefix-free complexity K_s: the one index behind every K_s query.
 
 A ``KIndex`` holds, per target w, the stages at which K_s(w) changes with
-its value from each, so ``k(w, s)`` is one bisect, and the list of
-improvement events in stage order.  A ``Cursor`` walks those events forward; ``advance(s)``
-returns the ``(w, old, new)`` changes it applied, and the cursor answers
-``sum_beyond(x)`` (the sum of 2^-K_s(w) over w > x) and ``min_beyond(x)``
-(the least K_s(w) over w > x) at its stage from a Fenwick tree.  The
+its value from each, so ``k(w, s)`` is one bisect, and the improvement
+events in stage order.  It answers ``sum_at(x, s)`` (the sum of 2^-K_s(w)
+over x < w <= s) and ``min_at(x, s)`` (the least such K_s(w)) pointwise: a
+bisect on a stage column, then a masked sum or minimum.  A ``Cursor`` walks
+the events forward, returns the ``(w, old, new)`` changes it applies, and
+answers the same sum and minimum at its stage from a Fenwick tree.  The
 separation game appends descriptions with ``add`` as it plays.
 
 Conventions:
@@ -22,6 +23,8 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 def weight_change(scale: int, old: int | None, new: int) -> int:
@@ -50,7 +53,7 @@ class KIndex:
                 lengths.append(length)
                 self.events.append((stage, w, length))
                 self.scale = max(self.scale, length)
-        self._targets = sorted(self._by_target)
+        self._columns: tuple[list[int], np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def k(self, w: int, s: int) -> int | None:
         """K_s(w): the least length of w counting by stage s, None if there is none."""
@@ -58,19 +61,37 @@ class KIndex:
         i = bisect.bisect_right(stages, s)
         return lengths[i - 1] if i else None
 
-    def lengths(self, x: int, s: int) -> Iterator[int]:
-        """K_s(w) for each w with x < w <= s that has a description by stage s."""
-        targets = self._targets
-        for w in targets[bisect.bisect_right(targets, x) : bisect.bisect_left(targets, s)]:
-            stages, lengths = self._by_target[w]
-            i = bisect.bisect_right(stages, s)
-            if i:
-                yield lengths[i - 1]
+    def _beyond(self, x: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """The new lengths and scaled weight changes of the improvements by stage s
+        to targets beyond x, read from stage-sorted columns built on first use."""
+        if self._columns is None:
+            rows = sorted(
+                (stage, w, new, weight_change(self.scale, old, new))
+                for w, (stages, lengths) in self._by_target.items()
+                for stage, old, new in zip(stages, [None, *lengths], lengths)
+            )
+            stages, targets, lengths, weights = zip(*rows) if rows else ((),) * 4
+            exact = self.scale + len(rows).bit_length() > 62  # else any sum of changes fits int64
+            self._columns = (
+                list(stages),
+                np.array(targets, dtype=np.int64),
+                np.array(lengths, dtype=np.int64),
+                np.array(weights, dtype=object if exact else np.int64),
+            )
+        stages, targets, lengths, weights = self._columns
+        i = bisect.bisect_right(stages, s)
+        mask = targets[:i] > x
+        return lengths[:i][mask], weights[:i][mask]
 
     def sum_at(self, x: int, s: int) -> Fraction:
         """The complexity sum: 2^-K_s(w) summed over x < w <= s."""
-        scale = self.scale
-        return Fraction(sum(1 << (scale - n) for n in self.lengths(x, s)), 1 << scale)
+        # each target's weight changes by stage s telescope to its current weight
+        return Fraction(int(self._beyond(x, s)[1].sum()), 1 << self.scale)
+
+    def min_at(self, x: int, s: int) -> int | None:
+        """The least K_s(w) over x < w <= s, None if no such w is described by stage s."""
+        lengths = self._beyond(x, s)[0]  # lengths only fall: the least new one is the least current
+        return int(lengths.min()) if lengths.size else None
 
     def add(self, w: int, length: int, stage: int) -> None:
         """Describe w with ``length`` from stage max(stage, w + 1) on.
@@ -83,8 +104,7 @@ class KIndex:
             raise ValueError("a description must take effect beyond every cursor")
         bisect.insort(self.events, (stage, w, length))
         self.scale = max(self.scale, length)
-        if w not in self._by_target:
-            bisect.insort(self._targets, w)
+        self._columns = None
         stages, lengths = self._by_target.setdefault(w, ([], []))
         i = bisect.bisect_right(stages, stage)
         stages.insert(i, stage)

@@ -638,7 +638,7 @@ def weak_ktrivial_requests(
             drops += 1
     changes = 0
     for s, x, _v in a.events:
-        r = min(p.index.lengths(x, min(s, p.horizon)), default=None)  # c_max = 2^-r
+        r = p.index.min_at(x, min(s, p.horizon))  # c_max = 2^-r
         if r is None:
             continue
         prefix = "".join(str(a.value(i, s)) for i in range(x + 1))
@@ -809,7 +809,8 @@ def separation_run(
         cap = k + b + d - r
         for pi in range(0, v - R + 1):
             s = seq[pi + R]
-            acc = sum(1 << (top - max(kw, cap)) for kw in live.lengths(seq[pi], s))
+            kws = (live.k(w, s) for w in range(seq[pi] + 1, s))
+            acc = sum(1 << (top - max(kw, cap)) for kw in kws if kw is not None)
             lhs = Fraction(acc, 1 << top)
             rhs = (r + 1) * pow2(k + b + d - r + 1)
             checks.append((pi, r, lhs, rhs))

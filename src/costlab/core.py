@@ -37,11 +37,11 @@ class CostProps:
 class CostFn:
     """A stage-evaluable cost function c(x, s) with exact rational values.
 
-    Evaluators must be pure and deterministic.  ``bulk`` is an optional fast
-    path for ledger replay over stage-sorted queries; ``stage_scan`` an
-    optional incremental scan of s -> c(x, s).  Both must agree with
-    ``eval`` exactly.  Every stage is a natural: the public calls raise on
-    a negative x.
+    Evaluators must be pure and deterministic; ``eval_fn`` is the one
+    evaluator and every call goes through it.  Every stage is a natural:
+    the public calls raise on a negative x.  ``bulk`` and ``stage_scan`` are
+    unused, always None, and kept only because the benchmark's tracer reads
+    them.
     """
 
     name: str
@@ -75,20 +75,15 @@ class CostFn:
         return self._checked(x, s)
 
     def values(self, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-        """Evaluate many (x, s) pairs with s nondecreasing, using the fast path if any."""
-        if self.bulk is not None:
-            return self.bulk(pairs)
+        """Evaluate many (x, s) pairs with s nondecreasing."""
         return [self._checked(x, s) for x, s in pairs]
 
     def scan(self, x: int, s_from: int) -> Iterable[tuple[int, Fraction]]:
         """Yield (s, c(x, s)) for s = s_from .. horizon."""
         if x < 0:
             raise ValueError("stage must be a natural")
-        if self.stage_scan is not None:
-            yield from self.stage_scan(x, s_from)
-        else:
-            for s in range(s_from, self.horizon + 1):
-                yield s, self._checked(x, s)
+        for s in range(s_from, self.horizon + 1):
+            yield s, self._checked(x, s)
 
 
 def cost_fn(
@@ -100,11 +95,9 @@ def cost_fn(
     monotone_stage: bool = False,
     additive: bool = False,
     proper: bool = False,
-    bulk=None,
-    stage_scan=None,
 ) -> CostFn:
     props = CostProps(monotone_main, monotone_stage, additive, proper)
-    return CostFn(name, horizon, eval_fn, props, bulk, stage_scan)
+    return CostFn(name, horizon, eval_fn, props)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -409,10 +402,11 @@ def benign_witness(c: CostFn, n: int, S: int) -> BenignChain:
     threshold = pow2(n)
     chain = [0]
     # c is nondecreasing in s, so a next link up to S exists exactly when
-    # c(x, S) reaches the threshold; only then is it worth a scan
+    # c(x, S) reaches the threshold, and a bisection finds the least one
     while chain[-1] < S and c(chain[-1], S) >= threshold:
         x = chain[-1]
-        chain.append(next(s for s, v in c.scan(x, x + 1) if v >= threshold))
+        reaches = lambda s: c(x, s) >= threshold  # noqa: E731
+        chain.append(bisect.bisect_left(range(S + 1), True, x + 1, key=reaches))
     return BenignChain(n, tuple(chain))
 
 

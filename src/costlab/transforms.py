@@ -148,7 +148,7 @@ def to_enumeration(a: ApproximationTrace, b: EnumerationTrace) -> EnumerationTra
     if a.horizon != b.horizon:
         raise Mismatch("traces must share a horizon")
     events = []
-    for x in sorted((set(a.positions()) | set(b.positions())) & final):
+    for x in sorted((set(a.positions()) | set(b.positions())) & (final - a.initial)):
         # piece boundaries: stages where either value can change
         bounds = sorted({1, *a.stages_of(x), *b.stages_of(x)})
         flip = None

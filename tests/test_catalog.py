@@ -369,3 +369,34 @@ def test_non_additive_rejected():
     )
     with pytest.raises(NonAdditive):
         real_from_additive(sneaky)
+
+
+def left_ce_check_reference(seq, cap):
+    """The former validation loop: a sign test and a predecessor test per stage."""
+    prev = None
+    for v in seq:
+        if v < 0:
+            return "left-c.e. approximations are nonnegative"
+        if prev is not None and v < prev:
+            return "left-c.e. approximations are nondecreasing"
+        prev = v
+    if seq and seq[-1] > cap:
+        return "sequence exceeds its declared cap"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=6), max_size=12),
+    st.fractions(min_value=-1, max_value=3, max_denominator=4),
+)
+def test_left_ce_validation_matches_reference(seq, cap):
+    seq = tuple(sorted(map(abs, seq)) if len(seq) % 3 == 0 else seq)  # valid ones too
+    want = left_ce_check_reference(seq, cap)
+    if want is None:
+        assert LeftCEReal(seq, cap).seq == seq
+    else:
+        with pytest.raises(ValueError) as exc:
+            LeftCEReal(seq, cap)
+        assert str(exc.value) == want
+

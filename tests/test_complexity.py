@@ -171,8 +171,19 @@ def test_index_and_cursor_match_reference(desc, ops):
             assert index.k(w, s) == table.get(w)
         for x in range(-1, s + 1):
             assert index.sum_at(x, s) == sum_ref(table, x)
-            assert min(index.lengths(x, s), default=None) == min_ref(table, x)
+            assert index.min_at(x, s) == min_ref(table, x)
     assert not fresh.pending
+
+
+def test_sums_stay_exact_where_the_scale_fits_int64_but_the_sum_does_not():
+    # scale 62 fits int64, but the scaled sum 4 * 2^62 + 1 does not
+    index = KIndex([(w, 0, 1) for w in range(4)] + [(4, 62, 1)])
+    assert index.scale == 62
+    assert index.sum_at(-1, 5) == 4 + pow2(62)
+    assert index.sum_at(2, 5) == 1 + pow2(62)
+    assert index.min_at(-1, 5) == 0 and index.min_at(3, 5) == 62 and index.min_at(4, 5) is None
+    index.add(9, 1, 10)  # appending drops the columns, which are rebuilt on the next query
+    assert index.sum_at(-1, 10) == 4 + pow2(1) + pow2(62)
 
 
 def test_add_must_lie_beyond_every_cursor_and_may_change_nothing():

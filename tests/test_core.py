@@ -177,6 +177,7 @@ def test_benign_chain_matches_scanning_greedy():
             chain.append(nxt)
 
     costs = [geometric_cost(8), geometric_cost(40), cost_k(baseline_provider(300))]
+    costs += [monotone_cost(rng_for(seed, "chain"), 120) for seed in range(2)]
     costs += [additive_from_real(left_ce_real(rng_for(seed, "chain"), 60)) for seed in range(4)]
     for c in costs:
         for S in (c.horizon, c.horizon // 2):

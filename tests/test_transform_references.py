@@ -63,7 +63,7 @@ def ref_to_enumeration(a: ApproximationTrace, b: EnumerationTrace) -> Enumeratio
     if a.horizon != b.horizon:
         raise Mismatch("traces must share a horizon")
     events = []
-    for x in sorted((set(a.positions()) | set(b.positions())) & final):
+    for x in sorted((set(a.positions()) | set(b.positions())) & (final - a.initial)):
         bounds = sorted(
             {1}
             | {s for s, y, _v in a.events if y == x}

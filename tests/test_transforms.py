@@ -101,6 +101,15 @@ def test_to_enumeration_flicker_settles_once():
     assert out.change_count(3) == 1
 
 
+def test_to_enumeration_keeps_initial_positions_without_events():
+    # x = 3 is in the set from stage 0 on, so the enumeration needs no event for it
+    out = to_enumeration(ApproximationTrace(10, [], {3}), EnumerationTrace(10, [], {3}))
+    assert out.initial == frozenset({3}) and out.events == ()
+    a = ApproximationTrace(10, [(2, 3, 0), (4, 3, 1), (5, 6, 1)], {3})
+    out = to_enumeration(a, EnumerationTrace(10, [(7, 6, 1)], {3}))
+    assert out.final_set() == frozenset({3, 6}) and out.events == ((5, 6, 1),)
+
+
 def test_to_enumeration_never_costlier():
     for seed in range(12):
         rng = rng_for(seed, "toenum")
