@@ -287,8 +287,9 @@ def domination_grid_report(p: KProvider) -> DominationReport:
     m = np.zeros(S + 1, dtype=dtype)  # current scaled weight 2^(scale - K_s(w)) per w
     omega_bad: list[tuple[int, int]] = []
     max_bad: list[tuple[int, int]] = []
-    for s, changes in Cursor(p.index).steps(S):
-        for w, old, new in changes:
+    cursor = Cursor(p.index)
+    for s in range(1, S + 1):
+        for w, old, new in cursor.advance(s):
             m[w] += weight_change(scale, old, new)
         col = m[: s + 1]
         # ck[x] and cmx[x]: the sum and the maximum of col over w in (x, s]

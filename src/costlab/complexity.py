@@ -4,10 +4,11 @@ A ``KIndex`` holds, per target w, the stages at which K_s(w) changes with
 its value from each, so ``k(w, s)`` is one bisect, and the improvement
 events in stage order.  It answers ``sum_at(x, s)`` (the sum of 2^-K_s(w)
 over x < w <= s) and ``min_at(x, s)`` (the least such K_s(w)) pointwise: a
-bisect on a stage column, then a masked sum or minimum.  A ``Cursor`` walks
-the events forward, returns the ``(w, old, new)`` changes it applies, and
-answers the same sum and minimum at its stage from a Fenwick tree.  The
-separation game appends descriptions with ``add`` as it plays.
+bisect on a stage column, then a masked sum or minimum.  A ``Cursor`` only
+walks the events forward and returns the ``(w, old, new)`` changes it
+applies, so a caller that holds running sums of its own keeps them from
+those changes.  The separation game appends descriptions with ``add`` as it
+plays.
 
 Conventions:
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -113,25 +114,13 @@ class KIndex:
 
 
 class Cursor:
-    """Forward walk over a ``KIndex``'s events, holding K_s at its stage.
-
-    Sums and minima beyond x come from a Fenwick tree (Fenwick 1994) laid
-    out for suffixes: node i covers the positions [i, i + lowbit(i)), so an
-    update walks down, a query walks up, and growing the tree appends empty
-    nodes.  Target w sits at position w + 1.  One array sums the scaled
-    weights 2^(scale - K_s(w)); the other keeps their maxima, which give the
-    least length, and stays exact under point updates because a target's
-    length only ever decreases.  Both are built on the first query and move
-    to a larger scale when a longer length arrives.
-    """
+    """Forward walk over a ``KIndex``'s events, holding K_s at its stage."""
 
     def __init__(self, index: KIndex):
         self.stage = 0
         self._index = index
         self._pos = 0
         self._current: dict[int, int] = {}
-        self._scale = 0
-        self._sums = self._tops = None  # the trees, built on the first query
 
     @property
     def pending(self) -> bool:
@@ -139,70 +128,18 @@ class Cursor:
         return self._pos < len(self._index.events)
 
     def advance(self, s: int) -> list[tuple[int, int | None, int]]:
-        """Move to stage s; return the (w, old, new) length changes applied."""
+        """Move to stage s; return the (w, old, new) length changes applied, in order."""
         if s < self.stage:
             raise ValueError("a cursor only moves forward")
-        return [change for _stage, step in self.steps(s) for change in step]
-
-    def steps(self, s_to: int) -> Iterator[tuple[int, list[tuple[int, int | None, int]]]]:
-        """Move one stage at a time up to s_to, yielding each stage and its changes."""
-        self._index.frontier = max(self._index.frontier, s_to)
+        self._index.frontier = max(self._index.frontier, s)
         events, current, pos = self._index.events, self._current, self._pos
-        for s in range(self.stage + 1, s_to + 1):
-            changes = []
-            while pos < len(events) and events[pos][0] <= s:
-                _stage, w, length = events[pos]
-                pos += 1
-                old = current.get(w)
-                if old is None or length < old:
-                    current[w] = length
-                    changes.append((w, old, length))
-                    if self._sums is not None:
-                        self._lower(w, old, length)
-            self.stage, self._pos = s, pos
-            yield s, changes
-
-    def _lower(self, w: int, old: int | None, new: int) -> None:
-        if new > self._scale:
-            shift, self._scale = new - self._scale, new
-            self._sums = [v << shift for v in self._sums]
-            self._tops = [v << shift for v in self._tops]
-        i = j = w + 1
-        if i >= len(self._sums):
-            grow = [0] * (max(i + 1, 2 * len(self._sums)) - len(self._sums))
-            self._sums += grow
-            self._tops += grow
-        delta, weight = weight_change(self._scale, old, new), 1 << (self._scale - new)
-        sums, tops = self._sums, self._tops
-        while i > 0:
-            sums[i] += delta
-            i -= i & -i
-        while j > 0 and tops[j] < weight:  # each node on the walk covers the last
-            tops[j] = weight
-            j -= j & -j
-
-    def _trees(self) -> tuple[list[int], list[int]]:
-        if self._sums is None:
-            self._sums, self._tops, self._scale = [0], [0], self._index.scale
-            for w, length in self._current.items():
-                self._lower(w, None, length)
-        return self._sums, self._tops
-
-    def sum_beyond(self, x: int) -> Fraction:
-        """2^-K_s(w) summed over every w > x, at the cursor's stage."""
-        sums = self._trees()[0]
-        i, total = max(x, -1) + 2, 0
-        while i < len(sums):
-            total += sums[i]
-            i += i & -i
-        return Fraction(total, 1 << self._scale)
-
-    def min_beyond(self, x: int) -> int | None:
-        """The least K_s(w) over w > x at the cursor's stage, None if none."""
-        tops = self._trees()[1]
-        i, top = max(x, -1) + 2, 0
-        while i < len(tops):
-            if tops[i] > top:
-                top = tops[i]
-            i += i & -i
-        return self._scale + 1 - top.bit_length() if top else None
+        changes = []
+        while pos < len(events) and events[pos][0] <= s:
+            _stage, w, length = events[pos]
+            pos += 1
+            old = current.get(w)
+            if old is None or length < old:
+                current[w] = length
+                changes.append((w, old, length))
+        self.stage, self._pos = s, pos
+        return changes

@@ -8,12 +8,13 @@ be replayed and audited.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .catalog import LeftCEReal, additive_from_real, cost_from_approx, cost_k, cost_max
-from .complexity import Cursor, KIndex
+from .complexity import Cursor, KIndex, weight_change
 from .core import (
     ApproximationTrace,
     CostFn,
@@ -631,8 +632,9 @@ def weak_ktrivial_requests(
     cm = cost_max(p)
     entries: list[tuple[int, int, int]] = []
     drops = 0
-    for stage, changes in Cursor(p.index).steps(a.horizon):
-        for n, _old, length in changes:
+    cursor = Cursor(p.index)
+    for stage in range(1, a.horizon + 1):
+        for n, _old, length in cursor.advance(stage):
             prefix = "".join(str(a.value(i, stage)) for i in range(n))
             entries.append((length + 1, bits_to_nat(drop_trailing_zeros(prefix)), stage))
             drops += 1
@@ -668,14 +670,15 @@ class SeparationResult:
         return all(lhs >= rhs for _p, _r, lhs, rhs in self.claim_checks)
 
 
-def _grant_length(b: int, need: Fraction) -> int | None:
-    """The greedy opponent's cheapest self-consistent grant for a positive need.
+def _grant_length(b: int, need: int, scale: int) -> int | None:
+    """The greedy opponent's cheapest self-consistent grant for a positive
+    need of need / 2^scale.
 
     2^b * 2^-L must cover the sum including the grant's own weight, so L is
     the largest length with 2^L * need <= 2^b - 1; None when there is none,
     which is always the case at b = 0.
     """
-    q = ((1 << b) - 1) * need.denominator // need.numerator
+    q = (((1 << b) - 1) << scale) // need
     return q.bit_length() - 1 if q else None
 
 
@@ -713,7 +716,7 @@ def separation_run(
     as the baseline, stops at one.
     """
     k = 1 << (b + d + 1)
-    declared = 1 << min(k, 62)
+    declared = 1 << k
     # the game's own copy of K_s: it appends the builder's requests and the
     # opponent's grants as it plays
     live = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
@@ -728,11 +731,26 @@ def separation_run(
             raise ScheduleInsufficient("no cheap starting point below the horizon")
         x0 = probe
 
-    seq = [x0]
+    # per element x of seq: need, the sum of 2^-K_s(w) over w > x scaled by
+    # 2^scale, and best, the least such K_s(w), both at the view's stage.  One
+    # scale serves the whole run: every element has its request of length
+    # k + d beyond it by its first check, so a failing check has best <= k + d
+    # and need > 2^(b - best), and the grant it asks for is shorter than k + d.
+    scale = max(live.scale, k + d)
+    seq, need, best = [x0], [0], [None]
+
+    def walk(s: int) -> None:
+        for w, old, new in view.advance(s):
+            delta = weight_change(scale, old, new)
+            for i in range(bisect.bisect_left(seq, w)):  # the elements below w
+                need[i] += delta
+                if best[i] is None or new < best[i]:
+                    best[i] = new
+
     requests = RequestSet()
     grants: list[tuple[int, int, int]] = []
     cur = x0 + 1
-    view.advance(cur)
+    walk(cur)
     status = "running"
     used = 0
 
@@ -744,26 +762,24 @@ def separation_run(
         requests = kc_add(requests, k, xv + 1, cur)
         live.add(xv + 1, k + d, cur + 1)
         measure += pow2(k + d)
-        while view.sum_beyond(xv) < pow2(k + d) and used < V:
+        while need[-1] < 1 << (scale - k - d) and used < V:
             cur += 1
             used += 1
-            view.advance(cur)
-        if view.sum_beyond(xv) < pow2(k + d):
+            walk(cur)
+        if need[-1] < 1 << (scale - k - d):
             status = "budget_exhausted"
             break
         responded = False
         while used < V:
             cur += 1
             used += 1
-            view.advance(cur)
+            walk(cur)
             ok = True
-            for x in seq:
-                need = view.sum_beyond(x)
-                best = view.min_beyond(x)
-                if best is not None and pow2(best) * (1 << b) >= need:
+            for n, r in zip(need, best):
+                if r is not None and n <= 1 << (scale - r + b):
                     continue
                 ok = False
-                if b == 0 and best is not None:
+                if b == 0 and r is not None:
                     # the sum beyond x exceeds its largest term: two positive
                     # terms lie there and never shrink, so this check never passes
                     status = "response_impossible"
@@ -774,7 +790,7 @@ def separation_run(
                     break
                 if view.pending:
                     break  # let earlier grants register before adding more
-                L = _grant_length(b, need)
+                L = _grant_length(b, n, scale)
                 if L is None:
                     status = "response_impossible"
                     break
@@ -788,7 +804,9 @@ def separation_run(
             if status != "running":
                 break
             if ok:
-                seq.append(cur)
+                seq.append(cur)  # nothing beyond the current stage is described yet
+                need.append(0)
+                best.append(None)
                 responded = True
                 break
         if status != "running":

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from costlab.catalog import additive_from_real, additive_requests, cost_from_approx, cost_k, cost_max
+from costlab.complexity import KIndex
 from costlab.constructions import (
+    SeparationResult,
     Universe,
     _grant_length,
     build_complete_model,
@@ -39,6 +41,7 @@ from costlab.machine import (
     KProvider,
     RequestSet,
     baseline_provider,
+    kc_add,
     provider_from_requests,
     register_requests,
     request_set,
@@ -261,6 +264,18 @@ def test_sjt_reduction_single_change_rule():
     assert report.e0 is not None
 
 
+def test_sjt_reduction_oracle_window_is_half_open():
+    # the e-search sees an oracle change at stage t only for x <= t < s: the
+    # oracle's change at t = 5 is missed by a change at s = 5 and seen by a
+    # change at x = 5
+    y = ApproximationTrace(10, [(5, 0, 1)])
+    h = lambda e: e
+    rs, _ = sjt_reduction(y, h, ApproximationTrace(10, [(5, 2, 1)]), 0, 1)
+    assert rs.entries == ((2, 5, 5),)
+    rs, _ = sjt_reduction(y, h, ApproximationTrace(10, [(7, 5, 1)]), 1, 1)
+    assert rs.entries == ((1, 0, 7),)
+
+
 def test_sjt_reduction_weight_bound_on_permitted_instances():
     # instances where every change follows an oracle change below it
     for seed in range(8):
@@ -384,8 +399,8 @@ def test_separation_live_view_beyond_scale_62():
     assert out.claim_ok
 
 
-def _registered_provider(seed: int, S: int) -> KProvider:
-    extra = additive_requests(additive_from_real(left_ce_real(rng_for(seed, "query0"), 100)))
+def _registered_provider(seed: int, S: int, name: str = "query0") -> KProvider:
+    extra = additive_requests(additive_from_real(left_ce_real(rng_for(seed, name), 100)))
     return register_requests(baseline_provider(S), extra, 3)
 
 
@@ -454,7 +469,8 @@ def test_grant_length_closed_form_matches_unbounded_search():
                 pow2(e) * Fraction(31, 32),
             ):
                 if 0 < need <= 1:
-                    assert _grant_length(b, need) == _grant_length_ref(b, need), (b, need)
+                    scale = need.denominator.bit_length() - 1
+                    assert _grant_length(b, need.numerator, scale) == _grant_length_ref(b, need), (b, need)
 
 
 def test_separation_b5_grants_beyond_the_old_cap():
@@ -465,6 +481,7 @@ def test_separation_b5_grants_beyond_the_old_cap():
     p = provider_from_requests(RequestSet(), 0, 1024)
     out = separation_run(b, p, d, 300, x0=2)
     assert out.claim_ok and out.grants
+    assert out.declared_model_size == 2**out.k
     q = register_requests(p, out.requests, d)
     q = register_requests(
         q, request_set((length, w, stage - 1) for stage, w, length in out.grants), 0
@@ -500,6 +517,135 @@ def test_separation_lists_only_honored_requests():
     q = KProvider(max(q.horizon, out.sequence[-1] + 1), q.grants, q.budget_used)
     for r, y, t in out.requests.entries:
         assert q.k(y, max(t + 1, y + 1)) <= r + d
+
+
+def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
+    """The separation loop that asks the live index for each element's sum and
+    least length beyond it at every check, with Fraction comparisons."""
+    k = 1 << (b + d + 1)
+    live = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
+    measure = p.budget_used
+    if x0 is None:
+        probe = 1
+        while probe < p.horizon and p.index.sum_at(probe, p.horizon) > pow2(min(k + d + 2, 60)):
+            probe <<= 1
+        if probe >= p.horizon:
+            raise ScheduleInsufficient("no cheap starting point below the horizon")
+        x0 = probe
+    seq = [x0]
+    requests = RequestSet()
+    grants = []
+    cur = x0 + 1
+    status = "running"
+    used = 0
+
+    def pending():
+        return bool(live.events) and live.events[-1][0] > cur
+
+    while used < V and len(seq) - 1 < 1 << k:
+        xv = seq[-1]
+        if requests.weight + pow2(k) > 1 or measure + pow2(k + d) > 1:
+            status = "measure_exhausted"
+            break
+        requests = kc_add(requests, k, xv + 1, cur)
+        live.add(xv + 1, k + d, cur + 1)
+        measure += pow2(k + d)
+        while live.sum_at(xv, cur) < pow2(k + d) and used < V:
+            cur += 1
+            used += 1
+        if live.sum_at(xv, cur) < pow2(k + d):
+            status = "budget_exhausted"
+            break
+        responded = False
+        while used < V:
+            cur += 1
+            used += 1
+            ok = True
+            for x in seq:
+                need = live.sum_at(x, cur)
+                best = live.min_at(x, cur)
+                if best is not None and pow2(best) * (1 << b) >= need:
+                    continue
+                ok = False
+                if b == 0 and best is not None:
+                    status = "response_impossible"
+                    break
+                if opponent != "greedy":
+                    if not pending():
+                        status = "budget_exhausted"
+                    break
+                if pending():
+                    break
+                L = _grant_length_ref(b, need)
+                if L is None:
+                    status = "response_impossible"
+                    break
+                if pow2(L) > 1 - measure:
+                    status = "measure_exhausted"
+                    break
+                live.add(cur + 1, L, cur + 2)
+                measure += pow2(L)
+                grants.append((cur + 2, cur + 1, L))
+                break
+            if status != "running":
+                break
+            if ok:
+                seq.append(cur)
+                responded = True
+                break
+        if status != "running":
+            break
+        if not responded:
+            status = "budget_exhausted"
+            break
+    if status == "running":
+        status = "budget_exhausted" if used >= V else "completed"
+    checks = []
+    for r in range(min(2, k) + 1):
+        cap = k + b + d - r
+        for pi in range(len(seq) - (1 << r)):
+            s = seq[pi + (1 << r)]
+            kws = (live.k(w, s) for w in range(seq[pi] + 1, s))
+            lhs = sum((pow2(max(kw, cap)) for kw in kws if kw is not None), ZERO)
+            checks.append((pi, r, lhs, (r + 1) * pow2(cap + 1)))
+    return SeparationResult(
+        k, 1 << k, tuple(seq), requests, tuple(grants), status, tuple(checks), used
+    )
+
+
+_SCHEDULE_FREE = provider_from_requests(RequestSet(), 0, 1024)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *[(f"baseline{S} b={b} d={d}", lambda S=S: baseline_provider(S), b, d, 100_000, {})
+          for S in (1024, 4096) for b in (0, 1) for d in (0, 1)],
+        *[(f"queries{i}", lambda i=i: _registered_provider(0, 2048, f"query{i}"), 1, 1, 100_000, {})
+          for i in range(8)],
+        ("registered11", lambda: _registered_provider(11, 2048), 1, 1, 100_000, {}),
+        ("schedule-free b=0", lambda: _SCHEDULE_FREE, 0, 1, 3000, {"x0": 2}),
+        ("schedule-free b=1", lambda: _SCHEDULE_FREE, 1, 1, 3000, {"x0": 2}),
+        ("no opponent", lambda: baseline_provider(1024), 1, 1, 3000, {"opponent": None}),
+        ("b=5", lambda: _SCHEDULE_FREE, 5, 1, 300, {"x0": 2}),
+        ("x0=16383", lambda: _SCHEDULE_FREE, 1, 1, 3000, {"x0": 16383}),
+        # a description of the element itself lies not beyond it
+        ("described x0", lambda: provider_from_requests(request_set([(20, 2, 1)]), 0, 1024),
+         0, 1, 3000, {"x0": 2}),
+        # a target beyond x0 improves: its weight changes by the difference
+        ("improved beyond x0", lambda: provider_from_requests(
+            request_set([(6, 3, 1), (2, 3, 4)]), 0, 1024
+        ), 0, 1, 3000, {"x0": 2}),
+        ("length 70", lambda: provider_from_requests(
+            request_set([(70, 5, 3)] + [(12, y, y) for y in range(6, 300)]), 0, 4096
+        ), 1, 1, 100_000, {"x0": 2}),
+    ],
+    ids=lambda case: case[0],
+)
+def test_separation_matches_reference_loop(case):
+    _name, provider, b, d, V, kw = case
+    p = provider()
+    assert separation_run(b, p, d, V, **kw) == reference_separation_run(b, p, d, V, **kw)
 
 
 def test_separation_deterministic():
