@@ -71,8 +71,7 @@ def cost_k(p: KProvider) -> CostFn:
 
 def cost_omega(p: KProvider) -> CostFn:
     """Domain-measure cost: c(x, s) = omega(s) - omega(x) for x <= s, else 0."""
-    units = [p.omega_scaled(s) for s in range(p.horizon + 1)]
-    return additive_cost("domain-measure", units, 1 << p.max_length)
+    return additive_cost("domain-measure", p.omega_column(), 1 << p.max_length)
 
 
 def additive_from_real(b: LeftCEReal) -> CostFn:
@@ -275,28 +274,37 @@ class DominationReport:
 def domination_grid_report(p: KProvider) -> DominationReport:
     """Check c_sum <= omega-difference and c_max <= c_sum on all (x, s), x <= s.
 
-    All quantities are dyadic with a common scale, so the comparison runs on
-    scaled integers: exact rational comparisons, vectorized per stage column.
-    Scaled values are at most 2^scale, so int64 holds them up to scale 62;
-    longer descriptions switch the columns to exact Python ints.
+    All quantities are dyadic with a common scale, so the checks run on
+    scaled integers in running columns over x.  ``reach`` holds omega_x +
+    c_sum(x, s), so the first check reads reach <= omega_s; ``over`` holds
+    c_max(x, s) - c_sum(x, s), so the second reads over <= 0.  Each
+    (w, old, new) change of K_s moves the columns on x < w only.  One
+    max-reduction per check and stage compares every point (x, s) with
+    x <= s exactly, and ``nonzero`` runs only when a check fails.  Scaled
+    values lie within 2^scale, and reach is stored less 2^scale to stay
+    there, so int64 holds the columns up to scale 62; longer descriptions
+    switch them to exact Python ints.
     """
     S = p.horizon
     scale = p.max_length
-    dtype = np.int64 if scale <= 62 else object
-    omega_scaled = np.array([p.omega_scaled(s) for s in range(S + 1)], dtype=dtype)
-    m = np.zeros(S + 1, dtype=dtype)  # current scaled weight 2^(scale - K_s(w)) per w
+    omega = p.omega_column()
+    cols = np.zeros((4, S + 1), dtype=np.int64 if scale <= 62 else object)
+    reach, ck, over, cmx = cols  # ck, cmx: c_sum(x, s) and c_max(x, s)
+    reach[:] = omega
+    reach -= 1 << scale
+    largest = np.maximum.reduce  # the ufunc itself: ndarray.max adds a Python-level wrapper
     omega_bad: list[tuple[int, int]] = []
     max_bad: list[tuple[int, int]] = []
     cursor = Cursor(p.index)
     for s in range(1, S + 1):
         for w, old, new in cursor.advance(s):
-            m[w] += weight_change(scale, old, new)
-        col = m[: s + 1]
-        # ck[x] and cmx[x]: the sum and the maximum of col over w in (x, s]
-        ck = np.cumsum(col[::-1])[::-1] - col
-        cmx = np.concatenate((np.maximum.accumulate(col[::-1])[::-1][1:], [0]))
-        om = omega_scaled[s] - omega_scaled[: s + 1]
-        omega_bad.extend((int(x), s) for x in np.nonzero(ck > om)[0])
-        max_bad.extend((int(x), s) for x in np.nonzero(cmx > ck)[0])
+            cols[:2, :w] += weight_change(scale, old, new)  # reach and ck
+            top = cmx[:w]
+            np.maximum(top, 1 << (scale - new), out=top)
+            np.subtract(top, ck[:w], out=over[:w])
+        bound = omega[s] - (1 << scale)
+        if largest(reach[: s + 1]) > bound or largest(over[: s + 1]) > 0:
+            omega_bad.extend((int(x), s) for x in np.nonzero(reach[: s + 1] > bound)[0])
+            max_bad.extend((int(x), s) for x in np.nonzero(over[: s + 1] > 0)[0])
     points = (S + 1) * (S + 2) // 2
     return DominationReport(S, points, tuple(omega_bad), tuple(max_bad))

@@ -281,13 +281,6 @@ def dual_construct(
     def d_bit(i: int) -> int:
         return 1 if i in d_members else 0
 
-    def held_total(e: int) -> Fraction:
-        per_x: dict[int, Fraction] = {}
-        for w in wishes:
-            if w.holder == e and w.removed is None:
-                per_x[w.x] = max(per_x.get(w.x, ZERO), w.alpha)
-        return sum(per_x.values(), ZERO)
-
     def remove_wish(w: Wish, s: int) -> None:
         w.removed = s
         key = w.u - 1
@@ -326,9 +319,10 @@ def dual_construct(
             rec = active[e]
             if rec.v > n:
                 cancellations.append((s, e, rec.v, n))
-                for w in wishes:
-                    if w.holder == e and w.removed is None:
-                        w.holder = None
+                for ws in live_by_x.values():  # held wishes are never removed
+                    for w in ws:
+                        if w.holder == e:
+                            w.holder = None
                 del active[e]
 
         # 2. remove stale unheld wishes
@@ -398,8 +392,14 @@ def dual_construct(
                     f_events.append((s, x, 1))
                 high_water = max(high_water, x, v)
 
+        # each active requirement's held total: per x, its largest held wish
+        held: dict[int, dict[int, Fraction]] = {e: {} for e in active}
+        for x, ws in live_by_x.items():
+            for w in ws:
+                if w.holder is not None:
+                    held[w.holder][x] = max(held[w.holder].get(x, ZERO), w.alpha)
         for e in sorted(active):
-            held_history.append((s, e, held_total(e)))
+            held_history.append((s, e, sum(held[e].values(), ZERO)))
 
         stage = high_water + 1
         high_water = stage

@@ -232,6 +232,11 @@ class KProvider:
         """omega(s) * 2^max_length, with s clamped to the horizon."""
         return self._omega_scaled[bisect.bisect_right(self._omega_stages, min(s, self.horizon))]
 
+    def omega_column(self) -> list[int]:
+        """omega_scaled(s) for every stage s from 0 to the horizon."""
+        stages, scaled = self._omega_stages, self._omega_scaled
+        return [scaled[bisect.bisect_right(stages, s)] for s in range(self.horizon + 1)]
+
     def omega(self, s: int) -> Fraction:
         """Exact domain measure of the machine at stage s."""
         if s < 0:

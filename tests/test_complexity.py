@@ -1,12 +1,23 @@
 """The K_s index against a brute-force reference read straight from the grants."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from costlab.catalog import cost_k, cost_max, cost_omega, domination_grid_report
-from costlab.complexity import Cursor, KIndex
+from costlab import generate
+from costlab.catalog import (
+    DominationReport,
+    additive_from_real,
+    additive_requests,
+    cost_k,
+    cost_max,
+    cost_omega,
+    domination_grid_report,
+)
+from costlab.complexity import Cursor, KIndex, weight_change
 from costlab.machine import (
+    KProvider,
     baseline_provider,
     provider_from_requests,
     register_requests,
@@ -37,15 +48,14 @@ def grant_descriptions(p):
     return [(g.target, g.length, g.k_stage) for g in p.grants]
 
 
-schedules = st.lists(
-    st.tuples(st.integers(7, 130), st.integers(0, 45), st.integers(0, 50)), max_size=30
-)
-
-
 @st.composite
-def providers(draw):
-    entries = sorted(draw(schedules), key=lambda e: e[2])
-    S = draw(st.integers(1, 45))
+def providers(draw, top=45):
+    """A schedule of up to 30 (length, target, stage) requests, lengths 7..130,
+    targets up to ``top``, on its own or registered on a baseline of horizon
+    at most ``top``."""
+    schedule = st.tuples(st.integers(7, 130), st.integers(0, top), st.integers(0, top + 5))
+    entries = sorted(draw(st.lists(schedule, max_size=30)), key=lambda e: e[2])
+    S = draw(st.integers(1, top))
     d = draw(st.integers(0, 1))
     rs = request_set(entries)
     if draw(st.booleans()):
@@ -82,16 +92,12 @@ def test_provider_queries_match_reference(p, rnd):
             ]
 
 
-@settings(max_examples=40, deadline=None)
-@given(providers())
-# w = 5 is paid for at stage 1 but described from stage 6, so the sum beyond
-# x = 5 must leave it out while the one beyond x = 4 exceeds the measure
-@example(provider_from_requests(request_set([(1, 5, 0)]), 0, 8))
-def test_domination_grid_matches_reference(p):
+def fraction_domination_reference(p):
+    """The violations of both checks by brute force: Fraction sums and minima
+    of the K_s table read straight from the grants, at every (x, s)."""
     desc = grant_descriptions(p)
-    S = p.horizon
     omega_bad, max_bad = [], []
-    for s in range(1, S + 1):
+    for s in range(1, p.horizon + 1):
         table = k_table(desc, s)
         for x in range(0, s + 1):
             total = sum_ref(table, x)
@@ -100,10 +106,89 @@ def test_domination_grid_matches_reference(p):
             n = min_ref(table, x)
             if n is not None and pow2(n) > total:
                 max_bad.append((x, s))
+    return tuple(omega_bad), tuple(max_bad)
+
+
+def reference_domination_grid_report(p: KProvider) -> DominationReport:
+    """The per-stage loop: rebuild the sum and the maximum of 2^-K_s(w) over
+    w in (x, s] for every x from the current weight column at each stage."""
+    S = p.horizon
+    scale = p.max_length
+    dtype = np.int64 if scale <= 62 else object
+    omega_scaled = np.array([p.omega_scaled(s) for s in range(S + 1)], dtype=dtype)
+    m = np.zeros(S + 1, dtype=dtype)  # current scaled weight 2^(scale - K_s(w)) per w
+    omega_bad, max_bad = [], []
+    cursor = Cursor(p.index)
+    for s in range(1, S + 1):
+        for w, old, new in cursor.advance(s):
+            m[w] += weight_change(scale, old, new)
+        col = m[: s + 1]
+        ck = np.cumsum(col[::-1])[::-1] - col
+        cmx = np.concatenate((np.maximum.accumulate(col[::-1])[::-1][1:], [0]))
+        om = omega_scaled[s] - omega_scaled[: s + 1]
+        omega_bad.extend((int(x), s) for x in np.nonzero(ck > om)[0])
+        max_bad.extend((int(x), s) for x in np.nonzero(cmx > ck)[0])
+    points = (S + 1) * (S + 2) // 2
+    return DominationReport(S, points, tuple(omega_bad), tuple(max_bad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(providers())
+# w = 5 is paid for at stage 1 but described from stage 6, so the sum beyond
+# x = 5 must leave it out while the one beyond x = 4 exceeds the measure
+@example(provider_from_requests(request_set([(1, 5, 0)]), 0, 8))
+def test_domination_grid_matches_reference(p):
     rep = domination_grid_report(p)
-    assert rep.omega_violations == tuple(omega_bad)
-    assert rep.max_violations == tuple(max_bad)
-    assert rep.grid_points == (S + 1) * (S + 2) // 2
+    assert (rep.omega_violations, rep.max_violations) == fraction_domination_reference(p)
+    assert rep.grid_points == (p.horizon + 1) * (p.horizon + 2) // 2
+
+
+def test_domination_grid_at_the_int64_boundary():
+    # scale exactly 62 keeps the int64 columns.  The lengths 1..62 and a second
+    # 62 weigh exactly 1, so the scaled measure reaches 2^62, and every target
+    # is paid for at stage 1 but described later: from stage 67 on, the sum
+    # beyond x = 1 and the measure at x = 1 are both 2^62, and their total
+    # 2^63 leaves int64 unless the columns are kept within 2^62
+    rs = request_set([(n, 4 + n, 0) for n in range(1, 63)] + [(62, 2, 0)])
+    p = provider_from_requests(rs, 0, 70)
+    assert p.max_length == 62 and p.omega_scaled(1) == 1 << 62
+    rep = domination_grid_report(p)
+    assert (1, 70) in rep.omega_violations
+    assert (rep.omega_violations, rep.max_violations) == fraction_domination_reference(p)
+
+
+def registered_provider(rng, S):
+    """The benchmark's read-side provider: the baseline plus the requests of
+    a seeded additive cost, registered with coding constant 3."""
+    extra = additive_requests(additive_from_real(generate.left_ce_real(rng, 100)))
+    return register_requests(baseline_provider(S), extra, 3)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_domination_sweep_matches_loop_on_query_providers(i):
+    p = registered_provider(generate.rng_for(0, f"query{i}"), 2048)
+    assert domination_grid_report(p) == reference_domination_grid_report(p)
+
+
+def test_domination_sweep_matches_loop_on_criterion_2_input():
+    p = baseline_provider(4096)
+    assert domination_grid_report(p) == reference_domination_grid_report(p)
+
+
+def test_domination_sweep_matches_loop_with_late_descriptions():
+    # each late request is paid for at stage t + 1 but describes y only from
+    # y + 1 on, so every x in [t + 1, y) fails the measure check from then on
+    late = request_set([(4, 400, 10), (5, 250, 30), (6, 480, 100), (9, 120, 110)])
+    p = register_requests(registered_provider(generate.rng_for(0, "late"), 500), late, 0)
+    rep = domination_grid_report(p)
+    assert len(rep.omega_violations) > 10_000
+    assert rep == reference_domination_grid_report(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(providers(top=300))
+def test_domination_sweep_matches_loop(p):
+    assert domination_grid_report(p) == reference_domination_grid_report(p)
 
 
 descriptions = st.lists(
