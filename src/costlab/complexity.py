@@ -43,17 +43,24 @@ class KIndex:
     """
 
     def __init__(self, descriptions: Iterable[tuple[int, int, int]] = ()):
-        self.scale = 0  # the longest length held, so 2^-K is 2^(scale - K) / 2^scale
         self.frontier = 0  # the furthest stage any cursor has reached or walks to
-        self._by_target: dict[int, tuple[list[int], list[int]]] = {}  # w -> (stages, lengths)
-        self.events: list[tuple[int, int, int]] = []
-        for stage, w, length in sorted((max(st, w + 1), w, ln) for w, ln, st in descriptions):
-            stages, lengths = self._by_target.setdefault(w, ([], []))
-            if not lengths or length < lengths[-1]:
-                stages.append(stage)
-                lengths.append(length)
-                self.events.append((stage, w, length))
-                self.scale = max(self.scale, length)
+        by_target: dict[int, tuple[list[int], list[int]]] = {}  # w -> (stages, lengths)
+        events: list[tuple[int, int, int]] = []
+        for event in sorted((max(st, w + 1), w, ln) for w, ln, st in descriptions):
+            stage, w, length = event
+            entry = by_target.get(w)
+            if entry is None:
+                by_target[w] = ([stage], [length])
+            elif length < entry[1][-1]:
+                entry[0].append(stage)
+                entry[1].append(length)
+            else:
+                continue
+            events.append(event)
+        self._by_target = by_target
+        self.events = events
+        # the longest length held, so 2^-K is 2^(scale - K) / 2^scale
+        self.scale = max((length for _stage, _w, length in events), default=0)
         self._columns: tuple[list[int], np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def k(self, w: int, s: int) -> int | None:

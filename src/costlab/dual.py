@@ -10,6 +10,7 @@ State is an event-sourced log enabling replay-based assertions.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -25,25 +26,31 @@ OracleBit = Callable[[int], int]
 class CostFunctional:
     """Oracle-relative cost function with recorded use and step counts.
 
-    ``fn(bit, x, t)`` returns (value, use, steps) or None for divergence;
-    the answer may depend only on oracle bits below the reported use.
+    ``fn(bit, x, t)`` returns (units, use, steps) or None for divergence,
+    where the value is units / ``den``; the answer may depend only on oracle
+    bits below the reported use.
     """
 
     name: str
-    fn: Callable[[OracleBit, int, int], tuple[Fraction, int, int] | None]
+    fn: Callable[[OracleBit, int, int], tuple[int, int, int] | None]
+    den: int
     monotone_stage: bool = True
 
 
 @dataclass(frozen=True)
 class TotalCostFunctional:
-    """Everywhere-convergent stage-limited form of a cost functional."""
+    """Everywhere-convergent stage-limited form of a cost functional.
+
+    ``eval_fn(bit, x, s)`` returns (units, use); the value is units / ``den``.
+    """
 
     name: str
-    eval_fn: Callable[[OracleBit, int, int], tuple[Fraction, int]]
+    eval_fn: Callable[[OracleBit, int, int], tuple[int, int]]
+    den: int
     support_bound: int | None = None  # positions beyond this are priced 0
 
     def value(self, bit: OracleBit, x: int, s: int) -> Fraction:
-        return self.eval_fn(bit, x, s)[0]
+        return Fraction(self.eval_fn(bit, x, s)[0], self.den)
 
     def use(self, bit: OracleBit, x: int, s: int) -> int:
         return self.eval_fn(bit, x, s)[1]
@@ -57,14 +64,14 @@ def totalize(c: CostFunctional) -> TotalCostFunctional:
     monotonicity is preserved.
     """
 
-    def ev(bit: OracleBit, x: int, s: int) -> tuple[Fraction, int]:
+    def ev(bit: OracleBit, x: int, s: int) -> tuple[int, int]:
         for t in range(s, -1, -1):
             out = c.fn(bit, x, t)
             if out is not None and out[2] <= s:
                 return out[0], out[1]
-        return ZERO, 0
+        return 0, 0
 
-    return TotalCostFunctional(f"{c.name}-totalized", ev)
+    return TotalCostFunctional(f"{c.name}-totalized", ev, c.den)
 
 
 def oracle_from_trace(d: EnumerationTrace, s: int) -> OracleBit:
@@ -98,13 +105,13 @@ def hat_sup(c: TotalCostFunctional, d: EnumerationTrace, x: int) -> Fraction:
     A stage contributes only when the recorded use stays below the least
     element entering at that stage (the hat-computation discipline).
     """
-    best = ZERO
+    best = 0
     entries_by_stage = d.change_stages()
     for s in sorted(nondeficiency_stages(d)):
-        value, use = c.eval_fn(oracle_from_trace(d, s), x, s)
+        units, use = c.eval_fn(oracle_from_trace(d, s), x, s)
         if use <= entries_by_stage[s][0]:
-            best = max(best, value)
-    return best
+            best = max(best, units)
+    return Fraction(best, c.den)
 
 
 @dataclass
@@ -126,7 +133,9 @@ class PhiMock:
 
     ``rule(bit, y)`` returns (value, use); ``support(bit, upto)`` must return
     exactly the positions <= upto with value 1, so prefix agreement can be
-    checked without scanning the whole prefix.
+    checked without scanning the whole prefix.  Agreement of ``support(bit,
+    x)`` with a set F (restricted to positions <= x) therefore holds on a
+    prefix of x: if it holds at x, it holds at every smaller x.
     """
 
     name: str
@@ -253,10 +262,22 @@ def dual_construct(
     requirements whose diagonalization witness agrees with the auxiliary set;
     activation takeover is limited to weaker requirements so that each
     requirement's held total stays within its geometric budget.
+
+    Prices, the caps 1/(2*3^e) and 1/3^e, takeover sums and held totals are
+    ints over L = lcm(den, 2*3^(E-1)); a ``Fraction`` is built only for a
+    wish's alpha and the held history.  D does not change while requirements
+    activate, so each position is priced at most once per stage.  A
+    requirement's witness x grows with its guess v and agreement with F holds
+    on a prefix of x (see ``PhiMock``), so its scan stops at the first guess
+    that disagrees.
     """
     E = len(phis)
+    L = math.lcm(c.den, 2 * 3 ** max(E - 1, 0))
+    scale = L // c.den
+    eval_fn = c.eval_fn
     wishes: list[Wish] = []
-    live_by_x: dict[int, list[Wish]] = {}
+    # per x, the live wishes with their prices over L; prices strictly increase
+    live_by_x: dict[int, list[tuple[int, Wish]]] = {}
     d_members: set[int] = set()
     d_events: list[tuple[int, int, int]] = []
     f_members: set[int] = set()
@@ -268,8 +289,8 @@ def dual_construct(
     # entry_suffix_min[i]: least entrant at the i-th entry stage or later
     entry_suffix_min: list[int] = []
     f_sorted: list[int] = []
-    value_cap = [Fraction(1, 2 * 3**e) for e in range(E)]
-    held_cap = [Fraction(1, 3**e) for e in range(E)]
+    value_cap = [L // (2 * 3**e) for e in range(E)]
+    held_cap = [L // 3**e for e in range(E)]
     active: dict[int, _Active] = {}
     activations: list[tuple[int, int, int, int]] = []
     cancellations: list[tuple[int, int, int, int]] = []
@@ -280,14 +301,6 @@ def dual_construct(
 
     def d_bit(i: int) -> int:
         return 1 if i in d_members else 0
-
-    def remove_wish(w: Wish, s: int) -> None:
-        w.removed = s
-        key = w.u - 1
-        if key not in d_members:
-            d_members.add(key)
-            d_events.append((s, key, 1))
-        live_by_x[w.x].remove(w)
 
     def halting_changed_below(born: int, x: int) -> bool:
         """Whether an entrant <= x entered after stage born (up to now)."""
@@ -320,32 +333,42 @@ def dual_construct(
             if rec.v > n:
                 cancellations.append((s, e, rec.v, n))
                 for ws in live_by_x.values():  # held wishes are never removed
-                    for w in ws:
+                    for _price, w in ws:
                         if w.holder == e:
                             w.holder = None
                 del active[e]
 
-        # 2. remove stale unheld wishes
-        for ws in [list(ws) for ws in live_by_x.values()]:
-            for w in ws:
-                if w.removed is None and w.holder is None:
-                    if halting_changed_below(w.born, w.x):
-                        remove_wish(w, s)
+        # 2. remove stale unheld wishes, entering their removal keys into D
+        for x, ws in live_by_x.items():
+            kept = []
+            for pair in ws:
+                w = pair[1]
+                if w.holder is None and halting_changed_below(w.born, x):
+                    w.removed = s
+                    key = w.u - 1
+                    if key not in d_members:
+                        d_members.add(key)
+                        d_events.append((s, key, 1))
+                else:
+                    kept.append(pair)
+            ws[:] = kept
 
         # 3. add wishes at the current relative prices
+        priced: dict[int, int] = {}  # x -> price over L at this stage's D
         x_top = min(s, (c.support_bound + 1) if c.support_bound is not None else s)
         for x in range(x_top):
-            alpha, use = c.eval_fn(d_bit, x, s)
-            if alpha <= 0:
+            units, use = eval_fn(d_bit, x, s)
+            price = priced[x] = units * scale
+            if units <= 0:
                 continue
-            current = live_by_x.get(x, [])
-            if current and max(w.alpha for w in current) >= alpha:
+            current = live_by_x.get(x)
+            if current and current[-1][0] >= price:
                 continue
             u = high_water + 2
             high_water = u
-            w = Wish(x, alpha, u, s, use)
+            w = Wish(x, Fraction(units, c.den), u, s, use)
             wishes.append(w)
-            live_by_x.setdefault(x, []).append(w)
+            live_by_x.setdefault(x, []).append((price, w))
 
         # 4. activate requirements
         for e in range(E):
@@ -355,33 +378,33 @@ def dual_construct(
                 (rec.v for i, rec in active.items() if i < e), default=-1
             )
             chosen = None
-            for v in range(e, n + 1):
-                if v <= floor:
+            for v in range(max(e, floor + 1), n + 1):
+                v_price = priced.get(v)
+                if v_price is None:
+                    v_price = priced[v] = eval_fn(d_bit, v, s)[0] * scale
+                if v_price > value_cap[e]:
                     continue
-                if c.value(d_bit, v, s) > value_cap[e]:
-                    continue
-                m = bisect.bisect_left(halting_sorted, v)
-                x = triple_pair(e, v, m)
+                x = triple_pair(e, v, bisect.bisect_left(halting_sorted, v))
                 if phis[e].support(d_bit, x) != frozenset(
                     f_sorted[: bisect.bisect_right(f_sorted, x)]
                 ):
-                    continue
+                    break  # every later guess has a larger x, so disagrees too
                 takeover = [
-                    w
+                    (price, w)
                     for ws in live_by_x.values()
-                    for w in ws
+                    for price, w in ws
                     if w.x >= v and (w.holder is None or w.holder > e)
                 ]
-                per_x: dict[int, Fraction] = {}
-                for w in takeover:
-                    per_x[w.x] = max(per_x.get(w.x, ZERO), w.alpha)
-                if sum(per_x.values(), ZERO) > held_cap[e]:
+                per_x: dict[int, int] = {}
+                for price, w in takeover:
+                    per_x[w.x] = max(per_x.get(w.x, 0), price)
+                if sum(per_x.values()) > held_cap[e]:
                     continue
                 chosen = (v, x, takeover)
                 break
             if chosen is not None:
                 v, x, takeover = chosen
-                for w in takeover:
+                for _price, w in takeover:
                     w.holder = e
                 active[e] = _Active(e, v, x, s)
                 ever_activated.add(e)
@@ -393,13 +416,13 @@ def dual_construct(
                 high_water = max(high_water, x, v)
 
         # each active requirement's held total: per x, its largest held wish
-        held: dict[int, dict[int, Fraction]] = {e: {} for e in active}
+        held: dict[int, dict[int, int]] = {e: {} for e in active}
         for x, ws in live_by_x.items():
-            for w in ws:
+            for price, w in ws:
                 if w.holder is not None:
-                    held[w.holder][x] = max(held[w.holder].get(x, ZERO), w.alpha)
+                    held[w.holder][x] = max(held[w.holder].get(x, 0), price)
         for e in sorted(active):
-            held_history.append((s, e, sum(held[e].values(), ZERO)))
+            held_history.append((s, e, Fraction(sum(held[e].values()), L)))
 
         stage = high_water + 1
         high_water = stage

@@ -16,7 +16,7 @@ from .complexity import KIndex
 from .constructions import Adversary, Universe, copycat_adversary, stubborn_adversary
 from .core import ApproximationTrace, CostFn, EnumerationTrace, additive_cost
 from .dual import PhiMock, blank_phi, scripted_phi, sensitive_phi
-from .util import ZERO, pow2
+from .util import ZERO
 
 SCALE = 24  # generated rationals are multiples of 2**-SCALE
 
@@ -251,14 +251,15 @@ def dual_inputs(
             phis.append(sensitive_phi(e, rng.randint(0, support)))
     jump_at = {x: rng.randint(1, 3 * (x + 1)) for x in range(support + 1)}
 
+    # 2^-(x+2) from its jump stage on, in units of 2^-(support+2)
     def ev(bit, x: int, s: int):
         if x > support:
-            return ZERO, 0
+            return 0, 0
         if s >= jump_at[x]:
-            return pow2(x + 2), 1
-        return ZERO, 1
+            return 1 << (support - x), 1
+        return 0, 1
 
-    c = TotalCostFunctional("staircase", ev, support_bound=support)
+    c = TotalCostFunctional("staircase", ev, 1 << (support + 2), support_bound=support)
     return order, phis, c
 
 

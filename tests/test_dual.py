@@ -1,5 +1,6 @@
 """Oracle-relative cost machinery and the dual construction."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,13 +26,13 @@ from costlab.util import pow2
 
 
 def test_totalize_already_total():
-    c = CostFunctional("base", lambda bit, x, t: (pow2(x + 1), 1, 0))
+    c = CostFunctional("base", lambda bit, x, t: (1 << (15 - x), 1, 0), 1 << 16)
     tc = totalize(c)
     assert tc.value(oracle_from_set(frozenset()), 3, 10) == pow2(4)
 
 
 def test_totalize_never_converging():
-    c = CostFunctional("never", lambda bit, x, t: None)
+    c = CostFunctional("never", lambda bit, x, t: None, 1)
     tc = totalize(c)
     for s in range(6):
         assert tc.value(oracle_from_set(frozenset()), 2, s) == 0
@@ -39,9 +40,9 @@ def test_totalize_never_converging():
 
 def test_totalize_delayed_convergence():
     def fn(bit, x, t):
-        return (Fraction(1, 4), 1, 5)  # value known, but only after 5 steps
+        return (1, 1, 5)  # value 1/4 known, but only after 5 steps
 
-    tc = totalize(CostFunctional("delayed", fn))
+    tc = totalize(CostFunctional("delayed", fn, 4))
     bit = oracle_from_set(frozenset())
     assert tc.value(bit, 0, 4) == 0
     assert tc.value(bit, 0, 5) == Fraction(1, 4)
@@ -61,7 +62,8 @@ def test_nondeficiency_out_of_order_entry():
 def test_hat_sup_restrains_use_below_least_entry():
     # stage 3 enters 6 and 2, so a use of 4 is restrained there; stage 7 enters 8
     d = EnumerationTrace(10, [(3, 6, 1), (3, 2, 1), (7, 8, 1)])
-    c = TotalCostFunctional("inverse-stage", lambda bit, x, s: (Fraction(1, s), 4))
+    den = math.lcm(*range(1, 11))
+    c = TotalCostFunctional("inverse-stage", lambda bit, x, s: (den // s, 4), den)
     assert nondeficiency_stages(d) == {3, 7}
     assert hat_sup(c, d, 0) == Fraction(1, 7)
 
@@ -95,7 +97,7 @@ def test_nondeficiency_stages_match_definition(entries):
 
 
 def test_hat_sup_oracle_free():
-    c = TotalCostFunctional("plain", lambda bit, x, s: (pow2(x + 1) * min(s, 4), 0))
+    c = TotalCostFunctional("plain", lambda bit, x, s: ((1 << (7 - x)) * min(s, 4), 0), 1 << 8)
     d = EnumerationTrace(20, [(2, 1, 1), (8, 3, 1)])
     assert hat_sup(c, d, 1) == pow2(2) * 4
 
@@ -103,14 +105,14 @@ def test_hat_sup_oracle_free():
 def test_hat_sup_respects_use_discipline():
     # wide computations are not hat-valid at stages entering small elements
     d = EnumerationTrace(20, [(2, 10, 1), (8, 20, 1)])
-    wide = TotalCostFunctional("wide", lambda bit, x, s: (Fraction(16 - s, 8), 16))
+    wide = TotalCostFunctional("wide", lambda bit, x, s: (16 - s, 16), 8)
     assert hat_sup(wide, d, 0) == Fraction(1)  # only the stage entering 20 counts
-    narrow = TotalCostFunctional("narrow", lambda bit, x, s: (Fraction(16 - s, 8), 1))
+    narrow = TotalCostFunctional("narrow", lambda bit, x, s: (16 - s, 1), 8)
     assert hat_sup(narrow, d, 0) == Fraction(14, 8)
 
 
 def test_hat_sup_empty_domain():
-    c = TotalCostFunctional("plain", lambda bit, x, s: (Fraction(1), 0))
+    c = TotalCostFunctional("plain", lambda bit, x, s: (1, 0), 1)
     assert hat_sup(c, EnumerationTrace(20), 0) == 0
 
 

@@ -9,11 +9,14 @@ must reproduce them exactly.
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from costlab.catalog import LeftCEReal, additive_from_real
 from costlab.constructions import (
@@ -300,7 +303,8 @@ def reference_dual_construct(
         # 3. add wishes at the current relative prices
         x_top = min(s, (c.support_bound + 1) if c.support_bound is not None else s)
         for x in range(x_top):
-            alpha, use = c.eval_fn(d_bit, x, s)
+            units, use = c.eval_fn(d_bit, x, s)
+            alpha = Fraction(units, c.den)
             if alpha <= 0:
                 continue
             current = live_by_x.get(x, [])
@@ -505,12 +509,42 @@ def test_complete_model_beyond_int64_scale():
 # ---- dual -----------------------------------------------------------------
 
 
+def _held_cap_edge(extra: int):
+    """One requirement whose takeover sum meets its held cap 1 or exceeds it by 2^-72.
+
+    At the first stage only guess 0 is open, and its price 1 is above the cap
+    1/2.  At the second, guess 1 is priced exactly at 1/2 and the wishes at
+    x >= 1 sum to 1 + extra * 2^-72, so it is taken when extra is 0; otherwise
+    guess 2 is priced above the cap and guess 3 takes nothing.
+    """
+    prices = (1 << 72, 1 << 71, (1 << 71) + extra, 0)
+    def ev(bit, x, s):
+        return (prices[x], 1) if x < 4 else (0, 0)
+
+    edge = TotalCostFunctional(f"edge-{extra}", ev, 1 << 72, support_bound=3)
+    return [0, 5, 1, 2, 3, 4], [blank_phi(0)], edge, 10_000
+
+
+def test_dual_takeover_at_and_above_the_held_cap():
+    for extra, guess in ((0, 1), (1, 3)):
+        order, phis, c, S = _held_cap_edge(extra)
+        st = dual_construct(c, order, phis, S)
+        second = st.visited_stages[1]
+        assert [(s, e, v) for s, e, v, _x in st.activations] == [(second, 0, guess)]
+        assert st.held_history[0] == (second, 0, 1 - extra)
+
+
 def _dual_cases():
     S = 10_000
     # prices every x < s from the first stage on, and functionals that never
     # agree with F leave every wish unheld, so each one meets every later entrant
-    flat = TotalCostFunctional("flat", lambda bit, x, s: (pow2(x + 2), 1), support_bound=24)
+    # 2^-(x+2) in units of 2^-40: the activation scan prices v up to 29
+    flat = TotalCostFunctional(
+        "flat", lambda bit, x, s: (1 << (38 - x), 1), 1 << 40, support_bound=24
+    )
     never = [scripted_phi(e, frozenset({0})) for e in range(4)]
+    yield _held_cap_edge(0)
+    yield _held_cap_edge(1)
     for seed in range(4):
         yield random.Random(seed).sample(range(30), 30), never, flat, S
         yield dual_inputs(rng_for(seed, "dual"), 30, 5) + (S,)
@@ -522,21 +556,115 @@ def _dual_cases():
         yield order, [scripted_phi(e, frozenset(rng.sample(range(60), 4))) for e in range(4)], c, S
 
 
+def _same_dual(st: DualState, ref: DualState) -> None:
+    assert st.d_trace.events == ref.d_trace.events
+    assert st.f_trace.events == ref.f_trace.events
+    assert st.wishes == ref.wishes
+    assert st.visited_stages == ref.visited_stages
+    assert st.halting_entries == ref.halting_entries
+    assert st.activations == ref.activations
+    assert st.cancellations == ref.cancellations
+    assert st.held_history == ref.held_history
+    assert st.starved == ref.starved
+    assert st.phi_names == ref.phi_names
+    assert audit_dual(st) == reference_audit_dual(ref)
+    assert halting_cost(st) == reference_halting_cost(ref)
+    for w in st.wishes[:40]:
+        for t in (w.u - 1, w.u, w.u + 1, st.horizon):
+            assert gamma_eval(st, w.x, t) == reference_gamma_eval(st, w.x, t)
+
+
 def test_dual_matches_scanning_reference():
     for order, phis, c, S in _dual_cases():
-        st = dual_construct(c, order, phis, S)
+        _same_dual(dual_construct(c, order, phis, S), reference_dual_construct(c, order, phis, S))
+
+
+@hst.composite
+def _wide_dual_inputs(draw):
+    """Staircase-like functionals over den = 2^70 * 3^k, beyond int64.
+
+    Each position is priced from a jump stage on: a staircase step
+    2^-(x+2), a value next to one of the caps 1/(2*3^j) and 1/3^j, or 0.
+    """
+    E = draw(hst.integers(1, 4))
+    den = (1 << 70) * 3 ** draw(hst.integers(0, 5))
+    support = draw(hst.integers(0, 12))
+    units = []
+    for x in range(support + 1):
+        j = draw(hst.integers(0, E - 1))
+        near = draw(hst.sampled_from([den // (2 * 3**j), den // 3**j])) + draw(hst.integers(-1, 1))
+        units.append(draw(hst.sampled_from([den >> (x + 2), near, 0])))
+    jump_at = [draw(hst.integers(1, 3 * (x + 1))) for x in range(support + 1)]
+
+    def ev(bit, x, s):
+        if x > support:
+            return 0, 0
+        return (units[x] if s >= jump_at[x] else 0), 1
+
+    bound = draw(hst.sampled_from([support, None]))
+    c = TotalCostFunctional("wide-staircase", ev, den, support_bound=bound)
+    order = draw(hst.permutations(range(draw(hst.integers(1, 30)))))
+    phis = [
+        draw(
+            hst.sampled_from(
+                [
+                    blank_phi(e),
+                    scripted_phi(e, frozenset(draw(hst.sets(hst.integers(0, 400), max_size=4)))),
+                    sensitive_phi(e, draw(hst.integers(0, support + 2))),
+                ]
+            )
+        )
+        for e in range(E)
+    ]
+    S = draw(hst.one_of(hst.integers(1, 300), hst.just(10_000)))
+    # as in dual_inputs_scripted, script a starved requirement with the final F
+    for _ in range(draw(hst.integers(0, 4))):
         ref = reference_dual_construct(c, order, phis, S)
-        assert st.d_trace.events == ref.d_trace.events
-        assert st.f_trace.events == ref.f_trace.events
-        assert st.wishes == ref.wishes
-        assert st.visited_stages == ref.visited_stages
-        assert st.halting_entries == ref.halting_entries
-        assert st.activations == ref.activations
-        assert st.cancellations == ref.cancellations
-        assert st.held_history == ref.held_history
-        assert st.starved == ref.starved
-        assert audit_dual(st) == reference_audit_dual(ref)
-        assert halting_cost(st) == reference_halting_cost(ref)
-        for w in st.wishes[:40]:
-            for t in (w.u - 1, w.u, w.u + 1, st.horizon):
-                assert gamma_eval(st, w.x, t) == reference_gamma_eval(st, w.x, t)
+        if not ref.starved:
+            break
+        e = ref.starved[0]
+        phis[e] = scripted_phi(e, ref.f_trace.final_set())
+    return order, phis, c, S
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_dual_inputs())
+def test_dual_integer_prices_match_fraction_reference_beyond_int64(case):
+    order, phis, c, S = case
+    _same_dual(dual_construct(c, order, phis, S), reference_dual_construct(c, order, phis, S))
+
+
+# The activation scan stops at the first guess v whose witness disagrees with
+# F; that is exact because the witness grows with v and agreement holds on a
+# prefix of the witness.
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(0, 10), hst.sets(hst.integers(0, 80), max_size=30))
+def test_dual_witness_strictly_increases_with_guess(e, halting):
+    h = sorted(halting)
+    xs = [triple_pair(e, v, bisect.bisect_left(h, v)) for v in range(100)]
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hst.integers(0, 5),
+    hst.sets(hst.integers(0, 40)),
+    hst.sets(hst.integers(0, 40)),
+    hst.integers(0, 40),
+    hst.sampled_from(["members", "all", "none"]),
+    hst.integers(0, 45),
+    hst.sets(hst.integers(0, 40)),
+)
+def test_phi_agreement_with_f_holds_on_a_prefix(e, members, d, probe, base, cut, extra):
+    # F agrees with a script below the cut and is arbitrary from it on
+    below = {"members": members, "all": set(range(41)), "none": set()}[base]
+    f = {y for y in below if y < cut} | {y for y in extra if y >= cut}
+
+    def bit(i):
+        return 1 if i in d else 0
+
+    for phi in (blank_phi(e), scripted_phi(e, frozenset(members)), sensitive_phi(e, probe)):
+        agree = [phi.support(bit, x) == frozenset(y for y in f if y <= x) for x in range(45)]
+        assert agree == sorted(agree, reverse=True), phi.name
