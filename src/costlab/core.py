@@ -104,9 +104,10 @@ def cost_fn(
 class AdditiveCost(CostFn):
     """c(x, s) = (units[min(s, h)] - units[min(x, h)]) / den for x <= s, else 0.
 
-    ``units`` is a nondecreasing integer column on stages 0..h.  ``grid`` is
-    the pair (matrix, den) with matrix[x][s] == c(x, s) * den, built from the
-    column when first read; int64 when the column fits, exact ints beyond.
+    ``units`` is a nondecreasing integer column on stages 0..h; the evaluator
+    memoizes one reduced Fraction per distinct difference, never evicted.
+    ``grid`` is the pair (matrix, den) with matrix[x][s] == c(x, s) * den,
+    built when first read; int64 when the column fits, exact ints beyond.
     """
 
     units: tuple[int, ...] = field(repr=False)
@@ -123,9 +124,14 @@ class AdditiveCost(CostFn):
 
 
 def additive_cost(name: str, units: Iterable[int], den: int, *, proper: bool = False) -> AdditiveCost:
-    """The additive cost of an integer column over one denominator (see AdditiveCost)."""
+    """The additive cost of an integer column over one denominator (see AdditiveCost).
+
+    The memo keeps one entry per distinct difference evaluated, with no
+    eviction; a left-c.e. real has only as many as it has distinct increments.
+    """
     units = tuple(units)
     h = len(units) - 1
+    values = {0: ZERO}  # the memo: one Fraction per distinct difference
     if h < 0 or den < 1:
         raise ValueError("an additive cost needs a unit column and a positive denominator")
     if any(a > b for a, b in zip(units, units[1:])):
@@ -136,7 +142,8 @@ def additive_cost(name: str, units: Iterable[int], den: int, *, proper: bool = F
             return ZERO
         if x < 0:
             raise ValueError("stage must be a natural")
-        return Fraction(units[s if s < h else h] - units[x if x < h else h], den)
+        k = units[s if s < h else h] - units[x if x < h else h]
+        return values[k] if k in values else values.setdefault(k, Fraction(k, den))
 
     props = CostProps(monotone_main=True, monotone_stage=True, additive=True, proper=proper)
     return AdditiveCost(name, max(h, 1), ev, props, units=units, den=den)
@@ -353,11 +360,7 @@ def check_proper(c: CostFn, X: int) -> ProperReport:
         raise ValueError("properness is defined for main-monotone cost functions")
     out: dict[int, int | None] = {}
     for x in range(X + 1):
-        out[x] = None
-        for t, v in c.scan(x, 0):
-            if v > 0:
-                out[x] = t
-                break
+        out[x] = next((t for t, v in c.scan(x, 0) if v > 0), None)
     return ProperReport(out)
 
 

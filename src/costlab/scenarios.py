@@ -219,13 +219,12 @@ def run_implication(seed: int, count: int = 100, S: int = 1000) -> ScenarioResul
     t0 = time.perf_counter()
     ok_bound = True
     ok_premise = True
+    tri = np.triu_indices(S + 1, k=1)  # every x < s cell of the (S+1)-square grids
     for i in range(count):
         rng = generate.rng_for(seed, f"impl{i}")
         N = rng.randint(1, 4)
         c, d = generate.dominated_cost_pair(rng, S, N)
-        (gc, sc), (gd, _sd) = c.grid, d.grid
-        tri = np.triu_indices(S + 1, k=1)
-        if not np.all(N * gc[tri] > gd[tri]):
+        if not np.all(N * c.grid[0][tri] > d.grid[0][tri]):
             ok_premise = False
             res.add(f"instance {i} premise", False, "domination fails on the grid")
             continue

@@ -17,11 +17,10 @@ is the first to see one of the position's changes.  The lag is 2 in
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .catalog import LeftCEReal, additive_from_real
 from .core import (
@@ -388,22 +387,18 @@ def implication_transfer(
         raise ValueError("N must be at least 1")
     fails = _first_failures(c, d, N)
     stages = [0]
-    s = 0
-    while s < a.horizon:
+    while stages[-1] < a.horizon:
         top = stages[-1]
-        nxt = None
         for cand in range(top + 1, a.horizon + 1):
             if fails is not None:
                 ok = fails[cand] >= top
             else:
                 ok = all(N * c(x, cand) > d(x, cand) for x in range(top))
             if ok:
-                nxt = cand
+                stages.append(cand)
                 break
-        if nxt is None:
-            break
-        stages.append(nxt)
-        s = nxt
+        else:
+            break  # no later stage dominates below top
     if len(stages) < 4:
         raise StageSeqExhausted(
             "domination stages outran the horizon; the premise is unwitnessed"
@@ -429,19 +424,19 @@ def implication_transfer(
 
 
 def _first_failures(c: CostFn, d: CostFn, N: int) -> list[int] | None:
-    """Per stage s, the least x with N*c(x, s) <= d(x, s), read off the grids.
+    """Per stage s, the least x with N*c(x, s) <= d(x, s), found by potential.
 
-    Only for two additive costs over one denominator; None otherwise.  Both
-    costs vanish at x = s, so every stage has such an x.
+    Only for two additive costs over one denominator and one column length;
+    None otherwise.  For x <= s the inequality reads v[s] <= v[x] for the
+    potential v = N*u_c - u_d on exact ints, so x is where the running
+    maximum of v first reaches v[s]; at the latest x = s, where both vanish.
     """
-    if not (isinstance(c, AdditiveCost) and isinstance(d, AdditiveCost)) or c.den != d.den:
+    both = isinstance(c, AdditiveCost) and isinstance(d, AdditiveCost)
+    if not both or c.den != d.den or len(c.units) != len(d.units):
         return None
-    (mc, _), (md, _) = c.grid, d.grid
-    if mc.shape != md.shape:
-        return None
-    if mc.dtype != object and N * (c.units[-1] - c.units[0]) >= 1 << 63:
-        mc = mc.astype(object)  # N * c would wrap around in int64
-    return np.argmin(N * mc > md, axis=0).tolist()
+    v = [N * a - b for a, b in zip(c.units, d.units)]
+    peak = list(itertools.accumulate(v, max))
+    return [bisect.bisect_left(peak, w) for w in v]
 
 
 @dataclass(frozen=True)

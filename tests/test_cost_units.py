@@ -2,13 +2,16 @@
 
 The generated monotone cost is a complexity sum on the K_s index; it is
 compared with the prefix-column evaluator it replaced.  The additive
-constructor is compared with plain Fraction arithmetic, its lazy grid with
-its pointwise values, and the grid path of ``implication_transfer`` with
-its pointwise path.
+constructor is compared with plain Fraction arithmetic, also through its
+per-difference memo in any evaluation order, and its lazy grid with its
+pointwise values.  The potential path of ``implication_transfer`` (two
+additive costs over one denominator) is compared with its pointwise path,
+and it reads no grid.
 """
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -153,6 +156,28 @@ def test_additive_cost_matches_fraction_reference(column, den):
         c(-1, h)
 
 
+@settings(max_examples=80, deadline=None)
+@given(columns, dens, st.randoms(use_true_random=False))
+def test_additive_memo_matches_fraction_reference_in_any_order(column, den, rnd):
+    start, steps = column
+    units = list(accumulate(steps, initial=start))
+    h = len(units) - 1
+    # one column over two denominators: each cost keeps its own memo
+    costs = [
+        (additive_cost("units", units, den), _fraction_additive(units, den)),
+        (additive_cost("units", units, den + 1), _fraction_additive(units, den + 1)),
+    ]
+    points = [(x, s) for x in range(h + 3) for s in range(h + 3)] * 2
+    rnd.shuffle(points)
+    for x, s in points:
+        plateau = x > s or units[min(s, h)] == units[min(x, h)]
+        for c, ref in costs:
+            v, want = c(x, s), ref(x, s)
+            assert (v.numerator, v.denominator) == (want.numerator, want.denominator), (x, s)
+            if plateau:
+                assert v == 0, (x, s)
+
+
 def test_additive_cost_grid_dtype_and_laziness():
     small = additive_cost("small", [0, 1, 5, 5, 9], 16)
     assert "grid" not in small.__dict__  # built on first read only
@@ -285,6 +310,16 @@ def _implication_both_ways(a, c, d, N):
     assert grid.trace.events == pointwise.trace.events
     assert (grid.output_total, grid.bound) == (pointwise.output_total, pointwise.bound)
     return grid
+
+
+def test_implication_transfer_reads_no_grid():
+    rng = rng_for(0, "impl-no-grid")
+    S, N = 80, 3
+    a = trace_with_final(rng, S, frozenset(rng.sample(range(20), 4)), 20, S // 2)
+    c, d = dominated_cost_pair(rng, S, N)
+    r = implication_transfer(a, c, d, N)
+    assert r.ok and len(r.stages.stages) >= 4
+    assert "grid" not in c.__dict__ and "grid" not in d.__dict__
 
 
 def _near_dominated_pair(rng, S, N):

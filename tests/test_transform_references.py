@@ -7,6 +7,8 @@ every synchronizing stage).  The transforms in ``costlab`` read the trace's
 change index and share one block rule; on every seeded input they must
 return the same events, initial set, stage sequence and rule, totals,
 bound, displacement and exceptions, or raise the same error.
+``reference_first_failures`` is the full-grid ``argmin`` that
+``_first_failures`` replaced with a search on the potential N*u_c - u_d.
 """
 
 from __future__ import annotations
@@ -14,12 +16,19 @@ from __future__ import annotations
 import bisect
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costlab.catalog import LeftCEReal, additive_from_real, cost_k, cost_omega
 from costlab.core import (
+    AdditiveCost,
     ApproximationTrace,
     EnumerationTrace,
+    additive_cost,
     check_proper,
     cost_fn,
     cost_of_trace,
@@ -246,10 +255,22 @@ def ref_conjoin(e, f, c, d) -> LookAheadResult:
     return LookAheadResult(out, seq, combined, bound)
 
 
+def reference_first_failures(c, d, N) -> list[int] | None:
+    """``_first_failures`` read off the two full grids by one ``argmin`` per stage."""
+    if not (isinstance(c, AdditiveCost) and isinstance(d, AdditiveCost)) or c.den != d.den:
+        return None
+    (mc, _), (md, _) = c.grid, d.grid
+    if mc.shape != md.shape:
+        return None
+    if mc.dtype != object and N * (c.units[-1] - c.units[0]) >= 1 << 63:
+        mc = mc.astype(object)  # N * c would wrap around in int64
+    return np.argmin(N * mc > md, axis=0).tolist()
+
+
 def ref_implication_transfer(a, c, d, N) -> LookAheadResult:
     if N < 1:
         raise ValueError("N must be at least 1")
-    fails = _first_failures(c, d, N)
+    fails = reference_first_failures(c, d, N)
     stages = [0]
     s = 0
     while s < a.horizon:
@@ -543,6 +564,41 @@ def test_implication_transfer_matches_reference():
     for d, N in ((cost_omega(p), 1), (cost_k(p), 0)):  # unwitnessed premise; N < 1
         kinds.add(assert_same(implication_transfer, ref_implication_transfer, a, cost_k(p), d, N))
     assert kinds == {"ok", "raised"}
+
+
+# plateau-heavy columns: most steps are 0, some tiny, some far beyond int64 once scaled by N
+_steps = st.one_of(
+    st.just(0), st.just(0), st.integers(1, 3), st.integers(1 << 55, 1 << 60), st.integers(0, 1 << 70)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_failures_by_potential_matches_grid_reference(data):
+    n = data.draw(st.integers(0, 24))
+    N = data.draw(st.one_of(st.integers(1, 4), st.integers(1, 1 << 20)))
+    den = data.draw(st.sampled_from([1, 3, 1 << 24, 1 << 70]))
+
+    def column() -> list[int]:
+        start = data.draw(st.one_of(st.just(0), st.integers(-(1 << 70), 1 << 70)))
+        return list(accumulate(data.draw(st.lists(_steps, min_size=n, max_size=n)), initial=start))
+
+    c_units = column()
+    if data.draw(st.booleans()):
+        d_units = column()
+    else:  # d at N*c plus a nondecreasing excess: ties and near ties everywhere
+        d_units = [N * u + e for u, e in zip(c_units, column())]
+    c, d = additive_cost("c", c_units, den), additive_cost("d", d_units, den)
+    got = _first_failures(c, d, N)
+    assert got is not None and got == reference_first_failures(c, d, N)
+    assert all(x <= s for s, x in enumerate(got))
+    # a different denominator or column length takes the pointwise path
+    for other in (
+        additive_cost("d", d_units, den + 1),
+        additive_cost("d", d_units + d_units[-1:], den),
+    ):
+        assert _first_failures(c, other, N) is None
+        assert reference_first_failures(c, other, N) is None
 
 
 def test_omega_ce_bound_matches_reference():
