@@ -7,8 +7,8 @@ over x < w <= s) and ``min_at(x, s)`` (the least such K_s(w)) pointwise: a
 bisect on a stage column, then a masked sum or minimum.  A ``Cursor`` only
 walks the events forward and returns the ``(w, old, new)`` changes it
 applies, so a caller that holds running sums of its own keeps them from
-those changes.  The separation game appends descriptions with ``add`` as it
-plays.
+those changes.  The separation game plays on a ``copy`` of a provider's
+index and appends descriptions to it with ``add``.
 
 Conventions:
 
@@ -100,6 +100,21 @@ class KIndex:
         """The least K_s(w) over x < w <= s, None if no such w is described by stage s."""
         lengths = self._beyond(x, s)[0]  # lengths only fall: the least new one is the least current
         return int(lengths.min()) if lengths.size else None
+
+    def copy(self) -> KIndex:
+        """An index of the same descriptions that no cursor has walked.
+
+        It has its own per-target lists and event list, so ``add`` on either
+        leaves the other unchanged, and frontier 0, so it accepts a
+        description at any stage.  Built columns are shared: ``add`` drops
+        them and never mutates them.
+        """
+        twin = KIndex()
+        twin._by_target = {w: (st[:], ln[:]) for w, (st, ln) in self._by_target.items()}
+        twin.events = self.events[:]
+        twin.scale = self.scale
+        twin._columns = self._columns
+        return twin
 
     def add(self, w: int, length: int, stage: int) -> None:
         """Describe w with ``length`` from stage max(stage, w + 1) on.

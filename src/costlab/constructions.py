@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .catalog import LeftCEReal, additive_from_real, cost_from_approx, cost_k, cost_max
-from .complexity import Cursor, KIndex, weight_change
+from .complexity import Cursor, weight_change
 from .core import (
     ApproximationTrace,
     CostFn,
@@ -719,7 +719,7 @@ def separation_run(
     declared = 1 << k
     # the game's own copy of K_s: it appends the builder's requests and the
     # opponent's grants as it plays
-    live = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
+    live = p.index.copy()
     view = Cursor(live)
     measure = p.budget_used
 

@@ -67,7 +67,7 @@ def test_cost_k_below_cost_omega_exhaustive_small():
 
 
 def test_domination_grid_matches_naive_small():
-    # dual route: the vectorized report against direct evaluation
+    # dual route: the swept report against direct evaluation
     p = baseline_provider(24)
     rep = domination_grid_report(p)
     assert rep.ok
@@ -78,8 +78,8 @@ def test_domination_grid_matches_naive_small():
 
 
 def test_domination_grid_beyond_int64_scale():
-    # descriptions longer than 62 bits leave int64; the exact path must agree
-    # with the int64 one on the same schedule shifted by a coding constant,
+    # exact-int agreement beyond 2^62: descriptions longer than 62 bits must
+    # give the report of the same schedule shifted by a coding constant,
     # since every compared quantity scales by the same power of two
     rs = request_set([(3, 5, 1), (2, 9, 4), (6, 2, 7), (4, 12, 12), (5, 3, 15)])
     short = domination_grid_report(provider_from_requests(rs, 0, 20))

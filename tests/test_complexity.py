@@ -144,11 +144,11 @@ def test_domination_grid_matches_reference(p):
 
 
 def test_domination_grid_at_the_int64_boundary():
-    # scale exactly 62 keeps the int64 columns.  The lengths 1..62 and a second
-    # 62 weigh exactly 1, so the scaled measure reaches 2^62, and every target
+    # exact-int agreement at scale 62.  The lengths 1..62 and a second 62
+    # weigh exactly 1, so the scaled measure reaches 2^62, and every target
     # is paid for at stage 1 but described later: from stage 67 on, the sum
-    # beyond x = 1 and the measure at x = 1 are both 2^62, and their total
-    # 2^63 leaves int64 unless the columns are kept within 2^62
+    # beyond x = 1 and the measure at x = 1 are both 2^62, so the compared
+    # quantities reach 2^63 and the violations must still come out exact
     rs = request_set([(n, 4 + n, 0) for n in range(1, 63)] + [(62, 2, 0)])
     p = provider_from_requests(rs, 0, 70)
     assert p.max_length == 62 and p.omega_scaled(1) == 1 << 62
@@ -189,6 +189,80 @@ def test_domination_sweep_matches_loop_with_late_descriptions():
 @given(providers(top=300))
 def test_domination_sweep_matches_loop(p):
     assert domination_grid_report(p) == reference_domination_grid_report(p)
+
+
+def late_first_descriptions(n, late):
+    """n small targets, each first described ``late`` stages after its own."""
+    return [(25, i, late + i) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # every change lands 300 cells below its stage, so each stage updates
+        # and rescans a long run of cells.  560 is paid for at stage 201 but
+        # described from 561 on, at half the weight of each late target:
+        # x in [550, 560) fails the measure check, and below 550 the slack
+        # at x is 2^-26 less than the weight of the late targets paid after
+        # x, so a cell that misses their updates fails
+        late_first_descriptions(250, 300) + [(26, 560, 200)],
+        # long descriptions of 0..399 at their own stages, then three short
+        # ones, the first paid for long before it is described, whose
+        # weights raise c_max on hundreds of cells below their targets
+        [(20, i, i) for i in range(400)] + [(3, 450, 10), (2, 420, 421), (1, 560, 570)],
+    ],
+    ids=["late-first-descriptions", "long-c_max-walk"],
+)
+def test_domination_sweep_matches_loop_with_long_spans(entries):
+    p = provider_from_requests(request_set(sorted(entries, key=lambda e: e[2])), 0, 600)
+    rep = domination_grid_report(p)
+    assert rep.omega_violations
+    assert rep == reference_domination_grid_report(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(providers())
+def test_copy_answers_like_a_fresh_build(p):
+    index = p.index
+    Cursor(index).advance(p.horizon)  # a walked index, its columns built
+    index.sum_at(0, p.horizon)
+    twin, fresh = index.copy(), KIndex(grant_descriptions(p))
+    assert twin.frontier == 0
+    assert twin.events == fresh.events and twin.scale == fresh.scale
+    for s in range(p.horizon + 3):
+        for w in range(-1, p.horizon + 3):
+            assert twin.k(w, s) == fresh.k(w, s)
+            assert twin.sum_at(w, s) == fresh.sum_at(w, s)
+            assert twin.min_at(w, s) == fresh.min_at(w, s)
+
+
+def test_add_on_a_copy_leaves_the_original_unchanged():
+    desc = [(3, 5, 4), (7, 2, 9), (3, 4, 12)]
+    index = KIndex(desc)
+    index.sum_at(0, 20)  # the copy shares these columns
+    twin = index.copy()
+    twin.add(3, 1, 15)  # improves a target the original also holds
+    twin.add(11, 2, 16)
+    assert index.events == KIndex(desc).events
+    grown = KIndex(desc + [(3, 1, 15), (11, 2, 16)])
+    assert twin.events == grown.events
+    for s in range(25):
+        for w in range(-1, 14):
+            assert index.k(w, s) == k_table(desc, s).get(w)
+            assert twin.k(w, s) == grown.k(w, s)
+            assert index.sum_at(w, s) == sum_ref(k_table(desc, s), w)
+            assert twin.sum_at(w, s) == grown.sum_at(w, s)
+
+
+def test_copy_of_a_walked_index_accepts_an_early_add():
+    index = KIndex([(3, 5, 4)])
+    Cursor(index).advance(10)
+    with pytest.raises(ValueError):
+        index.add(2, 1, 5)
+    twin = index.copy()
+    twin.add(2, 1, 5)  # no cursor has walked the copy
+    assert twin.k(2, 4) is None and twin.k(2, 5) == 1 and index.k(2, 5) is None
+    assert Cursor(twin).advance(10) == [(3, None, 5), (2, None, 1)]
 
 
 descriptions = st.lists(
