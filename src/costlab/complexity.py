@@ -8,7 +8,8 @@ bisect on a stage column, then a masked sum or minimum.  A ``Cursor`` only
 walks the events forward and returns the ``(w, old, new)`` changes it
 applies, so a caller that holds running sums of its own keeps them from
 those changes.  The separation game plays on a ``copy`` of a provider's
-index and appends descriptions to it with ``add``.
+index and appends descriptions to it with ``add``; a copy shares the
+per-target lists, which are replaced and never mutated.
 
 Conventions:
 
@@ -104,13 +105,14 @@ class KIndex:
     def copy(self) -> KIndex:
         """An index of the same descriptions that no cursor has walked.
 
-        It has its own per-target lists and event list, so ``add`` on either
-        leaves the other unchanged, and frontier 0, so it accepts a
-        description at any stage.  Built columns are shared: ``add`` drops
-        them and never mutates them.
+        It shares the per-target lists, which ``add`` replaces and never
+        mutates, and has its own event list, so ``add`` on either index
+        leaves the other unchanged; and frontier 0, so it accepts a
+        description at any stage.  Built columns are shared too: ``add``
+        drops them and never mutates them.
         """
         twin = KIndex()
-        twin._by_target = {w: (st[:], ln[:]) for w, (st, ln) in self._by_target.items()}
+        twin._by_target = dict(self._by_target)
         twin.events = self.events[:]
         twin.scale = self.scale
         twin._columns = self._columns
@@ -120,7 +122,8 @@ class KIndex:
         """Describe w with ``length`` from stage max(stage, w + 1) on.
 
         The stage must lie beyond every cursor's stage, so no cursor has
-        passed it; stages need not come in order.
+        passed it; stages need not come in order.  The target's lists are
+        replaced, never mutated, since a copy may share them.
         """
         stage = max(stage, w + 1)
         if stage <= self.frontier:
@@ -128,11 +131,13 @@ class KIndex:
         bisect.insort(self.events, (stage, w, length))
         self.scale = max(self.scale, length)
         self._columns = None
-        stages, lengths = self._by_target.setdefault(w, ([], []))
+        stages, lengths = self._by_target.get(w, ([], []))
         i = bisect.bisect_right(stages, stage)
-        stages.insert(i, stage)
-        lengths.insert(i, min(length, lengths[i - 1]) if i else length)
-        lengths[i + 1 :] = [min(n, length) for n in lengths[i + 1 :]]
+        self._by_target[w] = (
+            [*stages[:i], stage, *stages[i:]],
+            [*lengths[:i], min(length, lengths[i - 1]) if i else length,
+             *(min(n, length) for n in lengths[i:])],
+        )
 
 
 class Cursor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 from typing import Callable, Sequence
 
 from .catalog import LeftCEReal, additive_from_real, cost_from_approx, cost_k, cost_max
@@ -731,21 +732,60 @@ def separation_run(
             raise ScheduleInsufficient("no cheap starting point below the horizon")
         x0 = probe
 
-    # per element x of seq: need, the sum of 2^-K_s(w) over w > x scaled by
-    # 2^scale, and best, the least such K_s(w), both at the view's stage.  One
-    # scale serves the whole run: every element has its request of length
+    # The game's state in complement form, as integers scaled by 2^scale:
+    # - total is the weight of the described targets beyond x0 and low[i] that
+    #   weight at or below seq[i], so the sum beyond seq[i] is total - low[i],
+    #   as c_K(x, s) = P_s(s) - P_s(x);
+    # - best[i], the least K_s(w) over w > seq[i], is nondecreasing in i;
+    # - element i passes its check when total <= cap[i] = low[i] +
+    #   2^(scale - best[i] + b), and cap[i] = low[i] - 1 fails while best[i]
+    #   is None; least[i] is the least cap up to i.
+    # A change at w > x0 adds to total and to the lows at or above w (none in
+    # the served traffic, whose descriptions land beyond every element),
+    # lowers best on the run of elements below w whose best exceeds it, and
+    # recomputes least from the least element whose cap moved: O(1) beyond
+    # the elements it moves.  A stage passes when total <= least[-1], in
+    # O(1), and a failing one finds its first failing element by bisection
+    # on the nonincreasing least.
+    # One scale serves the whole run: every element has its request of length
     # k + d beyond it by its first check, so a failing check has best <= k + d
     # and need > 2^(b - best), and the grant it asks for is shorter than k + d.
     scale = max(live.scale, k + d)
-    seq, need, best = [x0], [0], [None]
+    seq, low, best, cap, least, total = [x0], [0], [None], [-1], [-1], 0
+    # The claim ledger sums min(2^-K_s(w), 2^-cap) = 2^-max(K_s(w), cap) as
+    # integers scaled by 2^top, per cap and per segment (seq[i], seq[i + 1]]:
+    # a change moves one sum per cap.  The check that ends at a new element
+    # reads at most four of them when it is appended, as the element itself
+    # is not described yet; they are final then, since later descriptions
+    # take effect beyond its stage.
+    top = max(scale, k + b + d)
+    claim_caps = [k + b + d - r for r in range(min(2, k) + 1)]
+    seg, checks = [[0] * len(claim_caps)], [[] for _ in claim_caps]
 
     def walk(s: int) -> None:
+        nonlocal total
+        lo = len(seq)  # the least element whose cap moved
         for w, old, new in view.advance(s):
+            if w <= x0:
+                continue  # no element lies below w
             delta = weight_change(scale, old, new)
-            for i in range(bisect.bisect_left(seq, w)):  # the elements below w
-                need[i] += delta
-                if best[i] is None or new < best[i]:
-                    best[i] = new
+            total += delta
+            pos = bisect.bisect_left(seq, w)
+            for i in range(pos, len(seq)):
+                low[i] += delta
+                cap[i] += delta
+            i = pos - 1
+            while i >= 0 and (best[i] is None or new < best[i]):
+                best[i] = new
+                cap[i] = low[i] + (1 << (scale - new + b))
+                i -= 1
+            lo = min(lo, i + 1)
+            sums = seg[pos - 1]  # w lies in (seq[pos - 1], seq[pos]]
+            for r, c in enumerate(claim_caps):
+                gone = 0 if old is None else 1 << (top - max(old, c))
+                sums[r] += (1 << (top - max(new, c))) - gone
+        for i in range(lo, len(seq)):
+            least[i] = min(least[i - 1], cap[i]) if i else cap[0]
 
     requests = RequestSet()
     grants: list[tuple[int, int, int]] = []
@@ -762,11 +802,11 @@ def separation_run(
         requests = kc_add(requests, k, xv + 1, cur)
         live.add(xv + 1, k + d, cur + 1)
         measure += pow2(k + d)
-        while need[-1] < 1 << (scale - k - d) and used < V:
+        while total - low[-1] < 1 << (scale - k - d) and used < V:
             cur += 1
             used += 1
             walk(cur)
-        if need[-1] < 1 << (scale - k - d):
+        if total - low[-1] < 1 << (scale - k - d):
             status = "budget_exhausted"
             break
         responded = False
@@ -774,40 +814,42 @@ def separation_run(
             cur += 1
             used += 1
             walk(cur)
-            ok = True
-            for n, r in zip(need, best):
-                if r is not None and n <= 1 << (scale - r + b):
-                    continue
-                ok = False
-                if b == 0 and r is not None:
-                    # the sum beyond x exceeds its largest term: two positive
-                    # terms lie there and never shrink, so this check never passes
-                    status = "response_impossible"
-                    break
-                if opponent != "greedy":
-                    if not view.pending:
-                        status = "budget_exhausted"  # nothing can change anymore
-                    break
-                if view.pending:
-                    break  # let earlier grants register before adding more
-                L = _grant_length(b, n, scale)
+            if total <= least[-1]:
+                # nothing beyond the current stage is described yet
+                seq.append(cur)
+                low.append(total)
+                best.append(None)
+                cap.append(total - 1)
+                least.append(total - 1)
+                seg.append([0] * len(claim_caps))
+                m = len(seq) - 1
+                for r, c in enumerate(claim_caps):
+                    pi = m - (1 << r)
+                    if pi >= 0:
+                        acc = sum(t[r] for t in seg[pi:m])
+                        checks[r].append((pi, r, Fraction(acc, 1 << top), (r + 1) * pow2(c + 1)))
+                responded = True
+                break
+            i = bisect.bisect_right(least, -total, key=neg)  # the first failing element
+            if b == 0 and best[i] is not None:
+                # the sum beyond seq[i] exceeds its largest term: two positive
+                # terms lie there and never shrink, so this check never passes
+                status = "response_impossible"
+            elif view.pending:
+                pass  # let earlier grants register before adding more
+            elif opponent != "greedy":
+                status = "budget_exhausted"  # nothing can change anymore
+            else:
+                L = _grant_length(b, total - low[i], scale)
                 if L is None:
                     status = "response_impossible"
-                    break
-                if pow2(L) > 1 - measure:
+                elif pow2(L) > 1 - measure:
                     status = "measure_exhausted"
-                    break
-                live.add(cur + 1, L, cur + 2)
-                measure += pow2(L)
-                grants.append((cur + 2, cur + 1, L))
-                break
+                else:
+                    live.add(cur + 1, L, cur + 2)
+                    measure += pow2(L)
+                    grants.append((cur + 2, cur + 1, L))
             if status != "running":
-                break
-            if ok:
-                seq.append(cur)  # nothing beyond the current stage is described yet
-                need.append(0)
-                best.append(None)
-                responded = True
                 break
         if status != "running":
             break
@@ -817,21 +859,6 @@ def separation_run(
     if status == "running":
         status = "budget_exhausted" if used >= V else "completed"
 
-    # the claim ledger sums min(2^-K_s(w), 2^-cap) = 2^-max(K_s(w), cap) as
-    # integers scaled by 2^top, one Fraction per check
-    checks = []
-    v = len(seq) - 1
-    top = max(live.scale, k + b + d)
-    for r in range(0, min(2, k) + 1):
-        R = 1 << r
-        cap = k + b + d - r
-        for pi in range(0, v - R + 1):
-            s = seq[pi + R]
-            kws = (live.k(w, s) for w in range(seq[pi] + 1, s))
-            acc = sum(1 << (top - max(kw, cap)) for kw in kws if kw is not None)
-            lhs = Fraction(acc, 1 << top)
-            rhs = (r + 1) * pow2(k + b + d - r + 1)
-            checks.append((pi, r, lhs, rhs))
     return SeparationResult(
         k,
         declared,
@@ -839,6 +866,6 @@ def separation_run(
         requests,
         tuple(grants),
         status,
-        tuple(checks),
+        tuple(c for per_cap in checks for c in per_cap),
         used,
     )

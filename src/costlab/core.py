@@ -404,12 +404,18 @@ def benign_witness(c: CostFn, n: int, S: int) -> BenignChain:
         raise ValueError("chain bound exceeds the horizon")
     threshold = pow2(n)
     chain = [0]
-    # c is nondecreasing in s, so a next link up to S exists exactly when
-    # c(x, S) reaches the threshold, and a bisection finds the least one
-    while chain[-1] < S and c(chain[-1], S) >= threshold:
-        x = chain[-1]
+    # c is nondecreasing in s: gallop from x at s = x + 1, x + 2, x + 4, ...
+    # up to S, then bisect between the last miss and the first hit, at most
+    # 2 ceil(log2 g) + 1 evaluations for a gap g; a miss at S ends the chain
+    while chain[-1] < S:
+        x = miss = chain[-1]
         reaches = lambda s: c(x, s) >= threshold  # noqa: E731
-        chain.append(bisect.bisect_left(range(S + 1), True, x + 1, key=reaches))
+        step = 1
+        while not reaches(hit := min(x + step, S)):
+            if hit == S:
+                return BenignChain(n, tuple(chain))
+            miss, step = hit, step * 2
+        chain.append(bisect.bisect_left(range(S + 1), True, miss + 1, hit, key=reaches))
     return BenignChain(n, tuple(chain))
 
 

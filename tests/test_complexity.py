@@ -254,6 +254,21 @@ def test_add_on_a_copy_leaves_the_original_unchanged():
             assert twin.sum_at(w, s) == grown.sum_at(w, s)
 
 
+def test_add_on_the_original_leaves_a_copy_unchanged():
+    desc = [(3, 5, 4), (7, 2, 9), (3, 4, 12)]
+    index = KIndex(desc)
+    index.sum_at(0, 20)
+    twin = index.copy()
+    index.add(3, 1, 15)  # improves a target the copy also holds
+    index.add(7, 1, 10)  # lands before a stage the copy holds for that target
+    index.add(11, 2, 16)
+    assert twin.events == KIndex(desc).events
+    for s in range(25):
+        for w in range(-1, 14):
+            assert twin.k(w, s) == k_table(desc, s).get(w)
+            assert twin.sum_at(w, s) == sum_ref(k_table(desc, s), w)
+
+
 def test_copy_of_a_walked_index_accepts_an_early_add():
     index = KIndex([(3, 5, 4)])
     Cursor(index).advance(10)

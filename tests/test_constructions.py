@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costlab.catalog import additive_from_real, additive_requests, cost_from_approx, cost_k, cost_max
 from costlab.complexity import KIndex
@@ -404,16 +406,30 @@ def _registered_provider(seed: int, S: int, name: str = "query0") -> KProvider:
     return register_requests(baseline_provider(S), extra, 3)
 
 
+def _late_descriptions(*desc):
+    """A provider whose only descriptions are ``desc``, (length, target, stage)
+    triples; from x0 = 2 they arrive while the game is played."""
+    return provider_from_requests(request_set(desc), 0, 1024)
+
+
 @pytest.mark.parametrize(
-    "provider", [lambda: baseline_provider(2048), lambda: _registered_provider(11, 2048)],
-    ids=["baseline", "registered"],
+    "provider, b, V, kw",
+    [
+        (lambda: baseline_provider(2048), 1, 100_000, {}),
+        (lambda: _registered_provider(11, 2048), 1, 100_000, {}),
+        (lambda: _late_descriptions((6, 1, 40)), 1, 3000, {"x0": 2}),
+        (lambda: _late_descriptions((10, 1, 12), (10, 6, 20), (10, 8, 25)), 1, 3000, {"x0": 2}),
+        (lambda: _SCHEDULE_FREE, 2, 3000, {"x0": 2}),
+    ],
+    ids=["baseline", "registered", "described below x0 late", "described element late",
+         "schedule-free b=2"],
 )
-def test_separation_claim_ledger_matches_reference_provider(provider):
+def test_separation_claim_ledger_matches_reference_provider(provider, b, V, kw):
     # the claim audit reads the run's live view; recompute every lhs from a
     # provider holding the same descriptions, with a horizon past the last element
-    b, d = 1, 1
+    d = 1
     p = provider()
-    out = separation_run(b, p, d, 100_000)
+    out = separation_run(b, p, d, V, **kw)
     q = register_requests(p, out.requests, d)
     q = register_requests(
         q, request_set((length, w, stage - 1) for stage, w, length in out.grants), 0
@@ -639,6 +655,14 @@ _SCHEDULE_FREE = provider_from_requests(RequestSet(), 0, 1024)
         ("length 70", lambda: provider_from_requests(
             request_set([(70, 5, 3)] + [(12, y, y) for y in range(6, 300)]), 0, 4096
         ), 1, 1, 100_000, {"x0": 2}),
+        ("schedule-free b=2", lambda: _SCHEDULE_FREE, 2, 1, 3000, {"x0": 2}),
+        # a description of a target below x0 arrives after x0 is chosen
+        ("described below x0 late", lambda: _late_descriptions((6, 1, 40)), 1, 1, 3000,
+         {"x0": 2}),
+        # descriptions below x0 and between the elements 5 and 8, then of 8 itself
+        ("described element late", lambda: _late_descriptions(
+            (10, 1, 12), (10, 6, 20), (10, 8, 25)
+        ), 1, 1, 3000, {"x0": 2}),
     ],
     ids=lambda case: case[0],
 )
@@ -646,6 +670,20 @@ def test_separation_matches_reference_loop(case):
     _name, provider, b, d, V, kw = case
     p = provider()
     assert separation_run(b, p, d, V, **kw) == reference_separation_run(b, p, d, V, **kw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(6, 40), st.integers(0, 40), st.integers(0, 60)), max_size=12),
+    st.integers(0, 2),
+    st.sampled_from(["greedy", None]),
+)
+def test_separation_matches_reference_loop_on_random_schedules(schedule, b, opponent):
+    # from x0 = 2 the descriptions land below x0, between elements, on
+    # elements and beyond the last one while the game is played
+    p = provider_from_requests(request_set(sorted(schedule, key=lambda e: e[2])), 0, 64)
+    kw = {"x0": 2, "opponent": opponent}
+    assert separation_run(b, p, 1, 200, **kw) == reference_separation_run(b, p, 1, 200, **kw)
 
 
 def test_separation_deterministic():

@@ -185,6 +185,33 @@ def test_benign_chain_matches_scanning_greedy():
                 assert benign_witness(c, n, S).chain == scanning_greedy(c, n, S)
 
 
+@pytest.mark.parametrize(
+    "gap, S",
+    [(23, 23), (5, 23), (1, 9), (7, 64), (64, 64), (3, 4)],
+    ids=["one link at S", "last probe at S misses", "gap 1", "gap 7", "gap 64", "gap 3 to 4"],
+)
+def test_benign_chain_gallops_within_its_evaluation_bound(gap, S):
+    # c(x, s) = 1 exactly when s - x >= gap, so at n = 0 the chain steps by
+    # gap and ends where fewer than gap stages remain before S
+    evals = []
+
+    def ev(x, s):
+        evals.append((x, s))
+        return Fraction(int(s - x >= gap))
+
+    c = cost_fn("gap", S, ev, monotone_main=True, monotone_stage=True)
+    evals.clear()
+    chain = benign_witness(c, 0, S).chain
+    assert chain == tuple(range(0, S + 1, gap))
+    # a link with gap g takes at most 2 ceil(log2 g) + 1 evaluations, and the
+    # miss at S that ends a chain short of S ceil(log2(S - x)) + 1
+    bound = (len(chain) - 1) * (2 * (gap - 1).bit_length() + 1)
+    if chain[-1] < S:
+        bound += (S - chain[-1] - 1).bit_length() + 1
+    assert len(evals) <= bound
+    assert all(x in chain and x < s <= S for x, s in evals)
+
+
 def test_trace_rejects_noop_events():
     with pytest.raises(ValueError):
         ApproximationTrace(10, [(2, 1, 0)])
