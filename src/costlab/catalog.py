@@ -52,8 +52,9 @@ class LeftCEReal:
 def complexity_sum(index: KIndex, horizon: int, name: str) -> CostFn:
     """c(x, s) = sum of 2^-K_s(w) for x < w <= s, with s clamped to the horizon.
 
-    One pointwise evaluator serves every query: ``index.sum_at`` bisects
-    the index's stage column and sums the weight changes beyond x.
+    One pointwise evaluator serves every query: ``index.sum_at`` takes one
+    difference of its prefix column of prompt descriptions and adds the
+    delayed ones beyond x (see ``costlab.complexity``).
     """
 
     def ev(x: int, s: int) -> Fraction:

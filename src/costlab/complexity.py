@@ -2,14 +2,24 @@
 
 A ``KIndex`` holds, per target w, the stages at which K_s(w) changes with
 its value from each, so ``k(w, s)`` is one bisect, and the improvement
-events in stage order.  It answers ``sum_at(x, s)`` (the sum of 2^-K_s(w)
-over x < w <= s) and ``min_at(x, s)`` (the least such K_s(w)) pointwise: a
-bisect on a stage column, then a masked sum or minimum.  A ``Cursor`` only
-walks the events forward and returns the ``(w, old, new)`` changes it
-applies, so a caller that holds running sums of its own keeps them from
-those changes.  The separation game plays on a ``copy`` of a provider's
-index and appends descriptions to it with ``add``; a copy shares the
-per-target lists, which are replaced and never mutated.
+events in stage order.  ``sum_at(x, s)`` (the sum of 2^-K_s(w) over
+x < w <= s) and ``min_at(x, s)`` (the least such K_s(w)) read tables of
+the improvement rows, built in one pass over the events on first use.  As
+K_s(w) exists only for w < s, a row made by stage x + 1 has its target at
+or below x and never counts for x.  A *prompt* row, made at stage w + 1,
+counts for x whenever it is made in (x + 1, s]; a *delayed* row, made
+later, counts only if its target also lies beyond x.  So ``sum_at`` is one
+difference of an exact-int prefix column of prompt weights plus the
+weight changes of the window's delayed rows that count, and ``min_at`` the
+least length of the same rows, with the prompt lengths read in whole
+blocks of 64 from their minima.
+
+A ``Cursor`` only walks the events forward and returns the
+``(w, old, new)`` changes it applies, so a caller that holds running sums
+of its own keeps them from those changes.  The separation game plays on a
+``copy`` of a provider's index and appends descriptions to it with
+``add``; a copy shares the per-target lists and the tables, which are
+replaced and never mutated.
 
 Conventions:
 
@@ -24,14 +34,28 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Iterator, NamedTuple
 
 
 def weight_change(scale: int, old: int | None, new: int) -> int:
     """The change of 2^(scale - K) when K drops from ``old`` (None: infinite) to ``new``."""
     return (1 << (scale - new)) - (0 if old is None else 1 << (scale - old))
+
+
+_BLOCK = 64  # prompt lengths per entry of the block minima
+
+
+class _Rows(NamedTuple):
+    """The improvement rows of a ``KIndex`` split by kind, each in stage order."""
+
+    prompt_stages: list[int]
+    prompt_prefix: list[int]  # [i]: the scaled weights of the first i prompt rows
+    prompt_lengths: list[int]
+    prompt_minima: list[int]  # [j]: the least of prompt_lengths[64 j : 64 (j + 1)]
+    delayed_stages: list[int]
+    delayed_targets: list[int]
+    delayed_lengths: list[int]
+    delayed_weights: list[int]  # scaled weight changes
 
 
 class KIndex:
@@ -40,7 +64,8 @@ class KIndex:
     ``descriptions`` yields (target w, length, stage) triples.  Each target
     keeps its stages in order with K_s(w) from each on.  ``events`` is every
     (stage, w, length) improvement in stage order, plus each appended
-    description; a cursor skips the ones that do not improve.
+    description; a cursor and the query tables skip the ones that do not
+    improve.
     """
 
     def __init__(self, descriptions: Iterable[tuple[int, int, int]] = ()):
@@ -62,7 +87,7 @@ class KIndex:
         self.events = events
         # the longest length held, so 2^-K is 2^(scale - K) / 2^scale
         self.scale = max((length for _stage, _w, length in events), default=0)
-        self._columns: tuple[list[int], np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._rows: _Rows | None = None
 
     def k(self, w: int, s: int) -> int | None:
         """K_s(w): the least length of w counting by stage s, None if there is none."""
@@ -70,37 +95,74 @@ class KIndex:
         i = bisect.bisect_right(stages, s)
         return lengths[i - 1] if i else None
 
-    def _beyond(self, x: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """The new lengths and scaled weight changes of the improvements by stage s
-        to targets beyond x, read from stage-sorted columns built on first use."""
-        if self._columns is None:
-            rows = sorted(
-                (stage, w, new, weight_change(self.scale, old, new))
-                for w, (stages, lengths) in self._by_target.items()
-                for stage, old, new in zip(stages, [None, *lengths], lengths)
+    def _tables(self) -> _Rows:
+        """The improvement rows split into prompt and delayed, built on first use
+        in one pass over the events, which lie in stage order."""
+        if self._rows is None:
+            rows = _Rows([], [0], [], [], [], [], [], [])
+            scale, current, total = self.scale, {}, 0
+            for stage, w, new in self.events:
+                old = current.get(w)
+                if old is not None and new >= old:
+                    continue
+                current[w] = new
+                if stage == w + 1:  # no earlier row for w: old is None
+                    total += 1 << (scale - new)
+                    rows.prompt_stages.append(stage)
+                    rows.prompt_prefix.append(total)
+                    rows.prompt_lengths.append(new)
+                else:
+                    rows.delayed_stages.append(stage)
+                    rows.delayed_targets.append(w)
+                    rows.delayed_lengths.append(new)
+                    rows.delayed_weights.append(weight_change(scale, old, new))
+            lengths = rows.prompt_lengths
+            rows.prompt_minima.extend(
+                min(lengths[i : i + _BLOCK]) for i in range(0, len(lengths), _BLOCK)
             )
-            stages, targets, lengths, weights = zip(*rows) if rows else ((),) * 4
-            exact = self.scale + len(rows).bit_length() > 62  # else any sum of changes fits int64
-            self._columns = (
-                list(stages),
-                np.array(targets, dtype=np.int64),
-                np.array(lengths, dtype=np.int64),
-                np.array(weights, dtype=object if exact else np.int64),
-            )
-        stages, targets, lengths, weights = self._columns
-        i = bisect.bisect_right(stages, s)
-        mask = targets[:i] > x
-        return lengths[:i][mask], weights[:i][mask]
+            self._rows = rows
+        return self._rows
+
+    @staticmethod
+    def _late(rows: _Rows, x: int, s: int, column: list[int]) -> Iterator[int]:
+        """``column``'s entries for the delayed rows made at stages in (x + 1, s]
+        whose targets lie beyond x."""
+        lo = bisect.bisect_right(rows.delayed_stages, x + 1)
+        hi = bisect.bisect_right(rows.delayed_stages, s, lo)
+        targets = rows.delayed_targets
+        return (column[i] for i in range(lo, hi) if targets[i] > x)
 
     def sum_at(self, x: int, s: int) -> Fraction:
         """The complexity sum: 2^-K_s(w) summed over x < w <= s."""
+        if s <= x + 1:
+            return Fraction(0)
+        rows = self._tables()
         # each target's weight changes by stage s telescope to its current weight
-        return Fraction(int(self._beyond(x, s)[1].sum()), 1 << self.scale)
+        prompt = rows.prompt_stages
+        total = (
+            rows.prompt_prefix[bisect.bisect_right(prompt, s)]
+            - rows.prompt_prefix[bisect.bisect_right(prompt, x + 1)]
+            + sum(self._late(rows, x, s, rows.delayed_weights))
+        )
+        return Fraction(total, 1 << self.scale)
 
     def min_at(self, x: int, s: int) -> int | None:
         """The least K_s(w) over x < w <= s, None if no such w is described by stage s."""
-        lengths = self._beyond(x, s)[0]  # lengths only fall: the least new one is the least current
-        return int(lengths.min()) if lengths.size else None
+        if s <= x + 1:
+            return None
+        rows = self._tables()
+        # lengths only fall: the least new one is the least current
+        prompt, lengths = rows.prompt_stages, rows.prompt_lengths
+        lo = bisect.bisect_right(prompt, x + 1)
+        hi = bisect.bisect_right(prompt, s, lo)
+        first, last = -(-lo // _BLOCK), hi // _BLOCK  # the whole blocks inside [lo, hi)
+        if first < last:
+            window = lengths[lo : first * _BLOCK] + lengths[last * _BLOCK : hi]
+            window += rows.prompt_minima[first:last]
+        else:
+            window = lengths[lo:hi]
+        window.extend(self._late(rows, x, s, rows.delayed_lengths))
+        return min(window, default=None)
 
     def copy(self) -> KIndex:
         """An index of the same descriptions that no cursor has walked.
@@ -108,14 +170,14 @@ class KIndex:
         It shares the per-target lists, which ``add`` replaces and never
         mutates, and has its own event list, so ``add`` on either index
         leaves the other unchanged; and frontier 0, so it accepts a
-        description at any stage.  Built columns are shared too: ``add``
-        drops them and never mutates them.
+        description at any stage.  Built query tables are shared too:
+        ``add`` drops them and never mutates them.
         """
         twin = KIndex()
         twin._by_target = dict(self._by_target)
         twin.events = self.events[:]
         twin.scale = self.scale
-        twin._columns = self._columns
+        twin._rows = self._rows
         return twin
 
     def add(self, w: int, length: int, stage: int) -> None:
@@ -130,7 +192,7 @@ class KIndex:
             raise ValueError("a description must take effect beyond every cursor")
         bisect.insort(self.events, (stage, w, length))
         self.scale = max(self.scale, length)
-        self._columns = None
+        self._rows = None
         stages, lengths = self._by_target.get(w, ([], []))
         i = bisect.bisect_right(stages, stage)
         self._by_target[w] = (

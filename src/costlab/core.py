@@ -38,8 +38,8 @@ class CostFn:
     """A stage-evaluable cost function c(x, s) with exact rational values.
 
     Evaluators must be pure and deterministic; ``eval_fn`` is the one
-    evaluator and every call goes through it.  Every stage is a natural:
-    the public calls raise on a negative x.  ``bulk`` and ``stage_scan`` are
+    evaluator and every call ``c(x, s)`` goes through it.  Every stage is a
+    natural: a call raises on a negative x.  ``bulk`` and ``stage_scan`` are
     unused, always None, and kept only because the benchmark's tracer reads
     them.
     """
@@ -73,17 +73,6 @@ class CostFn:
 
     def __call__(self, x: int, s: int) -> Fraction:
         return self._checked(x, s)
-
-    def values(self, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-        """Evaluate many (x, s) pairs with s nondecreasing."""
-        return [self._checked(x, s) for x, s in pairs]
-
-    def scan(self, x: int, s_from: int) -> Iterable[tuple[int, Fraction]]:
-        """Yield (s, c(x, s)) for s = s_from .. horizon."""
-        if x < 0:
-            raise ValueError("stage must be a natural")
-        for s in range(s_from, self.horizon + 1):
-            yield s, self._checked(x, s)
 
 
 def cost_fn(
@@ -299,14 +288,10 @@ def cost_of_trace(c: CostFn, a: ApproximationTrace) -> CostLedger:
     """Exact total cost of all changes, charged at the least changed position."""
     if a.horizon > c.horizon:
         raise ValueError("trace horizon exceeds the cost function's horizon")
-    queries = []
-    for s, xs in sorted(a.change_stages().items()):
-        x = xs[0]
-        if x < s:
-            queries.append((x, s))
-    amounts = c.values(queries)
-    charges = tuple((s, x, v) for (x, s), v in zip(queries, amounts))
-    return CostLedger(charges, sum(amounts, ZERO))
+    charges = tuple(
+        (s, xs[0], c(xs[0], s)) for s, xs in sorted(a.change_stages().items()) if xs[0] < s
+    )
+    return CostLedger(charges, sum((v for _s, _x, v in charges), ZERO))
 
 
 def obeys_at_horizon(c: CostFn, a: ApproximationTrace, bound: Fraction) -> bool:
@@ -360,7 +345,7 @@ def check_proper(c: CostFn, X: int) -> ProperReport:
         raise ValueError("properness is defined for main-monotone cost functions")
     out: dict[int, int | None] = {}
     for x in range(X + 1):
-        out[x] = next((t for t, v in c.scan(x, 0) if v > 0), None)
+        out[x] = next((t for t in range(c.horizon + 1) if c(x, t) > 0), None)
     return ProperReport(out)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .complexity import KIndex
 from .errors import WeightOverflow
@@ -174,8 +174,7 @@ class BaselineConfig:
         return pow2(self.main_offset) + pow2(self.shortcut_offset)
 
 
-@dataclass(frozen=True)
-class _Grant:
+class _Grant(NamedTuple):
     """One honored description: measured at omega_stage, usable from k_stage."""
 
     length: int

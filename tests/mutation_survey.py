@@ -1,0 +1,147 @@
+"""Mutation survey: does the test suite see a deliberately broken program?
+
+Each mutant is (file, old text, new text, test files).  For each one the
+survey copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
+directory, replaces the one occurrence of the old text in the copy, runs
+the named test files there with pytest and prints ``killed`` when they
+fail or ``survived`` when they pass.  An unmutated control run comes
+first, since a kill means nothing when the tests fail anyway.  pytest does
+not collect this file, and CI does not run it.
+
+Run from the root of a checkout:
+
+    python3 tests/mutation_survey.py          # every mutant
+    python3 tests/mutation_survey.py 2 5      # the mutants at these positions
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    note: str = ""
+
+
+MUTANTS = [
+    Mutant(
+        "src/costlab/machine.py",
+        "for a, b in zip(ordered, ordered[1:]):",
+        "for a, b in zip(ordered, ordered[1:-1]):",
+        ("tests/test_machine.py",),
+        "check_prefix_free skips the last sorted pair",
+    ),
+    Mutant(
+        "src/costlab/core.py",
+        "if s < S and rows[x][s] > rows[x][s + 1]:",
+        "if False:",
+        ("tests/test_core.py",),
+        "check_monotone's stage axis never reports",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "if stage == w + 1:",
+        "if stage >= w + 1:",
+        ("tests/test_complexity.py",),
+        "every improvement row taken for a prompt row",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "- rows.prompt_prefix[bisect.bisect_right(prompt, x + 1)]",
+        "- rows.prompt_prefix[bisect.bisect_right(prompt, x + 2)]",
+        ("tests/test_complexity.py",),
+        "sum_at's prompt window starts one stage late",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "lo = bisect.bisect_right(prompt, x + 1)\n        hi",
+        "lo = bisect.bisect_right(prompt, x + 2)\n        hi",
+        ("tests/test_complexity.py",),
+        "min_at's prompt window starts one stage late",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "                if old is not None and new >= old:\n                    continue\n",
+        "",
+        ("tests/test_complexity.py",),
+        "the tables keep events that improve nothing",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "first, last = -(-lo // _BLOCK), hi // _BLOCK",
+        "first, last = lo // _BLOCK, hi // _BLOCK",
+        ("tests/test_complexity.py",),
+        "min_at reads the block that holds the window's first row whole",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "window += rows.prompt_minima[first:last]",
+        "window += []",
+        ("tests/test_complexity.py",),
+        "min_at leaves out the whole blocks",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "lo = bisect.bisect_right(rows.delayed_stages, x + 1)",
+        "lo = bisect.bisect_right(rows.delayed_stages, x + 2)",
+        ("tests/test_complexity.py",),
+        "equivalent: a delayed row made at stage x + 2 has its target at or below x",
+    ),
+]
+
+
+def run_tests(copy: Path, tests: tuple[str, ...]) -> bool:
+    """Whether the named test files pass in the copy."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy,
+        env={**os.environ, "PYTHONPATH": str(copy / "src")},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return done.returncode == 0
+
+
+def survey(mutant: Mutant | None, tests: tuple[str, ...]) -> str:
+    """killed, survived or stale (the old text is not found exactly once)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if mutant is not None:
+            path = copy / mutant.file
+            text = path.read_text()
+            if text.count(mutant.old) != 1:
+                return "stale"
+            path.write_text(text.replace(mutant.old, mutant.new))
+        return "survived" if run_tests(copy, tests) else "killed"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(a) for a in argv] or range(len(MUTANTS))
+    files = tuple(sorted({t for i in chosen for t in MUTANTS[i].tests}))
+    if survey(None, files) != "survived":
+        print("control: the unmutated tests fail; no verdict")
+        return 1
+    for i in chosen:
+        m = MUTANTS[i]
+        print(f"{i}\t{survey(m, m.tests)}\t{m.file}\t{m.note}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

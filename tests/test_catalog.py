@@ -48,14 +48,13 @@ def test_cost_k_single_description():
     assert ck(5, 9) == 0
 
 
-def test_cost_k_bulk_and_scan_match_pointwise():
+def test_cost_k_matches_sums_of_k():
     p = baseline_provider(48)
     ck = cost_k(p)
-    pairs = [(0, 3), (2, 7), (2, 20), (5, 33), (0, 48), (47, 48)]
-    assert ck.values(pairs) == [ck(x, s) for x, s in pairs]
-    for x in (0, 3, 11):
-        for s, v in ck.scan(x, 0):
-            assert v == ck(x, s)
+    for x in (0, 2, 3, 5, 11, 47):
+        for s in range(49):
+            ks = [p.k(w, s) for w in range(x + 1, s + 1)]
+            assert ck(x, s) == sum((pow2(n) for n in ks if n is not None), ZERO)
 
 
 def test_cost_k_below_cost_omega_exhaustive_small():

@@ -1,5 +1,7 @@
 """The K_s index against a brute-force reference read straight from the grants."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -65,6 +67,16 @@ def providers(draw, top=45):
 
 @settings(max_examples=60, deadline=None)
 @given(providers(), st.randoms(use_true_random=False))
+# every row delayed: ten targets each described twelve stages after its own,
+# a small copy of the late schedule in domination_grid_report's docstring
+@example(
+    provider_from_requests(request_set([(25, w, w + 12) for w in range(10)]), 0, 24),
+    random.Random(0),
+)
+# a delayed row (stage 7) improves w = 3, which has a prompt row at stage 4
+@example(register_requests(baseline_provider(12), request_set([(1, 3, 6)]), 0), random.Random(1))
+# requested at stage 0, w = 5 is clamped to a prompt row at stage 6
+@example(provider_from_requests(request_set([(3, 5, 0)]), 0, 8), random.Random(2))
 def test_provider_queries_match_reference(p, rnd):
     desc = grant_descriptions(p)
     S = p.horizon
@@ -84,12 +96,11 @@ def test_provider_queries_match_reference(p, rnd):
     pairs = sorted(
         ((rnd.randint(0, S + 2), rnd.randint(0, S + 2)) for _ in range(40)), key=lambda q: q[1]
     )
-    assert ck.values(pairs) == [sum_ref(at(s), x) for x, s in pairs]
+    assert [ck(x, s) for x, s in pairs] == [sum_ref(at(s), x) for x, s in pairs]
     for x in (0, S // 2, S - 1, S + 1):
         for s_from in (0, x + 1, S):
-            assert list(ck.scan(x, s_from)) == [
-                (s, sum_ref(at(s), x)) for s in range(s_from, S + 1)
-            ]
+            stages = range(s_from, S + 1)
+            assert [ck(x, s) for s in stages] == [sum_ref(at(s), x) for s in stages]
 
 
 def fraction_domination_reference(p):
@@ -328,7 +339,7 @@ def test_index_and_cursor_match_reference(desc, ops):
             }
             assert set(first_old) == {w for w in after if before.get(w) != after[w]}
         table = k_table(desc, cursor.stage)
-        for x in range(-1, cursor.stage + 2):  # the columns follow every add
+        for x in range(-1, cursor.stage + 2):  # the tables follow every add
             assert index.sum_at(x, cursor.stage) == sum_ref(table, x)
             assert index.min_at(x, cursor.stage) == min_ref(table, x)
         if any(max(t, w + 1) > cursor.stage for w, _n, t in added):
@@ -353,8 +364,22 @@ def test_sums_stay_exact_where_the_scale_fits_int64_but_the_sum_does_not():
     assert index.sum_at(-1, 5) == 4 + pow2(62)
     assert index.sum_at(2, 5) == 1 + pow2(62)
     assert index.min_at(-1, 5) == 0 and index.min_at(3, 5) == 62 and index.min_at(4, 5) is None
-    index.add(9, 1, 10)  # appending drops the columns, which are rebuilt on the next query
+    index.add(9, 1, 10)  # appending drops the tables, which are rebuilt on the next query
     assert index.sum_at(-1, 10) == 4 + pow2(1) + pow2(62)
+
+
+def test_sums_and_minima_over_whole_blocks_match_reference():
+    # windows of up to 300 prompt rows span whole blocks of min_at's block
+    # minima; w = 200 gets a short prompt row inside a block, w = 90 a
+    # delayed one, and baseline lengths alone never fall in w
+    rs = request_set([(9, 90, 120), (4, 200, 150)])
+    p = register_requests(baseline_provider(300), rs, 0)
+    desc = grant_descriptions(p)
+    for s in range(0, 301, 5):
+        table = k_table(desc, s)
+        for x in range(0, s + 1, 3):
+            assert p.index.sum_at(x, s) == sum_ref(table, x)
+            assert p.index.min_at(x, s) == min_ref(table, x)
 
 
 def test_add_must_lie_beyond_every_cursor_and_may_change_nothing():
@@ -373,6 +398,7 @@ def test_add_must_lie_beyond_every_cursor_and_may_change_nothing():
     assert Cursor(index).advance(20) == [(3, None, 5), (2, None, 1)]
     assert cursor.advance(20) == [(2, None, 1)]
     assert index.k(3, 20) == 5
+    assert index.sum_at(0, 20) == pow2(5) + pow2(1) and index.min_at(2, 20) == 5
 
 
 def test_horizon_conventions():
@@ -387,5 +413,4 @@ def test_horizon_conventions():
         assert cm(0, s) == pow2(2)
     assert cost_omega(p)(0, 100) == pow2(2)
     assert ck(6, 100) == ZERO  # nothing beyond x = horizon counts
-    assert ck.values([(0, 100)]) == [pow2(2)]
-    assert list(ck.scan(0, 5)) == [(5, pow2(2)), (6, pow2(2))]
+    assert [ck(0, s) for s in (5, 6)] == [pow2(2), pow2(2)]

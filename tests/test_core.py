@@ -97,6 +97,19 @@ def test_check_monotone_geometric_passes():
     assert report.ok and report.checked == 25 * 25
 
 
+def test_check_monotone_reports_a_single_fall_in_s():
+    # c falls by 4/64 a step in x and rises by 1/64 a step in s, except at
+    # (2, 4), set 2/64 low: below c(2, 3) and still above c(3, 4)
+    def ev(x, s):
+        if x > s:
+            return ZERO
+        return Fraction(4 * (7 - x) + s - (2 if (x, s) == (2, 4) else 0), 64)
+
+    report = check_monotone(cost_fn("one-fall", 6, ev), 6, 6)
+    assert report.stage_violations == ((2, 3),)
+    assert report.main_violations == () and report.diagonal_violations == ()
+
+
 def test_check_monotone_complexity_sum_passes():
     from costlab.catalog import cost_k
 
@@ -171,7 +184,7 @@ def test_benign_chain_matches_scanning_greedy():
         chain = [0]
         while True:
             x = chain[-1]
-            nxt = next((s for s, v in c.scan(x, x + 1) if s <= S and v >= pow2(n)), None)
+            nxt = next((s for s in range(x + 1, S + 1) if c(x, s) >= pow2(n)), None)
             if nxt is None:
                 return tuple(chain)
             chain.append(nxt)

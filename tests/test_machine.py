@@ -71,6 +71,11 @@ def test_machine_three_requests_prefix_free():
     assert check_prefix_free_pairwise(m.domain()) == []
 
 
+def test_prefix_conflict_that_sorts_last_is_found():
+    domain = ["111101", "0", "110", "10", "11110", "1110"]
+    assert check_prefix_free(domain) == [("11110", "111101")]
+
+
 def test_machine_coding_constant_offsets_lengths():
     rs = request_set([(1, 0, 0), (3, 1, 1), (2, 2, 2)])
     m = kc_machine(rs, 3)
