@@ -11,14 +11,14 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Callable, Sequence
 
 from .complexity import Cursor, KIndex, weight_change
 from .core import ApproximationTrace, CostFn, additive_cost, cost_fn, limit_estimate
 from .errors import NonAdditive
 from .machine import KProvider, RequestSet, request_set
-from .util import ZERO, least_length, pow2
+from .util import ZERO, least_length, object_runs, pow2
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,10 @@ class LeftCEReal:
     cap: Fraction = Fraction(1)
 
     def __post_init__(self):
-        # one comparison per stage: the first value against 0, each later one
-        # against its predecessor; the first drop is negative or a decrease
-        for prev, v in zip((ZERO, *self.seq), self.seq):
+        # once per run of one object, which equals itself: the first value against 0, each
+        # later one against its predecessor; the first drop is negative or a decrease
+        values = [v for v, _n in object_runs(self.seq)]
+        for prev, v in zip((ZERO, *values), values):
             if v < prev:
                 kind = "nonnegative" if v < 0 else "nondecreasing"
                 raise ValueError(f"left-c.e. approximations are {kind}")
@@ -75,12 +76,12 @@ def cost_omega(p: KProvider) -> CostFn:
 
 def additive_from_real(b: LeftCEReal) -> CostFn:
     """The additive cost function c(x, s) = b(s) - b(x) of a left-c.e. real."""
-    # integer numerators over one common denominator: exact for every rational real
-    den = math.lcm(*(v.denominator for v in b.seq))
+    # integer numerators over one common denominator, scaled once per run of one object
+    runs = object_runs(b.seq)
+    den = math.lcm(*(v.denominator for v, _n in runs))
     strictly = all(b.seq[i] < b.seq[i + 1] for i in range(len(b.seq) - 1))
-    return additive_cost(
-        "additive", (v.numerator * (den // v.denominator) for v in b.seq), den, proper=strictly
-    )
+    units = (repeat(v.numerator * (den // v.denominator), n) for v, n in runs)
+    return additive_cost("additive", chain.from_iterable(units), den, proper=strictly)
 
 
 def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:

@@ -420,6 +420,12 @@ class CompleteModelResult:
     requirement_actions: tuple[tuple[int, int], ...]  # (stage, k)
 
 
+def _failing_markers(markers: dict[int, int], beta: list[int], s: int, K_max: int) -> list[int]:
+    """The k whose marker m sees bumps over 2^-k in (m, s], beta in units of 2^-K_max."""
+    b_s = beta[s]
+    return [kk for kk, m in markers.items() if b_s - beta[m if m < s else s] > 1 << (K_max - kk)]
+
+
 def build_complete_model(
     halting: EnumerationTrace,
     phis: dict[int, int],
@@ -432,6 +438,13 @@ def build_complete_model(
     fresh positions; the stage invariant keeps every marker enumeration
     affordable, for a total cost of at most 4, and the axiom log decodes the
     halting set exactly.
+
+    The invariant bounds the bumps in (m, s] beyond marker k's position m by
+    2^-k.  No consistent input breaks it: a bump 2^-j with j <= k moves marker
+    k past the bump's stage, and each j > k bumps once, so the bumps beyond k
+    total less than 2^-k.  The failing markers are found where beta bumps or a
+    marker moves and carried over the stages between; only the axioms that
+    an enumeration killed are issued again.
     """
     if halting.horizon > S:
         raise ValueError("halting-set horizon exceeds the run horizon")
@@ -457,18 +470,18 @@ def build_complete_model(
     marker_log: list[tuple[int, int, int, int]] = []
     actions: list[tuple[int, int]] = []
     axiom_log: list[tuple[int, int, frozenset[int], int]] = []  # (k, use, snap, value)
-    live_axiom: dict[int, tuple[int, int] | None] = {kk: None for kk in range(K_max + 1)}
+    axiom_use = [0] * (K_max + 1)  # use of each k's live axiom
+    killed = set(range(K_max + 1))  # k whose axiom is issued at this stage
     halting_so_far: set[int] = set()
     violations: list[tuple[int, int]] = []
+    failing: list[int] = []
 
     def enumerate_element(x: int, s: int) -> None:
         if x in in_a:
             return
         in_a.add(x)
         events.append((s, x, 1))
-        for kk, ax in live_axiom.items():
-            if ax is not None and x < ax[0]:
-                live_axiom[kk] = None
+        killed.update(kk for kk, use in enumerate(axiom_use) if x < use)
 
     for s in range(1, S + 1):
         beta_units.append(beta_units[-1] + pending_bump)
@@ -491,25 +504,21 @@ def build_complete_model(
             if n <= K_max:
                 enumerate_element(markers[n], s)
 
-        for kk in range(K_max + 1):
-            if live_axiom[kk] is None:
-                use = markers[kk] + 1
+        if killed:
+            for kk in sorted(killed):
+                use = axiom_use[kk] = markers[kk] + 1
                 val = 1 if kk in halting_so_far else 0
-                axiom_log.append(
-                    (kk, use, frozenset(x for x in in_a if x < use), val)
-                )
-                live_axiom[kk] = (use, val)
+                axiom_log.append((kk, use, frozenset(x for x in in_a if x < use), val))
+            killed.clear()
 
-        b_s = beta_units[s]
-        for kk, m in markers.items():
-            if b_s - beta_units[m if m < s else s] > 1 << (K_max - kk):
-                violations.append((s, kk))
+        if k_conv is not None or beta_units[s] != beta_units[s - 1]:
+            failing = _failing_markers(markers, beta_units, s, K_max)
+        if failing:
+            violations.extend((s, kk) for kk in failing)
 
-    as_fraction: dict[int, Fraction] = {}  # beta changes at few stages
-    for v in beta_units:
-        if v not in as_fraction:
-            as_fraction[v] = Fraction(v, 1 << K_max)
-    beta_steps = tuple(as_fraction[v] for v in beta_units)
+    # beta changes at few stages: one Fraction object per value
+    as_fraction = {v: Fraction(v, 1 << K_max) for v in set(beta_units)}
+    beta_steps = tuple(map(as_fraction.__getitem__, beta_units))
     beta = LeftCEReal(beta_steps, cap=beta_steps[-1] + 1)
     trace = EnumerationTrace(S, sorted(events, key=lambda e: e[0]))
     total = cost_of_trace(additive_from_real(beta), trace).total

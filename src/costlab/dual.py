@@ -114,7 +114,7 @@ def hat_sup(c: TotalCostFunctional, d: EnumerationTrace, x: int) -> Fraction:
     return Fraction(best, c.den)
 
 
-@dataclass
+@dataclass(slots=True)
 class Wish:
     """A request, with use u + 1, that the decoded value at x reach alpha."""
 
@@ -173,14 +173,6 @@ def sensitive_phi(e: int, probe: int) -> PhiMock:
         return frozenset()
 
     return PhiMock(f"sensitive-{e}-{probe}", rule, support)
-
-
-@dataclass
-class _Active:
-    e: int
-    v: int
-    x: int
-    stage: int
 
 
 @dataclass(frozen=True)
@@ -263,13 +255,20 @@ def dual_construct(
     activation takeover is limited to weaker requirements so that each
     requirement's held total stays within its geometric budget.
 
+    An unheld wish is stale once an entrant n <= x enters after its birth.
+    A stage removes exactly the unheld wishes at x >= its entrant n: e holds
+    wishes at x >= v_e only and only an entrant n < v_e cancels e, so the
+    wishes a cancellation releases go at that stage, and an unheld wish that
+    survives lies below every entrant since its birth.
+
     Prices, the caps 1/(2*3^e) and 1/3^e, takeover sums and held totals are
-    ints over L = lcm(den, 2*3^(E-1)); a ``Fraction`` is built only for a
-    wish's alpha and the held history.  D does not change while requirements
-    activate, so each position is priced at most once per stage.  A
-    requirement's witness x grows with its guess v and agreement with F holds
-    on a prefix of x (see ``PhiMock``), so its scan stops at the first guess
-    that disagrees.
+    ints over L = lcm(den, 2*3^(E-1)); a ``Fraction`` is built once per
+    distinct alpha and per change of a held total.  Held wishes are never
+    removed, so a held total, kept per holder, changes only at activations.
+    D does not change while requirements activate, so each position is
+    priced at most once per stage.  A requirement's witness x grows with its
+    guess v and agreement with F holds on a prefix of x (see ``PhiMock``), so
+    its scan stops at the first guess that disagrees.
     """
     E = len(phis)
     L = math.lcm(c.den, 2 * 3 ** max(E - 1, 0))
@@ -285,65 +284,51 @@ def dual_construct(
     halting: set[int] = set()
     halting_sorted: list[int] = []
     halting_entries: list[tuple[int, int]] = []
-    entry_stages: list[int] = []
-    # entry_suffix_min[i]: least entrant at the i-th entry stage or later
-    entry_suffix_min: list[int] = []
+    alphas: dict[int, Fraction] = {}  # units -> alpha
     f_sorted: list[int] = []
     value_cap = [L // (2 * 3**e) for e in range(E)]
     held_cap = [L // 3**e for e in range(E)]
-    active: dict[int, _Active] = {}
+    active: dict[int, int] = {}  # requirement -> its guess v
+    # per active requirement: x -> its largest held price, and their sum as a Fraction
+    held: dict[int, dict[int, int]] = {}
+    held_total: dict[int, Fraction] = {}
     activations: list[tuple[int, int, int, int]] = []
     cancellations: list[tuple[int, int, int, int]] = []
     held_history: list[tuple[int, int, Fraction]] = []
-    ever_activated: set[int] = set()
-    visited: list[int] = []
     high_water = max(0, E, *zp)
 
     def d_bit(i: int) -> int:
         return 1 if i in d_members else 0
 
-    def halting_changed_below(born: int, x: int) -> bool:
-        """Whether an entrant <= x entered after stage born (up to now)."""
-        i = bisect.bisect_right(entry_stages, born)
-        return i < len(entry_suffix_min) and entry_suffix_min[i] <= x
-
-    stage = 1
-    zp_idx = 0
-    while stage <= S and zp_idx < len(zp):
-        s = stage
-        visited.append(s)
-        n = zp[zp_idx]
-        zp_idx += 1
+    s = 1
+    for n in zp:
+        if s > S:
+            break
         if n in halting:
             raise ValueError("halting-set entrants must be distinct")
         halting.add(n)
         bisect.insort(halting_sorted, n)
         halting_entries.append((s, n))
-        entry_stages.append(s)
-        i = len(entry_suffix_min)
-        while i > 0 and entry_suffix_min[i - 1] > n:
-            i -= 1
-            entry_suffix_min[i] = n
-        entry_suffix_min.append(n)
         high_water = max(high_water, s, n)
 
         # 1. cancel requirements whose guess was overtaken
-        for e in sorted(active):
-            rec = active[e]
-            if rec.v > n:
-                cancellations.append((s, e, rec.v, n))
+        for e, v in sorted(active.items()):
+            if v > n:
+                cancellations.append((s, e, v, n))
                 for ws in live_by_x.values():  # held wishes are never removed
                     for _price, w in ws:
                         if w.holder == e:
                             w.holder = None
-                del active[e]
+                del active[e], held[e], held_total[e]
 
-        # 2. remove stale unheld wishes, entering their removal keys into D
+        # 2. remove the unheld wishes at x >= n, entering their removal keys into D
         for x, ws in live_by_x.items():
+            if x < n:
+                continue
             kept = []
             for pair in ws:
                 w = pair[1]
-                if w.holder is None and halting_changed_below(w.born, x):
+                if w.holder is None:
                     w.removed = s
                     key = w.u - 1
                     if key not in d_members:
@@ -366,7 +351,8 @@ def dual_construct(
                 continue
             u = high_water + 2
             high_water = u
-            w = Wish(x, Fraction(units, c.den), u, s, use)
+            alpha = alphas.get(units) or alphas.setdefault(units, Fraction(units, c.den))
+            w = Wish(x, alpha, u, s, use)
             wishes.append(w)
             live_by_x.setdefault(x, []).append((price, w))
 
@@ -374,9 +360,7 @@ def dual_construct(
         for e in range(E):
             if e in active:
                 continue
-            floor = max(
-                (rec.v for i, rec in active.items() if i < e), default=-1
-            )
+            floor = max((v for i, v in active.items() if i < e), default=-1)
             chosen = None
             for v in range(max(e, floor + 1), n + 1):
                 v_price = priced.get(v)
@@ -400,14 +384,19 @@ def dual_construct(
                     per_x[w.x] = max(per_x.get(w.x, 0), price)
                 if sum(per_x.values()) > held_cap[e]:
                     continue
-                chosen = (v, x, takeover)
+                chosen = (v, x, takeover, per_x)
                 break
             if chosen is not None:
-                v, x, takeover = chosen
+                v, x, takeover, per_x = chosen
                 for _price, w in takeover:
                     w.holder = e
-                active[e] = _Active(e, v, x, s)
-                ever_activated.add(e)
+                for i, px in held.items():  # weaker holders lose their wishes at x >= v
+                    if i > e and any(y >= v for y in px):
+                        px = held[i] = {y: p for y, p in px.items() if y < v}
+                        held_total[i] = Fraction(sum(px.values()), L)
+                held[e] = per_x
+                held_total[e] = Fraction(sum(per_x.values()), L)
+                active[e] = v
                 activations.append((s, e, v, x))
                 if x not in f_members:
                     f_members.add(x)
@@ -415,27 +404,21 @@ def dual_construct(
                     f_events.append((s, x, 1))
                 high_water = max(high_water, x, v)
 
-        # each active requirement's held total: per x, its largest held wish
-        held: dict[int, dict[int, int]] = {e: {} for e in active}
-        for x, ws in live_by_x.items():
-            for price, w in ws:
-                if w.holder is not None:
-                    held[w.holder][x] = max(held[w.holder].get(x, 0), price)
         for e in sorted(active):
-            held_history.append((s, e, Fraction(sum(held[e].values()), L)))
+            held_history.append((s, e, held_total[e]))
 
-        stage = high_water + 1
-        high_water = stage
+        s = high_water = high_water + 1
 
     d_trace = EnumerationTrace(S, sorted(d_events, key=lambda ev: ev[0]))
     f_trace = EnumerationTrace(S, sorted(f_events, key=lambda ev: ev[0]))
-    starved = tuple(e for e in range(E) if e not in ever_activated)
+    activated = {e for _s, e, _v, _x in activations}
+    starved = tuple(e for e in range(E) if e not in activated)
     return DualState(
         S,
         d_trace,
         f_trace,
         tuple(wishes),
-        tuple(visited),
+        tuple(s for s, _n in halting_entries),
         tuple(halting_entries),
         tuple(activations),
         tuple(cancellations),

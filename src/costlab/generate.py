@@ -269,20 +269,20 @@ def dual_inputs_scripted(
     requirements: int,
     S: int,
     support: int = 24,
-    passes: int = 6,
 ):
     """Dual inputs whose functionals are scripted to chase activations.
 
     Starting from blank functionals, the run's auxiliary set is recorded and
-    fed back as the next pass's scripts until the activation count stabilizes;
-    the final scripts are honest fixed tables that happen to agree with the
-    construction long enough to get diagonalized.
+    fed back as the next pass's scripts until the activation count stabilizes,
+    for at most max(6, requirements + 1) passes; the final scripts are honest
+    fixed tables that happen to agree with the construction long enough to
+    get diagonalized.
     """
-    from .dual import dual_construct
+    from .dual import dual_construct  # looked up per call, so a traced run sees the passes
 
     order, _phis, c = dual_inputs(rng, entrants, requirements, support)
     scripts: list[frozenset[int]] = [frozenset() for _ in range(requirements)]
-    for _ in range(max(passes, requirements + 1)):
+    for _ in range(max(6, requirements + 1)):
         phis = [scripted_phi(e, scripts[e]) for e in range(requirements)]
         st = dual_construct(c, order, phis, S)
         if not st.starved:

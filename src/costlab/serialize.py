@@ -14,6 +14,7 @@ from .catalog import LeftCEReal
 from .core import ApproximationTrace, CostLedger, EnumerationTrace
 from .errors import ParseError
 from .machine import RequestSet, request_set
+from .util import object_runs
 
 
 def dump_schedule(rs: RequestSet) -> str:
@@ -69,9 +70,9 @@ def load_trace(text: str, enumeration: bool = False) -> ApproximationTrace:
 
 
 def dump_real(b: LeftCEReal) -> str:
-    return "".join(
-        f"{s} {v.numerator} {v.denominator}\n" for s, v in enumerate(b.seq)
-    )
+    # one value text per run of one object
+    texts = (t for v, n in object_runs(b.seq) for t in [f" {v.numerator} {v.denominator}\n"] * n)
+    return "".join(f"{s}{t}" for s, t in enumerate(texts))
 
 
 def load_real(text: str, cap: Fraction = Fraction(1)) -> LeftCEReal:

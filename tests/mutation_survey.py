@@ -99,6 +99,55 @@ MUTANTS = [
         ("tests/test_complexity.py",),
         "equivalent: a delayed row made at stage x + 2 has its target at or below x",
     ),
+    Mutant(
+        "src/costlab/dual.py",
+        "total <= Fraction(1, 3**e) for _s, e, total in st.held_history",
+        "total <= Fraction(2, 3**e) for _s, e, total in st.held_history",
+        ("tests/test_dual.py",),
+        "audit_dual's held cap 1/3^e doubled",
+    ),
+    Mutant(
+        "src/costlab/dual.py",
+        "total <= Fraction(3, 2), justified",
+        "total <= Fraction(2), justified",
+        ("tests/test_dual.py",),
+        "audit_dual's halting-cost bound 3/2 raised to 2",
+    ),
+    Mutant(
+        "src/costlab/dual.py",
+        "            if x < n:\n                continue",
+        "            if x <= n:\n                continue",
+        ("tests/test_stage_loop_references.py",),
+        "stale removal keeps the unheld wishes at x = n",
+    ),
+    Mutant(
+        "src/costlab/dual.py",
+        "if i > e and any(y >= v for y in px):",
+        "if False:",
+        ("tests/test_stage_loop_references.py",),
+        "a stronger takeover leaves the weaker holders' held totals as they were",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "if k_conv is not None or beta_units[s] != beta_units[s - 1]:",
+        "if k_conv is not None:",
+        ("tests/test_stage_loop_references.py",),
+        "the failing markers found at action stages only",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "            killed.clear()\n",
+        "",
+        ("tests/test_stage_loop_references.py", "tests/test_constructions.py"),
+        "equivalent: a live axiom issued again repeats its use, snapshot and value",
+    ),
+    Mutant(
+        "src/costlab/util.py",
+        "groupby(seq, id)",
+        "groupby(seq, lambda v: v.denominator)",
+        ("tests/test_catalog.py",),
+        "runs keyed by denominator: a decrease within one denominator is skipped",
+    ),
 ]
 
 

@@ -31,6 +31,7 @@ from costlab.machine import (
     register_requests,
     request_set,
 )
+from costlab.serialize import dump_real
 from costlab.util import ZERO, cantor_pair, cantor_unpair, least_length, pow2
 
 
@@ -399,3 +400,29 @@ def test_left_ce_validation_matches_reference(seq, cap):
             LeftCEReal(seq, cap)
         assert str(exc.value) == want
 
+
+
+# runs of one object, as the complete model's beta holds one Fraction per
+# value; 1/2 twice, as two objects
+_POOL = tuple(map(Fraction, ("-1/3", "0", "1/6", "1/4", "1/2", "1/2", "2/3", "1", "3/2")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_POOL), min_size=1, max_size=14), st.booleans())
+def test_real_of_repeated_objects_matches_reference(seq, ordered):
+    # each run is checked, scaled and printed once: every pair, unit and line
+    # must still match the per-stage forms
+    seq = tuple(sorted(seq) if ordered else seq)
+    want = left_ce_check_reference(seq, Fraction(2))
+    if want is not None:
+        with pytest.raises(ValueError) as exc:
+            LeftCEReal(seq, Fraction(2))
+        assert str(exc.value) == want
+        return
+    b = LeftCEReal(seq, Fraction(2))
+    ev = additive_from_real(b).eval_fn
+    for x in range(len(seq)):
+        for s in range(x, len(seq)):
+            assert ev(x, s) == seq[s] - seq[x]
+    lines = [f"{s} {v.numerator} {v.denominator}\n" for s, v in enumerate(seq)]
+    assert dump_real(b) == "".join(lines)

@@ -1,5 +1,6 @@
 """Oracle-relative cost machinery and the dual construction."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from costlab.core import EnumerationTrace
 from costlab.dual import (
     CostFunctional,
     TotalCostFunctional,
+    Wish,
     audit_diagonalization,
     audit_dual,
     dual_construct,
@@ -205,3 +207,39 @@ def test_dual_activation_count_finite_per_parameter():
         for (e, v), count in per_param.items():
             cancels = sum(1 for _s, ce, cv, _n in st.cancellations if ce == e)
             assert count <= cancels + 1
+
+
+# The audit's verdicts on known-bad states: each bound is met exactly and then
+# missed by one unit.
+
+
+def test_audit_flags_a_held_total_one_unit_over_its_cap():
+    rng = rng_for(0, "dual-test")
+    order, phis, c = dual_inputs_scripted(rng, 24, 4, 8000)
+    st = dual_construct(c, order, phis, 8000)
+    unit = Fraction(1, math.lcm(c.den, 2 * 3 ** (len(phis) - 1)))  # the held totals' scale
+    assert audit_dual(st).held_ok
+    holders = sorted({e for _s, e, _total in st.held_history})
+    assert holders
+    for e in holders:
+        cap = Fraction(1, 3**e)
+        for total, ok in ((cap, True), (cap + unit, False)):
+            bad = dataclasses.replace(st, held_history=((1, e, total),))
+            assert audit_dual(bad).held_ok is ok, (e, total)
+
+
+def test_audit_flags_a_halting_cost_just_above_three_halves():
+    # one wish at x = 0, granted from stage 0 on, read once by the entrant 0 at
+    # stage 5: D enters nothing, so the halting cost is exactly its alpha
+    st, _ = _simple_dual(0)
+    assert audit_dual(st).halting_bound_ok
+    for alpha, ok in ((Fraction(3, 2), True), (Fraction(3, 2) + pow2(60), False)):
+        bad = dataclasses.replace(
+            st,
+            d_trace=EnumerationTrace(st.horizon, []),
+            wishes=(Wish(0, alpha, 1, 0, 0),),
+            halting_entries=((5, 0),),
+        )
+        audit = audit_dual(bad)
+        assert audit.halting_total == alpha
+        assert audit.halting_bound_ok is ok

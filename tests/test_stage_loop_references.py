@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from costlab import constructions
 from costlab.catalog import LeftCEReal, additive_from_real
 from costlab.constructions import (
     CompleteModelResult,
@@ -35,7 +36,6 @@ from costlab.dual import (
     PhiMock,
     TotalCostFunctional,
     Wish,
-    _Active,
     audit_dual,
     blank_phi,
     dual_construct,
@@ -239,7 +239,7 @@ def reference_dual_construct(
     f_events: list[tuple[int, int, int]] = []
     halting: set[int] = set()
     halting_entries: list[tuple[int, int]] = []
-    active: dict[int, _Active] = {}
+    active: dict[int, int] = {}  # requirement -> its guess v
     activations: list[tuple[int, int, int, int]] = []
     cancellations: list[tuple[int, int, int, int]] = []
     held_history: list[tuple[int, int, Fraction]] = []
@@ -284,10 +284,9 @@ def reference_dual_construct(
         high_water = max(high_water, s, n)
 
         # 1. cancel requirements whose guess was overtaken
-        for e in sorted(active):
-            rec = active[e]
-            if rec.v > n:
-                cancellations.append((s, e, rec.v, n))
+        for e, v in sorted(active.items()):
+            if v > n:
+                cancellations.append((s, e, v, n))
                 for w in wishes:
                     if w.holder == e and w.removed is None:
                         w.holder = None
@@ -321,7 +320,7 @@ def reference_dual_construct(
             if e in active:
                 continue
             floor = max(
-                (rec.v for i, rec in active.items() if i < e), default=-1
+                (v for i, v in active.items() if i < e), default=-1
             )
             chosen = None
             for v in range(e, n + 1):
@@ -352,7 +351,7 @@ def reference_dual_construct(
                 v, x, takeover = chosen
                 for w in takeover:
                     w.holder = e
-                active[e] = _Active(e, v, x, s)
+                active[e] = v
                 ever_activated.add(e)
                 activations.append((s, e, v, x))
                 if x not in f_members:
@@ -506,6 +505,38 @@ def test_complete_model_beyond_int64_scale():
     assert got.beta.seq[-1] == pow2(74) + pow2(71) + pow2(2) + pow2(75)
 
 
+def test_complete_model_carries_violations_between_events(monkeypatch):
+    # No consistent input breaks the marker invariant, so a tighter bound
+    # 2^-(k+3) is injected: a bump 2^-j then fails the markers k in {j-2, j-1}
+    # below it from the bump stage until they move.  The engine finds the
+    # failing markers at bump and action stages only; a replay from the
+    # result's beta and marker log checks every (stage, k) with Fractions.
+    def tight(markers, beta, s, K_max):
+        return [kk for kk, m in markers.items() if beta[s] - beta[min(m, s)] > (1 << K_max - kk) >> 3]
+
+    monkeypatch.setattr(constructions, "_failing_markers", tight)
+    S = 400
+    halting, phis = halting_schedule(rng_for(0, "cm"), S, 12)
+    got = build_complete_model(halting, phis, S)
+    K_max = max([*phis, *(kk for _s, kk, _v in halting.events)])
+    markers = list(range(K_max + 1))
+    moves: dict[int, list[tuple[int, int]]] = {}
+    for s, kk, _old, new in got.marker_log:
+        moves.setdefault(s, []).append((kk, new))
+    beta = got.beta.seq
+    want = []
+    for s in range(1, S + 1):
+        for kk, new in moves.get(s, ()):
+            markers[kk] = new
+        for kk, m in enumerate(markers):
+            if beta[s] - beta[min(m, s)] > pow2(kk + 3):
+                want.append((s, kk))
+    assert got.invariant_violations == tuple(want)
+    # some marker fails over a run of stages without an event
+    events = {s for s, _k in got.requirement_actions} | {s + 1 for s, _k in got.requirement_actions}
+    assert any((s + 1, kk) in want and s + 1 not in events for s, kk in want)
+
+
 # ---- dual -----------------------------------------------------------------
 
 
@@ -532,6 +563,74 @@ def test_dual_takeover_at_and_above_the_held_cap():
         second = st.visited_stages[1]
         assert [(s, e, v) for s, e, v, _x in st.activations] == [(second, 0, guess)]
         assert st.held_history[0] == (second, 0, 1 - extra)
+
+
+def _release_case():
+    """One requirement cancelled while it holds wishes.
+
+    Positions 0 and 1 are priced 1, above the value cap 1/2, so the first
+    open guess is 2.  At stage 5 (entrant 2) guess 2 takes over the wishes at
+    x = 2 and 3; at stage 14 the entrant 1 < 2 cancels it, and the released
+    wishes lie above 1, so that same stage removes them.
+    """
+
+    def ev(bit, x, s):
+        if x > 3:
+            return 0, 0
+        return (32 if x < 2 else 1 << (3 - x)), 1
+
+    steep = TotalCostFunctional("steep", ev, 32, support_bound=3)
+    return [0, 2, 1], [blank_phi(0)], steep, 200
+
+
+def test_dual_cancellation_releases_held_wishes_at_its_stage():
+    order, phis, c, S = _release_case()
+    st = dual_construct(c, order, phis, S)
+    assert [(s, e, v) for s, e, v, _x in st.activations] == [(5, 0, 2)]
+    assert st.cancellations == ((14, 0, 2, 1),)
+    assert st.held_history == ((5, 0, Fraction(3, 32)),)  # 1/16 at x = 2 and 1/32 at x = 3
+    taken = [(w.x, w.born, w.removed, w.holder) for w in st.wishes if w.born <= 5 and w.x >= 2]
+    assert taken == [(2, 5, 14, None), (3, 5, 14, None)]
+    _same_dual(st, reference_dual_construct(c, order, phis, S))
+
+
+def _takeover_case():
+    """A stronger requirement takes over part of a weaker holder's wishes.
+
+    Requirement 0 answers 1 everywhere until its probe 29 enters D, so it
+    disagrees with the empty F until then.  Requirement 1 takes guess 1 at
+    stage 9 with the wishes at x = 1..6.  From stage 22 every price rises,
+    and x = 0 and 1 cost 1, above the value cap 1/2.  At stage 37 the
+    entrant 3 removes the new unheld wishes at x >= 3, entering the key 29.
+    Requirement 0 then takes guess 2 with every wish at x >= 2, and
+    requirement 1 keeps only its wish at x = 1.
+    """
+
+    def until_probe(bit, upto):
+        return frozenset() if bit(29) else frozenset(range(upto + 1))
+
+    late = PhiMock("until-0-29", lambda bit, y: (0 if bit(29) else 1, 30), until_probe)
+
+    def ev(bit, x, s):
+        if x > 6:
+            return 0, 0
+        if x < 2 and s >= 22:
+            return 256, 1
+        return 1 << (6 - x + (s >= 22)), 1
+
+    rising = TotalCostFunctional("rising", ev, 256, support_bound=6)
+    return [0, 5, 6, 3, 4], [late, blank_phi(1)], rising, 500
+
+
+def test_dual_stronger_activation_takes_over_a_weaker_holders_wishes():
+    order, phis, c, S = _takeover_case()
+    st = dual_construct(c, order, phis, S)
+    assert st.activations == ((9, 1, 1, 19), (37, 0, 2, 13))
+    assert st.cancellations == ()
+    after = {e: total for s, e, total in st.held_history if s == 37}
+    assert after == {0: Fraction(31, 128), 1: Fraction(1, 8)}  # 1 keeps 1/8 at x = 1
+    assert all(total == after[e] for s, e, total in st.held_history if s > 37)
+    _same_dual(st, reference_dual_construct(c, order, phis, S))
 
 
 def _dual_cases():
