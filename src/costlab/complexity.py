@@ -18,8 +18,10 @@ A ``Cursor`` only walks the events forward and returns the
 ``(w, old, new)`` changes it applies, so a caller that holds running sums
 of its own keeps them from those changes.  The separation game plays on a
 ``copy`` of a provider's index and appends descriptions to it with
-``add``; a copy shares the per-target lists and the tables, which are
-replaced and never mutated.
+``add``, which logs each one as an event; a registered provider ``merge``s
+its requests into a copy of its base's index, which keeps only the events
+a fresh build would.  A copy shares the per-target lists and the tables,
+which are replaced and never mutated.
 
 Conventions:
 
@@ -167,11 +169,11 @@ class KIndex:
     def copy(self) -> KIndex:
         """An index of the same descriptions that no cursor has walked.
 
-        It shares the per-target lists, which ``add`` replaces and never
-        mutates, and has its own event list, so ``add`` on either index
+        It shares the per-target lists, which ``add`` and ``merge`` replace
+        and never mutate, and has its own event list, so either on one index
         leaves the other unchanged; and frontier 0, so it accepts a
         description at any stage.  Built query tables are shared too:
-        ``add`` drops them and never mutates them.
+        ``add`` and ``merge`` drop them and never mutate them.
         """
         twin = KIndex()
         twin._by_target = dict(self._by_target)
@@ -179,6 +181,43 @@ class KIndex:
         twin.scale = self.scale
         twin._rows = self._rows
         return twin
+
+    def merge(self, descriptions: Iterable[tuple[int, int, int]]) -> None:
+        """Insert (target w, length, stage) descriptions so that the index
+        equals a fresh build of its own descriptions and these.
+
+        Unlike ``add``, which logs every description, this keeps only
+        improvements: a description that does not improve its target is
+        left out, one that does removes the target's events from its stage
+        on that it leaves improving nothing, and ``scale`` becomes the
+        longest length kept.  Each description costs a few bisects and
+        list splices.  The index must be one that ``add`` has not extended,
+        and the stages must lie beyond every cursor's stage.  The target's
+        lists are replaced, never mutated, since a copy may share them.
+        """
+        events, lost = self.events, -1  # lost: the longest length removed
+        for w, length, stage in descriptions:
+            stage = max(stage, w + 1)
+            if stage <= self.frontier:
+                raise ValueError("a description must take effect beyond every cursor")
+            stages, lengths = self._by_target.get(w, ((), ()))
+            i = bisect.bisect_right(stages, stage)
+            if i and lengths[i - 1] <= length:
+                continue
+            lo = hi = bisect.bisect_left(stages, stage, 0, i)
+            while hi < len(stages) and lengths[hi] >= length:
+                del events[bisect.bisect_left(events, (stages[hi], w, lengths[hi]))]
+                lost = max(lost, lengths[hi])
+                hi += 1
+            self._by_target[w] = (
+                [*stages[:lo], stage, *stages[hi:]],
+                [*lengths[:lo], length, *lengths[hi:]],
+            )
+            bisect.insort(events, (stage, w, length))
+            self.scale = max(self.scale, length)
+            self._rows = None
+        if lost == self.scale:  # the longest event may be gone
+            self.scale = max((length for _stage, _w, length in events), default=0)
 
     def add(self, w: int, length: int, stage: int) -> None:
         """Describe w with ``length`` from stage max(stage, w + 1) on.

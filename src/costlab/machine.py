@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
@@ -191,7 +191,14 @@ class KProvider:
     or s lies beyond the horizon; ``index`` holds these values (see
     ``costlab.complexity``).  ``omega(s)`` is the exact domain measure after
     stage s.  Providers are immutable after construction, apart from the
-    index they build once on first use, and safe for concurrent reads.
+    index, which is built once on first use (a registered provider's is
+    derived from its base's), and safe for concurrent reads.
+
+    ``baseline_provider`` memoizes its providers, so its callers share one
+    provider and one index.  The index's only state that changes is the
+    ``frontier`` that cursors move.  ``KIndex.add`` and ``KIndex.merge`` are
+    for a ``copy`` only: the separation game adds to one, and
+    ``register_requests`` merges its requests into one of the base's index.
     """
 
     def __init__(
@@ -251,6 +258,7 @@ class KProvider:
         return kc_machine(self.request_schedule(), 0)
 
 
+@lru_cache(maxsize=8)
 def baseline_provider(S: int, config: BaselineConfig | None = None) -> KProvider:
     """Deterministic baseline schedule up to horizon S.
 
@@ -258,6 +266,10 @@ def baseline_provider(S: int, config: BaselineConfig | None = None) -> KProvider
     main_offset; every power 2**j additionally receives a shortcut of length
     2*floor(log2(j+2)) + shortcut_offset at stage delay(j).  The infinite
     schedule's Kraft mass has the closed form checked below.
+
+    The provider is built once per (S, config) and shared by every caller
+    (the last eight are kept): it is immutable, and so is its index apart
+    from its cursors' frontier (see ``KProvider``).
     """
     if S < 1:
         raise ValueError("horizon must be at least 1")
@@ -278,27 +290,38 @@ def baseline_provider(S: int, config: BaselineConfig | None = None) -> KProvider
     return KProvider(S, grants, cfg.infinite_weight(), cfg)
 
 
+def _request_grants(rs: RequestSet, d: int) -> list[_Grant]:
+    """The grants honoring each request (r, y, t) with length r + d from stage t + 1."""
+    if d < 0:
+        raise ValueError("coding constant must be a natural")
+    return [_Grant(r + d, y, t + 1, max(t + 1, y + 1)) for r, y, t in rs.entries]
+
+
 def register_requests(p: KProvider, rs: RequestSet, d: int) -> KProvider:
     """Provider additionally honoring each request (r, y, t) as K_s(y) <= r + d for s > t.
 
     Requests enumerated at stage t take effect at stage t + 1 with the
     declared coding constant d, so the combined Kraft weight must stay
-    within the unit budget.
+    within the unit budget.  The new provider's index is a copy of p's with
+    the requests merged in, equal to a fresh build of all the grants.
     """
-    if d < 0:
-        raise ValueError("coding constant must be a natural")
+    grants = _request_grants(rs, d)
     added = pow2(d) * rs.weight
     budget = p.budget_used + added
     if budget > 1:
         raise WeightOverflow(
             f"registering weight {added} on top of {p.budget_used} exceeds 1"
         )
-    grants = list(p.grants)
-    for r, y, t in rs.entries:
-        grants.append(_Grant(r + d, y, t + 1, max(t + 1, y + 1)))
-    return KProvider(p.horizon, grants, budget, p.config)
+    index = p.index.copy()
+    index.merge((g.target, g.length, g.k_stage) for g in grants)
+    q = KProvider(p.horizon, [*p.grants, *grants], budget, p.config)
+    q.index = index
+    return q
 
 
 def provider_from_requests(rs: RequestSet, d: int, S: int) -> KProvider:
-    """Provider backed by an explicit schedule only (no baseline)."""
-    return register_requests(KProvider(S, (), ZERO), rs, d)
+    """Provider backed by an explicit schedule only (no baseline).
+
+    With no base index to derive from, its index is built on first use.
+    """
+    return KProvider(S, _request_grants(rs, d), pow2(d) * rs.weight)

@@ -148,6 +148,66 @@ MUTANTS = [
         ("tests/test_catalog.py",),
         "runs keyed by denominator: a decrease within one denominator is skipped",
     ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "if i and lengths[i - 1] <= length:",
+        "if False:",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "merge keeps a description that improves nothing",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "while hi < len(stages) and lengths[hi] >= length:",
+        "while False:",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "merge keeps the later events a new description supersedes",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "if lost == self.scale:",
+        "if False:",
+        ("tests/test_complexity.py",),
+        "merge keeps the scale of a superseded longest event",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "lhs >= rhs for _p, _r, lhs, rhs in self.claim_checks",
+        "lhs >= 0 for _p, _r, lhs, rhs in self.claim_checks",
+        ("tests/test_constructions.py",),
+        "claim_ok accepts any nonnegative claim",
+    ),
+    Mutant(
+        "src/costlab/transforms.py",
+        "stages: StageSeq\n    output_total: Fraction\n    bound: Fraction\n\n    @property\n"
+        "    def ok(self) -> bool:\n        return self.output_total <= self.bound",
+        "stages: StageSeq\n    output_total: Fraction\n    bound: Fraction\n\n    @property\n"
+        "    def ok(self) -> bool:\n        return self.output_total <= 2 * self.bound",
+        ("tests/test_transforms.py",),
+        "LookAheadResult.ok allows twice the bound",
+    ),
+    Mutant(
+        "src/costlab/transforms.py",
+        "exceptions: frozenset[int] | None\n    output_total: Fraction\n    bound: Fraction\n\n"
+        "    @property\n    def ok(self) -> bool:\n        return self.output_total <= self.bound",
+        "exceptions: frozenset[int] | None\n    output_total: Fraction\n    bound: Fraction\n\n"
+        "    @property\n    def ok(self) -> bool:\n        return self.output_total <= 2 * self.bound",
+        ("tests/test_transforms.py",),
+        "SameRealResult.ok allows twice the bound",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "if qm > total:",
+        "if False:",
+        ("tests/test_complexity.py",),
+        "the domination grid's c_max check never reports",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "while x >= 0 and cmx[x] < weight:",
+        "while x >= max(0, w - 50) and cmx[x] < weight:",
+        ("tests/test_complexity.py",),
+        "the domination grid's c_max walk stops 50 cells below the target",
+    ),
 ]
 
 

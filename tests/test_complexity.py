@@ -186,6 +186,25 @@ def test_domination_sweep_matches_loop_on_criterion_2_input():
     assert domination_grid_report(p) == reference_domination_grid_report(p)
 
 
+def test_domination_grid_reports_a_c_max_raised_above_c_k(monkeypatch):
+    # K_s(1) = 4 from stage 2 and K_s(70) = 2 from stage 71: both checks hold
+    p = provider_from_requests(request_set([(4, 1, 0), (2, 70, 70)]), 0, 80)
+    assert domination_grid_report(p).ok
+    # no consistent provider fails c_max <= c_K, so a non-improving change
+    # (60, 3, 3) is injected at stage 65: it raises c_max(x, s) to 2^-3 for
+    # every x <= 59 and leaves c_K as it was, which stays below 2^-3 there
+    # until 70 is described at stage 71
+    advance = Cursor.advance
+
+    def injected(self, s):
+        return advance(self, s) + ([(60, 3, 3)] if s == 65 else [])
+
+    monkeypatch.setattr(Cursor, "advance", injected)
+    rep = domination_grid_report(p)
+    assert rep.omega_violations == ()
+    assert rep.max_violations == tuple((x, s) for s in range(65, 71) for x in range(60))
+
+
 def test_domination_sweep_matches_loop_with_late_descriptions():
     # each late request is paid for at stage t + 1 but describes y only from
     # y + 1 on, so every x in [t + 1, y) fails the measure check from then on
@@ -294,6 +313,38 @@ def test_copy_of_a_walked_index_accepts_an_early_add():
 descriptions = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 130), st.integers(0, 40)), max_size=25
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(descriptions, descriptions)
+# w = 3's only event, the longest, is superseded, so the scale falls to 2
+@example([(3, 9, 4), (5, 2, 6)], [(3, 1, 0)])
+# a duplicate of an event and a same-stage description one longer improve nothing
+@example([(1, 7, 0), (1, 5, 9)], [(1, 7, 0), (1, 6, 2), (1, 8, 2)])
+def test_merge_equals_a_fresh_build(base, extra):
+    index = KIndex(base)
+    index.sum_at(0, 40)  # the copy shares these tables
+    twin = index.copy()
+    twin.merge(extra)
+    fresh = KIndex(base + extra)
+    assert twin.events == fresh.events and twin.scale == fresh.scale
+    assert index.events == KIndex(base).events and index.scale == KIndex(base).scale
+    assert Cursor(twin).advance(50) == Cursor(fresh).advance(50)
+    for s in range(45):
+        for w in range(-1, 33):
+            assert twin.k(w, s) == fresh.k(w, s)
+            assert twin.sum_at(w, s) == fresh.sum_at(w, s)
+            assert twin.min_at(w, s) == fresh.min_at(w, s)
+            assert index.k(w, s) == k_table(base, s).get(w)
+
+
+def test_merge_must_lie_beyond_every_cursor():
+    index = KIndex([(3, 5, 4)])
+    Cursor(index).advance(10)
+    with pytest.raises(ValueError):
+        index.merge([(2, 1, 10)])
+    index.merge([(2, 1, 11)])
+    assert index.k(2, 11) == 1
 # ("add", target, length, stages beyond the cursor) or ("advance", stages)
 operations = st.lists(
     st.one_of(

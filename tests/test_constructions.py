@@ -1,9 +1,10 @@
 """Construction engines: stage-loop replays against their claimed ledgers."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from costlab.catalog import additive_from_real, additive_requests, cost_from_approx, cost_k, cost_max
@@ -678,12 +679,23 @@ def test_separation_matches_reference_loop(case):
     st.integers(0, 2),
     st.sampled_from(["greedy", None]),
 )
+# the second description of 0 improves nothing: no event is left pending for it
+@example(schedule=[(6, 0, 0), (6, 0, 11)], b=1, opponent="greedy")
 def test_separation_matches_reference_loop_on_random_schedules(schedule, b, opponent):
     # from x0 = 2 the descriptions land below x0, between elements, on
     # elements and beyond the last one while the game is played
     p = provider_from_requests(request_set(sorted(schedule, key=lambda e: e[2])), 0, 64)
     kw = {"x0": 2, "opponent": opponent}
     assert separation_run(b, p, 1, 200, **kw) == reference_separation_run(b, p, 1, 200, **kw)
+
+
+def test_claim_ok_fails_on_a_claim_one_unit_short():
+    res = separation_run(1, baseline_provider(1024), 1, 20_000)
+    assert res.claim_ok and res.claim_checks
+    p, r, _lhs, rhs = res.claim_checks[-1]
+    head = res.claim_checks[:-1]
+    assert replace(res, claim_checks=head + ((p, r, rhs, rhs),)).claim_ok
+    assert not replace(res, claim_checks=head + ((p, r, rhs - pow2(60), rhs),)).claim_ok
 
 
 def test_separation_deterministic():

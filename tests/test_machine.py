@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from costlab.catalog import domination_grid_report
+from costlab.complexity import KIndex
+from costlab.constructions import separation_run
 from costlab.errors import WeightOverflow
 from costlab.machine import (
     BaselineConfig,
@@ -249,6 +252,34 @@ def test_register_takes_effect_after_stage():
     for s in range(101, 129):
         assert q.k(100, s) == 6
     assert q.omega(8) - p.omega(8) == pow2(6)
+
+
+def test_registered_index_keeps_only_improvements():
+    # length 2 for w = 16 from stage 17 on supersedes both the main event
+    # (17, 16, 11) at the same stage and the shortcut (32, 16, 9) after it
+    base = baseline_provider(64)
+    assert [e for e in base.index.events if e[1] == 16] == [(17, 16, 11), (32, 16, 9)]
+    p = register_requests(base, request_set([(2, 16, 3)]), 0)
+    assert [e for e in p.index.events if e[1] == 16] == [(17, 16, 2)]
+    fresh = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
+    assert p.index.events == fresh.events and p.index.scale == fresh.scale
+
+
+def test_memoized_baseline_is_left_as_built_by_its_readers():
+    S = 512
+    p = baseline_provider(S)
+    assert baseline_provider(S) is p
+    assert domination_grid_report(p).ok
+    assert separation_run(1, p, 1, 20_000).claim_ok
+    q = register_requests(p, request_set([(2, 16, 3), (1, 300, 40)]), 0)
+    assert q.index is not p.index and q.k(300, 400) == 1
+    fresh = baseline_provider.__wrapped__(S)
+    assert fresh is not p
+    assert p.grants == fresh.grants and p.omega_column() == fresh.omega_column()
+    assert p.index.events == fresh.index.events and p.index.scale == fresh.index.scale
+    for s in range(S + 2):
+        for w in range(S + 2):
+            assert p.k(w, s) == fresh.k(w, s)
 
 
 def test_register_overflow():

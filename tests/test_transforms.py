@@ -1,5 +1,6 @@
 """Look-ahead transformations: rule replays and dual-ledger comparisons."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ from costlab.transforms import (
     to_enumeration,
     trim,
 )
-from costlab.util import ZERO
+from costlab.util import ZERO, pow2
 
 
 def test_trim_identity_when_already_cheap():
@@ -223,6 +224,17 @@ def test_conjoin_same_trace_bound():
     assert r.output_total <= 4 + cost_of_trace(c, e).total + cost_of_trace(d, e).total
 
 
+def test_look_ahead_ok_holds_at_the_bound_and_fails_one_unit_over():
+    rng = rng_for(4, "conj")
+    c = additive_grid_cost(rng, 80, "c")
+    d = additive_grid_cost(rng, 80, "d")
+    e = trace_with_final(rng, 80, frozenset({2, 5}), 20, 40)
+    r = conjoin(e, e, c, d)
+    assert r.bound >= 4
+    assert replace(r, output_total=r.bound).ok
+    assert not replace(r, output_total=r.bound + pow2(60)).ok
+
+
 def test_conjoin_empty_final_zero_cost():
     rng = rng_for(5, "conj-empty")
     c = additive_grid_cost(rng, 60, "c")
@@ -329,6 +341,15 @@ def test_same_real_identity():
     out = same_real_transfer(a, a, ta)
     assert out.ok
     assert out.exceptions is not None
+
+
+def test_same_real_ok_holds_at_the_bound_and_fails_one_unit_over():
+    rng = rng_for(8, "sr")
+    a = left_ce_real(rng, 60)
+    out = same_real_transfer(a, a, EnumerationTrace(60, [(10, 2, 1), (20, 5, 1)]))
+    assert out.bound > 0
+    assert replace(out, output_total=out.bound).ok
+    assert not replace(out, output_total=out.bound + pow2(60)).ok
 
 
 def test_same_real_shifted():
