@@ -14,14 +14,15 @@ weight changes of the window's delayed rows that count, and ``min_at`` the
 least length of the same rows, with the prompt lengths read in whole
 blocks of 64 from their minima.
 
-A ``Cursor`` only walks the events forward and returns the
+Every index is canonical: its events are the strict improvements of
+K_s(w), one per target and stage, as in the staged Kraft-Chaitin
+bookkeeping.  A ``Cursor`` walks them forward and returns the
 ``(w, old, new)`` changes it applies, so a caller that holds running sums
-of its own keeps them from those changes.  The separation game plays on a
-``copy`` of a provider's index and appends descriptions to it with
-``add``, which logs each one as an event; a registered provider ``merge``s
-its requests into a copy of its base's index, which keeps only the events
-a fresh build would.  A copy shares the per-target lists and the tables,
-which are replaced and never mutated.
+of its own keeps them from those changes.  ``merge`` is the one way to
+extend an index: a registered provider merges its requests into a
+``copy`` of its base's index, and the separation game its requests and
+grants into a copy of its provider's.  A copy shares the per-target lists
+and the tables, which are replaced and never mutated.
 
 Conventions:
 
@@ -65,9 +66,8 @@ class KIndex:
 
     ``descriptions`` yields (target w, length, stage) triples.  Each target
     keeps its stages in order with K_s(w) from each on.  ``events`` is every
-    (stage, w, length) improvement in stage order, plus each appended
-    description; a cursor and the query tables skip the ones that do not
-    improve.
+    (stage, w, length) strict improvement in stage order and nothing else,
+    so a cursor and the query tables take each one as a change.
     """
 
     def __init__(self, descriptions: Iterable[tuple[int, int, int]] = ()):
@@ -105,8 +105,6 @@ class KIndex:
             scale, current, total = self.scale, {}, 0
             for stage, w, new in self.events:
                 old = current.get(w)
-                if old is not None and new >= old:
-                    continue
                 current[w] = new
                 if stage == w + 1:  # no earlier row for w: old is None
                     total += 1 << (scale - new)
@@ -169,11 +167,11 @@ class KIndex:
     def copy(self) -> KIndex:
         """An index of the same descriptions that no cursor has walked.
 
-        It shares the per-target lists, which ``add`` and ``merge`` replace
-        and never mutate, and has its own event list, so either on one index
-        leaves the other unchanged; and frontier 0, so it accepts a
-        description at any stage.  Built query tables are shared too:
-        ``add`` and ``merge`` drop them and never mutate them.
+        It shares the per-target lists, which ``merge`` replaces and never
+        mutates, and has its own event list, so a merge into one index leaves
+        the other unchanged; and frontier 0, so it accepts a description at
+        any stage.  Built query tables are shared too: ``merge`` drops them
+        and never mutates them.
         """
         twin = KIndex()
         twin._by_target = dict(self._by_target)
@@ -186,14 +184,13 @@ class KIndex:
         """Insert (target w, length, stage) descriptions so that the index
         equals a fresh build of its own descriptions and these.
 
-        Unlike ``add``, which logs every description, this keeps only
-        improvements: a description that does not improve its target is
-        left out, one that does removes the target's events from its stage
-        on that it leaves improving nothing, and ``scale`` becomes the
-        longest length kept.  Each description costs a few bisects and
-        list splices.  The index must be one that ``add`` has not extended,
-        and the stages must lie beyond every cursor's stage.  The target's
-        lists are replaced, never mutated, since a copy may share them.
+        It keeps the index canonical: a description that does not improve
+        its target is left out, one that does removes the target's events
+        from its stage on that it leaves improving nothing, and ``scale``
+        becomes the longest length kept.  Each description costs a few
+        bisects and list splices.  The stages must lie beyond every cursor's
+        stage and need not come in order.  The target's lists are replaced,
+        never mutated, since a copy may share them.
         """
         events, lost = self.events, -1  # lost: the longest length removed
         for w, length, stage in descriptions:
@@ -219,41 +216,15 @@ class KIndex:
         if lost == self.scale:  # the longest event may be gone
             self.scale = max((length for _stage, _w, length in events), default=0)
 
-    def add(self, w: int, length: int, stage: int) -> None:
-        """Describe w with ``length`` from stage max(stage, w + 1) on.
-
-        The stage must lie beyond every cursor's stage, so no cursor has
-        passed it; stages need not come in order.  The target's lists are
-        replaced, never mutated, since a copy may share them.
-        """
-        stage = max(stage, w + 1)
-        if stage <= self.frontier:
-            raise ValueError("a description must take effect beyond every cursor")
-        bisect.insort(self.events, (stage, w, length))
-        self.scale = max(self.scale, length)
-        self._rows = None
-        stages, lengths = self._by_target.get(w, ([], []))
-        i = bisect.bisect_right(stages, stage)
-        self._by_target[w] = (
-            [*stages[:i], stage, *stages[i:]],
-            [*lengths[:i], min(length, lengths[i - 1]) if i else length,
-             *(min(n, length) for n in lengths[i:])],
-        )
-
 
 class Cursor:
-    """Forward walk over a ``KIndex``'s events, holding K_s at its stage."""
+    """Forward walk over a canonical ``KIndex``'s events, holding K_s at its stage."""
 
     def __init__(self, index: KIndex):
         self.stage = 0
         self._index = index
         self._pos = 0
         self._current: dict[int, int] = {}
-
-    @property
-    def pending(self) -> bool:
-        """Whether events lie beyond the cursor's stage."""
-        return self._pos < len(self._index.events)
 
     def advance(self, s: int) -> list[tuple[int, int | None, int]]:
         """Move to stage s; return the (w, old, new) length changes applied, in order."""
@@ -265,9 +236,7 @@ class Cursor:
         while pos < len(events) and events[pos][0] <= s:
             _stage, w, length = events[pos]
             pos += 1
-            old = current.get(w)
-            if old is None or length < old:
-                current[w] = length
-                changes.append((w, old, length))
+            changes.append((w, current.get(w), length))
+            current[w] = length
         self.stage, self._pos = s, pos
         return changes

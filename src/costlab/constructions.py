@@ -464,7 +464,7 @@ def build_complete_model(
     high_water = K_max
     # beta in units of 2^-K_max: every bump 2^-k has k <= K_max
     beta_units = [0]
-    pending_bump = 0
+    next_bump = 0
     in_a: set[int] = set()
     events: list[tuple[int, int, int]] = []
     marker_log: list[tuple[int, int, int, int]] = []
@@ -484,14 +484,14 @@ def build_complete_model(
         killed.update(kk for kk, use in enumerate(axiom_use) if x < use)
 
     for s in range(1, S + 1):
-        beta_units.append(beta_units[-1] + pending_bump)
-        pending_bump = 0
+        beta_units.append(beta_units[-1] + next_bump)
+        next_bump = 0
 
         k_conv = phi_by_stage.get(s)
         if k_conv is not None and k_conv <= K_max:
             enumerate_element(markers[k_conv], s)
             actions.append((s, k_conv))
-            pending_bump = 1 << (K_max - k_conv)  # takes effect at the next stage
+            next_bump = 1 << (K_max - k_conv)  # takes effect at the next stage
             high_water = max(high_water, s, *markers.values())
             for i in range(k_conv, K_max + 1):
                 high_water += 1
@@ -708,6 +708,10 @@ def separation_run(
     factor 2^b.  The greedy opponent plays the absurd domination hypothesis
     for as long as the unit measure allows; with no opponent the wait
     exhausts the stage budget, the expected outcome for honest providers.
+    A failing check waits while an event of the provider's index or a grant
+    is still to take effect, even a grant that improves nothing; then the
+    greedy opponent grants target cur + 1 from stage cur + 2.  The builder's
+    requests take effect before every check, so they never hold it up.
     The declared full-contradiction length 2^k is reported, never attempted.
 
     At b = 0 the sequence never reaches a third element, whatever the
@@ -720,17 +724,20 @@ def separation_run(
     2^b * 2^-L >= need + 2^-L has no solution at b = 0 when need > 0, and
     has one for every b >= 1.  The run stops with status
     ``response_impossible`` as soon as the sum beyond an element exceeds
-    its largest term, without waiting for pending grants.  The bound of two
-    elements is attained by a provider with no schedule of its own; a
+    its largest term, without waiting for grants to take effect.  The bound
+    of two elements is attained by a provider with no schedule of its own; a
     provider that already describes x_0 + 2 when x_0 is first checked, such
     as the baseline, stops at one.
     """
     k = 1 << (b + d + 1)
     declared = 1 << k
-    # the game's own copy of K_s: it appends the builder's requests and the
+    # the game's own copy of K_s: it merges the builder's requests and the
     # opponent's grants as it plays
     live = p.index.copy()
     view = Cursor(live)
+    # the idle rule's stage: the latest at which an event of the provider's
+    # index or a grant takes effect, whether or not the grant improves anything
+    last = live.events[-1][0] if live.events else 0
     measure = p.budget_used
 
     if x0 is None:
@@ -809,7 +816,10 @@ def separation_run(
             status = "measure_exhausted"
             break
         requests = kc_add(requests, k, xv + 1, cur)
-        live.add(xv + 1, k + d, cur + 1)
+        # it takes effect by cur + 2, as xv <= cur, and last leaves it out:
+        # nothing beyond xv is described yet, so the wait walks a stage and
+        # the check loop another, and the walk has passed it at every check
+        live.merge([(xv + 1, k + d, cur + 1)])
         measure += pow2(k + d)
         while total - low[-1] < 1 << (scale - k - d) and used < V:
             cur += 1
@@ -844,8 +854,8 @@ def separation_run(
                 # the sum beyond seq[i] exceeds its largest term: two positive
                 # terms lie there and never shrink, so this check never passes
                 status = "response_impossible"
-            elif view.pending:
-                pass  # let earlier grants register before adding more
+            elif last > cur:
+                pass  # let earlier descriptions register before adding more
             elif opponent != "greedy":
                 status = "budget_exhausted"  # nothing can change anymore
             else:
@@ -855,7 +865,8 @@ def separation_run(
                 elif pow2(L) > 1 - measure:
                     status = "measure_exhausted"
                 else:
-                    live.add(cur + 1, L, cur + 2)
+                    live.merge([(cur + 1, L, cur + 2)])
+                    last = cur + 2
                     measure += pow2(L)
                     grants.append((cur + 2, cur + 1, L))
             if status != "running":

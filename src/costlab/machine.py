@@ -196,9 +196,8 @@ class KProvider:
 
     ``baseline_provider`` memoizes its providers, so its callers share one
     provider and one index.  The index's only state that changes is the
-    ``frontier`` that cursors move.  ``KIndex.add`` and ``KIndex.merge`` are
-    for a ``copy`` only: the separation game adds to one, and
-    ``register_requests`` merges its requests into one of the base's index.
+    ``frontier`` that cursors move.  ``KIndex.merge`` is for a ``copy``
+    only: the separation game and ``register_requests`` merge into one.
     """
 
     def __init__(

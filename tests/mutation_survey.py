@@ -1,12 +1,14 @@
 """Mutation survey: does the test suite see a deliberately broken program?
 
 Each mutant is (file, old text, new text, test files).  For each one the
-survey copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
-directory, replaces the one occurrence of the old text in the copy, runs
-the named test files there with pytest and prints ``killed`` when they
-fail or ``survived`` when they pass.  An unmutated control run comes
-first, since a kill means nothing when the tests fail anyway.  pytest does
-not collect this file, and CI does not run it.
+survey copies ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` into
+a temporary directory, replaces the one occurrence of the old text in the
+copy, runs the named test files there with pytest and prints ``killed``
+when they fail or ``survived`` when they pass.  An unmutated control run
+comes first, since a kill means nothing when the tests fail anyway.  A
+mutant whose note starts with ``equivalent:`` is expected to survive and
+every other one to be killed; the survey exits 1 when a verdict differs.
+pytest does not collect this file, and CI does not run it.
 
 Run from the root of a checkout:
 
@@ -70,13 +72,6 @@ MUTANTS = [
         "lo = bisect.bisect_right(prompt, x + 2)\n        hi",
         ("tests/test_complexity.py",),
         "min_at's prompt window starts one stage late",
-    ),
-    Mutant(
-        "src/costlab/complexity.py",
-        "                if old is not None and new >= old:\n                    continue\n",
-        "",
-        ("tests/test_complexity.py",),
-        "the tables keep events that improve nothing",
     ),
     Mutant(
         "src/costlab/complexity.py",
@@ -208,6 +203,34 @@ MUTANTS = [
         ("tests/test_complexity.py",),
         "the domination grid's c_max walk stops 50 cells below the target",
     ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "                    last = cur + 2\n",
+        "",
+        ("tests/test_constructions.py",),
+        "the separation game does not record its greedy grant's stage",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "last = live.events[-1][0] if live.events else 0",
+        "last = 0",
+        ("tests/test_constructions.py",),
+        "the separation game's last starts at 0, not at the index's last event",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "        live.merge([(xv + 1, k + d, cur + 1)])\n",
+        "        live.merge([(xv + 1, k + d, cur + 1)])\n        last = max(last, cur + 1, xv + 2)\n",
+        ("tests/test_constructions.py",),
+        "equivalent: every check of a round comes after the builder's request takes effect",
+    ),
+    Mutant(
+        "src/costlab/scenarios.py",
+        "if not np.all(N * c.grid[0][tri] > d.grid[0][tri]):",
+        "if False:",
+        ("tests/test_scenarios.py",),
+        "criterion 5's premise check never reports",
+    ),
 ]
 
 
@@ -228,7 +251,7 @@ def survey(mutant: Mutant | None, tests: tuple[str, ...]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
         if mutant is not None:
@@ -240,16 +263,26 @@ def survey(mutant: Mutant | None, tests: tuple[str, ...]) -> str:
         return "survived" if run_tests(copy, tests) else "killed"
 
 
+def expected(mutant: Mutant) -> str:
+    """The verdict a current suite gives: only a proven equivalent survives."""
+    return "survived" if mutant.note.startswith("equivalent:") else "killed"
+
+
 def main(argv: list[str]) -> int:
     chosen = [int(a) for a in argv] or range(len(MUTANTS))
     files = tuple(sorted({t for i in chosen for t in MUTANTS[i].tests}))
     if survey(None, files) != "survived":
         print("control: the unmutated tests fail; no verdict")
         return 1
+    wrong = 0
     for i in chosen:
         m = MUTANTS[i]
-        print(f"{i}\t{survey(m, m.tests)}\t{m.file}\t{m.note}", flush=True)
-    return 0
+        verdict = survey(m, m.tests)
+        wrong += verdict != expected(m)
+        print(f"{i}\t{verdict}\t{m.file}\t{m.note}", flush=True)
+    if wrong:
+        print(f"{wrong} verdicts differ from the expected ones")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

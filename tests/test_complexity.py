@@ -266,13 +266,13 @@ def test_copy_answers_like_a_fresh_build(p):
             assert twin.min_at(w, s) == fresh.min_at(w, s)
 
 
-def test_add_on_a_copy_leaves_the_original_unchanged():
+def test_merge_on_a_copy_leaves_the_original_unchanged():
     desc = [(3, 5, 4), (7, 2, 9), (3, 4, 12)]
     index = KIndex(desc)
     index.sum_at(0, 20)  # the copy shares these columns
     twin = index.copy()
-    twin.add(3, 1, 15)  # improves a target the original also holds
-    twin.add(11, 2, 16)
+    twin.merge([(3, 1, 15)])  # improves a target the original also holds
+    twin.merge([(11, 2, 16)])
     assert index.events == KIndex(desc).events
     grown = KIndex(desc + [(3, 1, 15), (11, 2, 16)])
     assert twin.events == grown.events
@@ -284,14 +284,14 @@ def test_add_on_a_copy_leaves_the_original_unchanged():
             assert twin.sum_at(w, s) == grown.sum_at(w, s)
 
 
-def test_add_on_the_original_leaves_a_copy_unchanged():
+def test_merge_on_the_original_leaves_a_copy_unchanged():
     desc = [(3, 5, 4), (7, 2, 9), (3, 4, 12)]
     index = KIndex(desc)
     index.sum_at(0, 20)
     twin = index.copy()
-    index.add(3, 1, 15)  # improves a target the copy also holds
-    index.add(7, 1, 10)  # lands before a stage the copy holds for that target
-    index.add(11, 2, 16)
+    index.merge([(3, 1, 15)])  # improves a target the copy also holds
+    index.merge([(7, 1, 10)])  # lands before a stage the copy holds for that target
+    index.merge([(11, 2, 16)])
     assert twin.events == KIndex(desc).events
     for s in range(25):
         for w in range(-1, 14):
@@ -299,13 +299,13 @@ def test_add_on_the_original_leaves_a_copy_unchanged():
             assert twin.sum_at(w, s) == sum_ref(k_table(desc, s), w)
 
 
-def test_copy_of_a_walked_index_accepts_an_early_add():
+def test_copy_of_a_walked_index_accepts_an_early_merge():
     index = KIndex([(3, 5, 4)])
     Cursor(index).advance(10)
     with pytest.raises(ValueError):
-        index.add(2, 1, 5)
+        index.merge([(2, 1, 5)])
     twin = index.copy()
-    twin.add(2, 1, 5)  # no cursor has walked the copy
+    twin.merge([(2, 1, 5)])  # no cursor has walked the copy
     assert twin.k(2, 4) is None and twin.k(2, 5) == 1 and index.k(2, 5) is None
     assert Cursor(twin).advance(10) == [(3, None, 5), (2, None, 1)]
 
@@ -340,15 +340,27 @@ def test_merge_equals_a_fresh_build(base, extra):
 
 def test_merge_must_lie_beyond_every_cursor():
     index = KIndex([(3, 5, 4)])
-    Cursor(index).advance(10)
+    cursor = Cursor(index)
+    cursor.advance(10)
     with pytest.raises(ValueError):
         index.merge([(2, 1, 10)])
     index.merge([(2, 1, 11)])
     assert index.k(2, 11) == 1
-# ("add", target, length, stages beyond the cursor) or ("advance", stages)
+    with pytest.raises(ValueError):
+        cursor.advance(9)
+    # descriptions no shorter than the current one are no change
+    index.merge([(3, 5, 12)])
+    index.merge([(3, 7, 13)])
+    assert Cursor(index).advance(20) == [(3, None, 5), (2, None, 1)]
+    assert cursor.advance(20) == [(2, None, 1)]
+    assert index.k(3, 20) == 5
+    assert index.sum_at(0, 20) == pow2(5) + pow2(1) and index.min_at(2, 20) == 5
+
+
+# ("merge", target, length, stages beyond the cursor) or ("advance", stages)
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), st.integers(0, 40), st.integers(0, 130), st.integers(1, 30)),
+        st.tuples(st.just("merge"), st.integers(0, 40), st.integers(0, 130), st.integers(1, 30)),
         st.tuples(st.just("advance"), st.integers(0, 6)),
     ),
     max_size=25,
@@ -369,13 +381,11 @@ def test_index_and_cursor_match_reference(desc, ops):
         if tables[s - 1].get(w) != n
     ]
     cursor = Cursor(index)
-    added = []
     for op in ops:
-        if op[0] == "add":
+        if op[0] == "merge":
             _, w, n, ahead = op
-            index.add(w, n, cursor.stage + ahead)  # stages need not come in order
-            added.append((w, n, cursor.stage + ahead))
-            desc.append(added[-1])
+            index.merge([(w, n, cursor.stage + ahead)])  # stages need not come in order
+            desc.append((w, n, cursor.stage + ahead))
         else:
             before = k_table(desc, cursor.stage)
             changes = cursor.advance(cursor.stage + op[1])
@@ -389,12 +399,11 @@ def test_index_and_cursor_match_reference(desc, ops):
                 w: (first_old[w], last_new[w]) for w in first_old
             }
             assert set(first_old) == {w for w in after if before.get(w) != after[w]}
+        assert index.events == KIndex(desc).events  # canonical after every op
         table = k_table(desc, cursor.stage)
-        for x in range(-1, cursor.stage + 2):  # the tables follow every add
+        for x in range(-1, cursor.stage + 2):  # the tables follow every merge
             assert index.sum_at(x, cursor.stage) == sum_ref(table, x)
             assert index.min_at(x, cursor.stage) == min_ref(table, x)
-        if any(max(t, w + 1) > cursor.stage for w, _n, t in added):
-            assert cursor.pending
     top = max([max(t, w + 1) for w, _n, t in desc] + [0])
     fresh = Cursor(index)
     for s in range(top + 2):
@@ -405,7 +414,7 @@ def test_index_and_cursor_match_reference(desc, ops):
         for x in range(-1, s + 1):
             assert index.sum_at(x, s) == sum_ref(table, x)
             assert index.min_at(x, s) == min_ref(table, x)
-    assert not fresh.pending
+    assert fresh.advance(top + 2) == []
 
 
 def test_sums_stay_exact_where_the_scale_fits_int64_but_the_sum_does_not():
@@ -415,7 +424,7 @@ def test_sums_stay_exact_where_the_scale_fits_int64_but_the_sum_does_not():
     assert index.sum_at(-1, 5) == 4 + pow2(62)
     assert index.sum_at(2, 5) == 1 + pow2(62)
     assert index.min_at(-1, 5) == 0 and index.min_at(3, 5) == 62 and index.min_at(4, 5) is None
-    index.add(9, 1, 10)  # appending drops the tables, which are rebuilt on the next query
+    index.merge([(9, 1, 10)])  # merging drops the tables, which are rebuilt on the next query
     assert index.sum_at(-1, 10) == 4 + pow2(1) + pow2(62)
 
 
@@ -431,25 +440,6 @@ def test_sums_and_minima_over_whole_blocks_match_reference():
         for x in range(0, s + 1, 3):
             assert p.index.sum_at(x, s) == sum_ref(table, x)
             assert p.index.min_at(x, s) == min_ref(table, x)
-
-
-def test_add_must_lie_beyond_every_cursor_and_may_change_nothing():
-    index = KIndex([(3, 5, 4)])
-    cursor = Cursor(index)
-    cursor.advance(10)
-    with pytest.raises(ValueError):
-        index.add(2, 1, 10)
-    index.add(2, 1, 11)
-    assert index.k(2, 11) == 1
-    with pytest.raises(ValueError):
-        cursor.advance(9)
-    # descriptions no shorter than the current one are no change
-    index.add(3, 5, 12)
-    index.add(3, 7, 13)
-    assert Cursor(index).advance(20) == [(3, None, 5), (2, None, 1)]
-    assert cursor.advance(20) == [(2, None, 1)]
-    assert index.k(3, 20) == 5
-    assert index.sum_at(0, 20) == pow2(5) + pow2(1) and index.min_at(2, 20) == 5
 
 
 def test_horizon_conventions():

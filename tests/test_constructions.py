@@ -538,9 +538,18 @@ def test_separation_lists_only_honored_requests():
 
 def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
     """The separation loop that asks the live index for each element's sum and
-    least length beyond it at every check, with Fraction comparisons."""
+    least length beyond it at every check, with Fraction comparisons.  It
+    records the stage of the provider's last event and the stage from which
+    each description it makes, request or grant, takes effect, and idles
+    while the latest lies beyond the current stage."""
     k = 1 << (b + d + 1)
     live = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
+    stages = [stage for stage, _w, _n in live.events[-1:]]
+
+    def describe(w, n, t):
+        live.merge([(w, n, t)])
+        stages.append(max(t, w + 1))
+
     measure = p.budget_used
     if x0 is None:
         probe = 1
@@ -557,7 +566,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
     used = 0
 
     def pending():
-        return bool(live.events) and live.events[-1][0] > cur
+        return max(stages, default=0) > cur
 
     while used < V and len(seq) - 1 < 1 << k:
         xv = seq[-1]
@@ -565,7 +574,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
             status = "measure_exhausted"
             break
         requests = kc_add(requests, k, xv + 1, cur)
-        live.add(xv + 1, k + d, cur + 1)
+        describe(xv + 1, k + d, cur + 1)
         measure += pow2(k + d)
         while live.sum_at(xv, cur) < pow2(k + d) and used < V:
             cur += 1
@@ -600,7 +609,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
                 if pow2(L) > 1 - measure:
                     status = "measure_exhausted"
                     break
-                live.add(cur + 1, L, cur + 2)
+                describe(cur + 1, L, cur + 2)
                 measure += pow2(L)
                 grants.append((cur + 2, cur + 1, L))
                 break
