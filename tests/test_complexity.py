@@ -340,6 +340,16 @@ def test_merge_equals_a_fresh_build(base, extra):
 
 def test_merge_must_lie_beyond_every_cursor():
     index = KIndex([(3, 5, 4)])
+    Cursor(index).advance(10)
+    with pytest.raises(ValueError):
+        index.merge([(2, 1, 10)])
+    index.merge([(2, 1, 11)])
+    assert index.k(2, 11) == 1
+
+
+def test_add_must_lie_beyond_every_cursor_and_may_change_nothing():
+    # descriptions are added one at a time by merge
+    index = KIndex([(3, 5, 4)])
     cursor = Cursor(index)
     cursor.advance(10)
     with pytest.raises(ValueError):
