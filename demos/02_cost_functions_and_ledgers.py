@@ -30,7 +30,7 @@ print(f"  complexity-max  {cm(3, 200)}")
 print(f"  max <= sum <= measure: {cm(3,200) <= ck(3,200) <= co(3,200)}")
 
 print("\n== an additive cost is a left-c.e. real in disguise ==")
-beta = LeftCEReal(tuple(1 - pow2(s) for s in range(17)))
+beta = LeftCEReal.of(tuple(1 - pow2(s) for s in range(17)))
 c_beta = additive_from_real(beta)
 print(f"  c(2, 9) = beta_9 - beta_2 = {c_beta(2, 9)}  (algebra: 2^-2 - 2^-9 = {pow2(2) - pow2(9)})")
 print(f"  roundtrip recovers the sequence: {real_from_additive(c_beta).seq == beta.seq}")

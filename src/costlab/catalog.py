@@ -9,45 +9,71 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .complexity import Cursor, KIndex, weight_change
 from .core import ApproximationTrace, CostFn, additive_cost, cost_fn, limit_estimate
 from .errors import NonAdditive
 from .machine import KProvider, RequestSet, request_set
-from .util import ZERO, least_length, object_runs, pow2
+from .util import ONE, ZERO, least_length, pow2
 
 
 @dataclass(frozen=True)
 class LeftCEReal:
-    """Nondecreasing rational stage sequence, bounded by a declared cap."""
+    """Nondecreasing stage sequence units[s] / den, bounded by a declared cap.
 
-    seq: tuple[Fraction, ...]
-    cap: Fraction = Fraction(1)
+    The additive cost's integer column (see ``additive_from_real``), kept in lowest terms so
+    that two reals are equal exactly when their values and caps are; ``of`` takes rationals.
+    """
+
+    units: tuple[int, ...]
+    den: int = 1
+    cap: Fraction = ONE
 
     def __post_init__(self):
-        # once per run of one object, which equals itself: the first value against 0, each
-        # later one against its predecessor; the first drop is negative or a decrease
-        values = [v for v, _n in object_runs(self.seq)]
-        for prev, v in zip((ZERO, *values), values):
-            if v < prev:
-                kind = "nonnegative" if v < 0 else "nondecreasing"
-                raise ValueError(f"left-c.e. approximations are {kind}")
-        if self.seq and self.seq[-1] > self.cap:
+        units, den = tuple(self.units), self.den
+        if den < 1:
+            raise ValueError("a left-c.e. real needs a positive denominator")
+        # C-level scan of each value against its predecessor (the first against 0); the
+        # Python-level search for the first drop runs only on an invalid column
+        if any(map(operator.gt, (0, *units), units)):
+            v = next(v for prev, v in zip((0, *units), units) if v < prev)
+            kind = "nonnegative" if v < 0 else "nondecreasing"
+            raise ValueError(f"left-c.e. approximations are {kind}")
+        if units and Fraction(units[-1], den) > self.cap:
             raise ValueError("sequence exceeds its declared cap")
+        g = math.gcd(den, *units)
+        if g > 1:
+            units, den = tuple(u // g for u in units), den // g
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def of(cls, values: Sequence[Fraction], cap: Fraction = ONE) -> LeftCEReal:
+        """The real of a rational stage sequence, over the lcm of its denominators."""
+        den = math.lcm(*(v.denominator for v in values))
+        return cls(tuple(v.numerator * (den // v.denominator) for v in values), den, cap)
+
+    @cached_property
+    def seq(self) -> tuple[Fraction, ...]:
+        """The stage values as rationals, one Fraction object per distinct value."""
+        values = {u: Fraction(u, self.den) for u in set(self.units)}
+        return tuple(map(values.__getitem__, self.units))
 
     @property
     def horizon(self) -> int:
-        return len(self.seq) - 1
+        return len(self.units) - 1
 
     def at(self, s: int) -> Fraction:
         """Value at stage s, clamped to the horizon."""
         if s < 0:
             raise ValueError("stage must be a natural")
-        return self.seq[min(s, self.horizon)]
+        return Fraction(self.units[min(s, self.horizon)], self.den)
 
 
 def complexity_sum(index: KIndex, horizon: int, name: str) -> CostFn:
@@ -75,13 +101,9 @@ def cost_omega(p: KProvider) -> CostFn:
 
 
 def additive_from_real(b: LeftCEReal) -> CostFn:
-    """The additive cost function c(x, s) = b(s) - b(x) of a left-c.e. real."""
-    # integer numerators over one common denominator, scaled once per run of one object
-    runs = object_runs(b.seq)
-    den = math.lcm(*(v.denominator for v, _n in runs))
-    strictly = all(b.seq[i] < b.seq[i + 1] for i in range(len(b.seq) - 1))
-    units = (repeat(v.numerator * (den // v.denominator), n) for v, n in runs)
-    return additive_cost("additive", chain.from_iterable(units), den, proper=strictly)
+    """The additive cost c(x, s) = b(s) - b(x) on b's own column; proper when b strictly increases."""
+    units = b.units
+    return additive_cost("additive", units, b.den, proper=all(map(operator.lt, units, units[1:])))
 
 
 def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:
@@ -93,7 +115,7 @@ def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:
         raise NonAdditive(f"{c.name} is not declared additive")
     check_additivity(c, min(c.horizon, 24))
     seq = tuple(c(0, s) for s in range(c.horizon + 1))
-    return LeftCEReal(seq, cap if cap is not None else max(seq, default=ZERO))
+    return LeftCEReal.of(seq, cap if cap is not None else max(seq, default=ZERO))
 
 
 def check_additivity(c: CostFn, bound: int) -> None:
@@ -202,10 +224,7 @@ def solovay_translate(
     """
     aS, bS = a.at(a.horizon), b.at(b.horizon)
     if samples is None:
-        samples = []
-        for x in range(1, a.horizon + 1):
-            if a.seq[x] > a.seq[x - 1]:
-                samples.append((a.seq[x - 1] + a.seq[x]) / 2)
+        samples = [(u + v) / 2 for u, v in zip(a.seq, a.seq[1:]) if v > u]
     pairs = []
     violations = []
     for q in samples:

@@ -516,10 +516,7 @@ def build_complete_model(
         if failing:
             violations.extend((s, kk) for kk in failing)
 
-    # beta changes at few stages: one Fraction object per value
-    as_fraction = {v: Fraction(v, 1 << K_max) for v in set(beta_units)}
-    beta_steps = tuple(map(as_fraction.__getitem__, beta_units))
-    beta = LeftCEReal(beta_steps, cap=beta_steps[-1] + 1)
+    beta = LeftCEReal(tuple(beta_units), 1 << K_max, cap=Fraction(beta_units[-1], 1 << K_max) + 1)
     trace = EnumerationTrace(S, sorted(events, key=lambda e: e[0]))
     total = cost_of_trace(additive_from_real(beta), trace).total
 

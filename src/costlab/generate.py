@@ -16,7 +16,6 @@ from .complexity import KIndex
 from .constructions import Adversary, Universe, copycat_adversary, stubborn_adversary
 from .core import ApproximationTrace, CostFn, EnumerationTrace, additive_cost
 from .dual import PhiMock, blank_phi, scripted_phi, sensitive_phi
-from .util import ZERO
 
 SCALE = 24  # generated rationals are multiples of 2**-SCALE
 
@@ -111,9 +110,7 @@ def left_ce_real(
     rng: random.Random, S: int, cap: Fraction = Fraction(1), jumps: int | None = None
 ) -> LeftCEReal:
     """Nondecreasing dyadic sequence below the cap, jumping at random stages."""
-    units = _left_ce_units(rng, S, cap, jumps)
-    values = {u: Fraction(u, 1 << SCALE) for u in set(units)}  # one per jump, not per stage
-    return LeftCEReal(tuple(values[u] for u in units), cap)
+    return LeftCEReal(tuple(_left_ce_units(rng, S, cap, jumps)), 1 << SCALE, cap)
 
 
 def _left_ce_units(
@@ -140,16 +137,9 @@ def strict_left_ce_real(rng: random.Random, S: int, cap: Fraction = Fraction(1))
     budget = int(cap * (1 << SCALE)) - 1
     if budget < S:
         raise ValueError("cap too small for a strict sequence at this horizon")
+    # distinct cuts below the budget: every step between consecutive units is positive
     cuts = sorted(rng.sample(range(1, budget), S - 1)) if S > 1 else []
-    steps = []
-    prev = 0
-    for cpoint in cuts + [budget]:
-        steps.append(cpoint - prev)
-        prev = cpoint
-    values = [ZERO]
-    for st in steps:
-        values.append(values[-1] + Fraction(max(st, 1), 1 << SCALE))
-    return LeftCEReal(tuple(values), cap)
+    return LeftCEReal((0, *cuts, budget), 1 << SCALE, cap)
 
 
 def additive_grid_cost(

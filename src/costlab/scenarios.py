@@ -7,6 +7,7 @@ directory, and the test suite asserts them directly.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .core import benign_witness, cost_of_trace, geometric_cost
 from .dual import audit_diagonalization, audit_dual, dual_construct
 from .errors import ParseError
 from .machine import baseline_provider, check_prefix_free
-from .serialize import dump_ledger_csv, dump_schedule, dump_trace, dump_wishes_csv
+from .serialize import _lines, _nat, dump_ledger_csv, dump_schedule, dump_trace, dump_wishes_csv
 from .transforms import (
     change_set,
     conjoin,
@@ -555,16 +556,12 @@ class Scenario:
 def parse_scenario(text: str) -> Scenario:
     """Parse the line-oriented scenario descriptor.
 
-    Lines: `scenario <kind>`, `seed <int>`, `param <name> <int>`; blank
-    lines and `#` comments are ignored.  Errors report line positions.
+    Lines: `scenario <kind>`, `seed <n>`, `param <name> <n>`, n natural and name a keyword of
+    the kind's runner; blank lines and `#` comments are ignored.  Errors report line positions.
     """
-    kind = None
-    seed = None
-    params: dict[str, int] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    kind = seed = None
+    params: dict[str, tuple[int, int]] = {}  # name: (line, value)
+    for no, line in _lines(text):
         parts = line.split()
         if parts[0] == "scenario":
             if kind is not None or len(parts) != 2:
@@ -577,22 +574,19 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(no, "seed takes one integer")
             if seed is not None:
                 raise ParseError(no, "repeated seed line")
-            seed = _int(no, parts[1])
+            seed = _nat(no, parts[1])
         elif parts[0] == "param":
             if len(parts) != 3:
                 raise ParseError(no, "param takes a name and an integer")
             if parts[1] in params:
                 raise ParseError(no, f"repeated param {parts[1]!r}")
-            params[parts[1]] = _int(no, parts[2])
+            params[parts[1]] = (no, _nat(no, parts[2]))
         else:
             raise ParseError(no, f"unknown directive {parts[0]!r}")
     if kind is None:
         raise ParseError(1, "missing scenario line")
-    return Scenario(kind, seed or 0, params)
-
-
-def _int(no: int, token: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise ParseError(no, f"not an integer: {token!r}") from exc
+    keywords = inspect.signature(SCENARIOS[kind]).parameters.keys() - {"seed"}
+    for name, (no, _value) in params.items():
+        if name not in keywords:
+            raise ParseError(no, f"{kind} takes no param {name!r}")
+    return Scenario(kind, seed or 0, {name: value for name, (_no, value) in params.items()})

@@ -14,7 +14,6 @@ from .catalog import LeftCEReal
 from .core import ApproximationTrace, CostLedger, EnumerationTrace
 from .errors import ParseError
 from .machine import RequestSet, request_set
-from .util import object_runs
 
 
 def dump_schedule(rs: RequestSet) -> str:
@@ -70,9 +69,9 @@ def load_trace(text: str, enumeration: bool = False) -> ApproximationTrace:
 
 
 def dump_real(b: LeftCEReal) -> str:
-    # one value text per run of one object
-    texts = (t for v, n in object_runs(b.seq) for t in [f" {v.numerator} {v.denominator}\n"] * n)
-    return "".join(f"{s}{t}" for s, t in enumerate(texts))
+    """The stage values as `s num den` lines in lowest terms, each text formatted once per value."""
+    texts = {u: " {} {}\n".format(*Fraction(u, b.den).as_integer_ratio()) for u in set(b.units)}
+    return "".join(f"{s}{texts[u]}" for s, u in enumerate(b.units))
 
 
 def load_real(text: str, cap: Fraction = Fraction(1)) -> LeftCEReal:
@@ -88,7 +87,7 @@ def load_real(text: str, cap: Fraction = Fraction(1)) -> LeftCEReal:
             raise ParseError(no, "zero denominator")
         seq.append(Fraction(num, den))
     try:
-        return LeftCEReal(tuple(seq), cap)
+        return LeftCEReal.of(seq, cap)
     except ValueError as exc:
         raise ParseError(1, str(exc)) from exc
 

@@ -566,8 +566,8 @@ def same_real_transfer(
         out = _blocks_to_trace(horizon, stages, timelines)
         exc = None
 
-    cost_b = additive_from_real(LeftCEReal(b.seq[: horizon + 1], b.cap))
-    cost_a = additive_from_real(LeftCEReal(a.seq[: horizon + 1], a.cap))
+    cost_b = additive_from_real(LeftCEReal(b.units[: horizon + 1], b.den, b.cap))
+    cost_a = additive_from_real(LeftCEReal(a.units[: horizon + 1], a.den, a.cap))
     total = cost_of_trace(cost_b, out).total
     bound = cost_of_trace(cost_a, ta).total + 2
     return SameRealResult(out, seq, f, exc, total, bound)

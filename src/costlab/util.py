@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -23,11 +22,6 @@ def dyadic_sum(lengths: Iterable[int]) -> Fraction:
     lengths = list(lengths)
     top = max([0, *lengths])
     return Fraction(sum(1 << (top - r) for r in lengths), 1 << top)
-
-
-def object_runs(seq: Sequence) -> list[tuple]:
-    """(object, length) of each maximal run of one object repeated in seq."""
-    return [(run[0], len(run)) for run in (list(group) for _key, group in groupby(seq, id))]
 
 
 def floor_log2(n: int) -> int:

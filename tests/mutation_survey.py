@@ -137,11 +137,25 @@ MUTANTS = [
         "equivalent: a live axiom issued again repeats its use, snapshot and value",
     ),
     Mutant(
-        "src/costlab/util.py",
-        "groupby(seq, id)",
-        "groupby(seq, lambda v: v.denominator)",
+        "src/costlab/catalog.py",
+        "g = math.gcd(den, *units)",
+        "g = 1",
         ("tests/test_catalog.py",),
-        "runs keyed by denominator: a decrease within one denominator is skipped",
+        "a left-c.e. real is not reduced to lowest terms",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "any(map(operator.gt, (0, *units), units))",
+        "any(b < a - 1 for a, b in zip((0, *units), units))",
+        ("tests/test_catalog.py",),
+        "a left-c.e. real's validation misses a drop of one unit",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "proper=all(map(operator.lt, units, units[1:]))",
+        "proper=all(map(operator.le, units, units[1:]))",
+        ("tests/test_catalog.py",),
+        "additive_from_real calls a real with a repeated value proper",
     ),
     Mutant(
         "src/costlab/complexity.py",

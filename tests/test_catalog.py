@@ -1,6 +1,8 @@
 """The named cost functions and the left-c.e. real correspondence."""
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from costlab.machine import (
     register_requests,
     request_set,
 )
-from costlab.serialize import dump_real
+from costlab.serialize import dump_real, load_real
 from costlab.util import ZERO, cantor_pair, cantor_unpair, least_length, pow2
 
 
@@ -104,7 +106,7 @@ def test_cost_max_single_description_equals_sum():
 
 
 def test_constant_real_gives_zero_cost():
-    beta = LeftCEReal((Fraction(1, 3),) * 9, Fraction(1))
+    beta = LeftCEReal.of((Fraction(1, 3),) * 9, Fraction(1))
     c = additive_from_real(beta)
     for x in range(9):
         for s in range(x, 9):
@@ -123,7 +125,7 @@ def test_additive_from_real_matches_fraction_reference():
     # b(s) - b(x) exactly, for dyadic and mixed denominators, also beyond
     # the horizon
     dyadic = left_ce_real(rng_for(7), 40)
-    mixed = LeftCEReal(tuple(map(Fraction, ("0", "1/5", "1/3", "1/2", "2/3", "3/4", "3/4"))))
+    mixed = LeftCEReal.of(tuple(map(Fraction, ("0", "1/5", "1/3", "1/2", "2/3", "3/4", "3/4"))))
     for b in (dyadic, mixed):
         ev = additive_from_real(b).eval_fn
         for x in range(b.horizon + 3):
@@ -136,7 +138,7 @@ def test_additive_from_real_matches_fraction_reference():
 
 def test_additive_algebra_oracle():
     # beta_s = 1 - 2^-s gives c(x, s) = 2^-x - 2^-s
-    beta = LeftCEReal(tuple(1 - pow2(s) for s in range(17)))
+    beta = LeftCEReal.of(tuple(1 - pow2(s) for s in range(17)))
     c = additive_from_real(beta)
     for x in range(17):
         for s in range(x, 17):
@@ -194,7 +196,7 @@ def test_solovay_self_translation():
 def test_solovay_constant_target():
     rng = rng_for(13)
     a = left_ce_real(rng, 30)
-    b = LeftCEReal((Fraction(1, 5),) * 31, Fraction(1))
+    b = LeftCEReal.of((Fraction(1, 5),) * 31, Fraction(1))
     assert solovay_translate(a, b, 1).ok
 
 
@@ -207,7 +209,7 @@ def test_solovay_detects_late_jump():
     for s in range(28, 31):
         b_seq[s] = a_seq[s] + Fraction(9, 10)
     cert = solovay_translate(
-        LeftCEReal(tuple(a_seq), Fraction(2)), LeftCEReal(tuple(b_seq), Fraction(2)), 1
+        LeftCEReal.of(tuple(a_seq), Fraction(2)), LeftCEReal.of(tuple(b_seq), Fraction(2)), 1
     )
     assert not cert.ok
 
@@ -313,7 +315,7 @@ def test_rescale_to_unit_exponent_stays_zero_at_or_below_one():
 
 
 def test_additive_requests_zero_cost_empty():
-    beta = LeftCEReal((ZERO,) * 9)
+    beta = LeftCEReal.of((ZERO,) * 9)
     assert len(additive_requests(additive_from_real(beta))) == 0
 
 
@@ -321,7 +323,7 @@ def test_additive_requests_exact_powers():
     beta_vals = [ZERO]
     for w in range(1, 11):
         beta_vals.append(beta_vals[-1] + pow2(w))
-    c = additive_from_real(LeftCEReal(tuple(beta_vals)))
+    c = additive_from_real(LeftCEReal.of(tuple(beta_vals)))
     rs = additive_requests(c)
     assert [(r, y) for r, y, _s in rs.entries] == [(w, w) for w in range(1, 11)]
 
@@ -331,7 +333,7 @@ def test_additive_requests_least_power():
     beta_vals = [ZERO]
     for w in range(1, 9):
         beta_vals.append(beta_vals[-1] + 3 * pow2(w + 2))
-    c = additive_from_real(LeftCEReal(tuple(beta_vals)))
+    c = additive_from_real(LeftCEReal.of(tuple(beta_vals)))
     rs = additive_requests(c)
     assert [(r, y) for r, y, _s in rs.entries] == [(w + 1, w) for w in range(1, 9)]
     # least-power oracle
@@ -352,7 +354,7 @@ def test_additive_requests_weight_within_budget():
 
 
 def test_rescale_to_unit():
-    beta = LeftCEReal(tuple(Fraction(3 * s, 2) for s in range(9)), Fraction(12))
+    beta = LeftCEReal.of(tuple(Fraction(3 * s, 2) for s in range(9)), Fraction(12))
     c = additive_from_real(beta)
     scaled = rescale_to_unit(c)
     assert scaled(0, 8) <= 1
@@ -394,35 +396,77 @@ def test_left_ce_validation_matches_reference(seq, cap):
     seq = tuple(sorted(map(abs, seq)) if len(seq) % 3 == 0 else seq)  # valid ones too
     want = left_ce_check_reference(seq, cap)
     if want is None:
-        assert LeftCEReal(seq, cap).seq == seq
+        assert LeftCEReal.of(seq, cap).seq == seq
     else:
         with pytest.raises(ValueError) as exc:
-            LeftCEReal(seq, cap)
+            LeftCEReal.of(seq, cap)
         assert str(exc.value) == want
 
 
 
-# runs of one object, as the complete model's beta holds one Fraction per
-# value; 1/2 twice, as two objects
+# mixed denominators, a value below 0 and one above the cap of 2; 1/2 twice,
+# as two equal objects
 _POOL = tuple(map(Fraction, ("-1/3", "0", "1/6", "1/4", "1/2", "1/2", "2/3", "1", "3/2")))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_POOL), min_size=1, max_size=14), st.booleans())
 def test_real_of_repeated_objects_matches_reference(seq, ordered):
-    # each run is checked, scaled and printed once: every pair, unit and line
-    # must still match the per-stage forms
+    # the real is one integer column over one denominator, in lowest terms, and
+    # formats one text per distinct value: its validation, every pair and every
+    # line must still match the per-stage forms of the rational values
     seq = tuple(sorted(seq) if ordered else seq)
     want = left_ce_check_reference(seq, Fraction(2))
     if want is not None:
         with pytest.raises(ValueError) as exc:
-            LeftCEReal(seq, Fraction(2))
+            LeftCEReal.of(seq, Fraction(2))
         assert str(exc.value) == want
         return
-    b = LeftCEReal(seq, Fraction(2))
+    b = LeftCEReal.of(seq, Fraction(2))
     ev = additive_from_real(b).eval_fn
     for x in range(len(seq)):
         for s in range(x, len(seq)):
             assert ev(x, s) == seq[s] - seq[x]
     lines = [f"{s} {v.numerator} {v.denominator}\n" for s, v in enumerate(seq)]
     assert dump_real(b) == "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=14),
+    st.integers(1, 24),
+    st.integers(1, 6),
+    st.integers(0, 2),
+)
+def test_real_column_matches_its_rational_values(steps, den, factor, headroom):
+    units = tuple(accumulate(steps))
+    seq = tuple(Fraction(u, den) for u in units)
+    cap = seq[-1] + headroom
+    b = LeftCEReal(units, den, cap)
+    assert b == LeftCEReal.of(seq, cap) and b.seq == seq
+    assert b.horizon == len(seq) - 1
+    assert [b.at(s) for s in range(len(seq) + 2)] == [*seq, seq[-1], seq[-1]]
+    assert math.gcd(b.den, *b.units) == 1
+    # the same values over a denominator that shares a factor with every unit
+    scaled = LeftCEReal(tuple(factor * u for u in units), factor * den, cap)
+    assert scaled == b and (scaled.units, scaled.den) == (b.units, b.den)
+    assert load_real(dump_real(scaled), cap=cap) == b == load_real(dump_real(b), cap=cap)
+
+
+def test_real_column_validation_sees_a_drop_of_one_unit():
+    assert LeftCEReal((0, 6, 6, 9), 12) == LeftCEReal((0, 2, 2, 3), 4)
+    assert LeftCEReal((0, 6, 6, 9), 12).units == (0, 2, 2, 3)
+    drops = [((-1, 0), "nonnegative"), ((0, 2, 1), "nondecreasing"), ((3, 2), "nondecreasing")]
+    for units, want in drops:
+        with pytest.raises(ValueError, match=f"approximations are {want}"):
+            LeftCEReal(units, 4)
+    with pytest.raises(ValueError, match="exceeds its declared cap"):
+        LeftCEReal((0, 5), 4)
+    with pytest.raises(ValueError, match="positive denominator"):
+        LeftCEReal((0, 1), 0)
+
+
+def test_additive_from_real_is_proper_exactly_when_the_real_strictly_increases():
+    assert additive_from_real(LeftCEReal((0, 1, 2, 3), 4)).props.proper
+    assert not additive_from_real(LeftCEReal((0, 1, 1, 3), 4)).props.proper
+    assert not additive_from_real(LeftCEReal.of((ZERO, Fraction(1, 3), Fraction(1, 3)))).props.proper

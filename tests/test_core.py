@@ -52,7 +52,7 @@ def test_least_position_charged_once_per_stage():
 
 def test_additive_single_change_total():
     # oracle by hand: beta_3 - beta_0 = (1 - 1/8) - 0 = 7/8
-    beta = LeftCEReal(tuple(1 - pow2(s) for s in range(11)))
+    beta = LeftCEReal.of(tuple(1 - pow2(s) for s in range(11)))
     c = additive_from_real(beta)
     a = ApproximationTrace(10, [(3, 0, 1)])
     assert cost_of_trace(c, a).total == Fraction(7, 8)
@@ -131,7 +131,7 @@ def test_check_proper_zero_unwitnessed():
 
 
 def test_check_proper_strict_additive():
-    beta = LeftCEReal(tuple(Fraction(s, 32) for s in range(17)), Fraction(1))
+    beta = LeftCEReal.of(tuple(Fraction(s, 32) for s in range(17)), Fraction(1))
     report = check_proper(additive_from_real(beta), 10)
     assert all(report.witnesses[x] == x + 1 for x in range(11))
 

@@ -239,7 +239,7 @@ def test_cost_omega_is_the_scaled_omega_column():
 
 
 def test_check_additivity_on_exact_ints_over_the_lcm():
-    mixed = LeftCEReal(tuple(map(Fraction, ("0", "1/7", "1/5", "1/3", "1/2", "2/3", "3/4"))))
+    mixed = LeftCEReal.of(tuple(map(Fraction, ("0", "1/7", "1/5", "1/3", "1/2", "2/3", "3/4"))))
     check_additivity(additive_from_real(mixed), 6)
     base = additive_from_real(mixed)
     tiny = Fraction(1, 3 << 80)

@@ -116,6 +116,25 @@ def test_parse_scenario_rejects_repeated_lines(text, line_no, what):
     assert err.value.line_no == line_no and what in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line_no, what",
+    [
+        ("scenario existence\nparam count -3\n", 2, "negative value"),  # passed vacuously
+        ("# sizes is no keyword\nparam sizes 3\nscenario existence\n", 2, "no param 'sizes'"),
+    ],
+)
+def test_parse_scenario_rejects_params_the_runner_cannot_take(tmp_path, capsys, text, line_no, what):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert err.value.line_no == line_no and what in str(err.value)
+    desc = tmp_path / "scenario.txt"
+    desc.write_text(text)
+    assert main(["run", str(desc), "-o", str(tmp_path / "run")]) == 1
+    stderr = capsys.readouterr().err
+    assert f"line {line_no}" in stderr and "Traceback" not in stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_run_deterministic(tmp_path: Path):
     desc = tmp_path / "scenario.txt"
     desc.write_text("scenario kraft-audit\nseed 5\nparam S 128\n")

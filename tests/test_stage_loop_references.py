@@ -196,7 +196,7 @@ def reference_complete_model(
             if beta_steps[s] - beta_steps[anchor] > pow2(kk):
                 violations.append((s, kk))
 
-    beta = LeftCEReal(tuple(beta_steps), cap=beta_steps[-1] + 1)
+    beta = LeftCEReal.of(tuple(beta_steps), cap=beta_steps[-1] + 1)
     trace = EnumerationTrace(S, sorted(events, key=lambda e: e[0]))
     total = cost_of_trace(additive_from_real(beta), trace).total
 

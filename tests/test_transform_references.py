@@ -400,8 +400,8 @@ def ref_same_real_transfer(a, b, ta) -> SameRealResult:
         out = ref_blocks_to_trace(horizon, stages, timelines)
         exc = None
 
-    cost_b = additive_from_real(LeftCEReal(b.seq[: horizon + 1], b.cap))
-    cost_a = additive_from_real(LeftCEReal(a.seq[: horizon + 1], a.cap))
+    cost_b = additive_from_real(LeftCEReal.of(b.seq[: horizon + 1], b.cap))
+    cost_a = additive_from_real(LeftCEReal.of(a.seq[: horizon + 1], a.cap))
     total = cost_of_trace(cost_b, out).total
     bound = cost_of_trace(cost_a, ta).total + 2
     return SameRealResult(out, seq, f, exc, total, bound)
@@ -620,12 +620,12 @@ def test_same_real_transfer_matches_reference():
         rng = rng_for(i, "ref-sr")
         S = rng.randint(10, 80)
         a = left_ce_real(rng, S)
-        b = [a, left_ce_real(rng, S), LeftCEReal(a.seq[1:] + a.seq[-1:], a.cap)][i % 3]
+        b = [a, left_ce_real(rng, S), LeftCEReal.of(a.seq[1:] + a.seq[-1:], a.cap)][i % 3]
         entries = sorted((rng.randint(1, S), x, 1) for x in rng.sample(range(20), 5))
         enum = EnumerationTrace(S, entries)
         for ta in (flicker(rng, S, 20), enum):
             kinds.add(assert_same(same_real_transfer, ref_same_real_transfer, a, b, ta))
-    zero, one = LeftCEReal((Fraction(0),) * 21), LeftCEReal((Fraction(1),) * 21)
+    zero, one = LeftCEReal.of((Fraction(0),) * 21), LeftCEReal.of((Fraction(1),) * 21)
     got = assert_same(same_real_transfer, ref_same_real_transfer, zero, one, flicker(rng, 20, 8))
     assert got == "raised"  # never within 1/2 of each other
     rng = rng_for(0, "ref-sr-short")

@@ -355,8 +355,8 @@ def test_same_real_ok_holds_at_the_bound_and_fails_one_unit_over():
 def test_same_real_shifted():
     rng = rng_for(9, "sr2")
     base = left_ce_real(rng, 61)
-    a = LeftCEReal(base.seq[:61], base.cap)
-    b = LeftCEReal(base.seq[1:62], base.cap)  # runs one stage ahead
+    a = LeftCEReal.of(base.seq[:61], base.cap)
+    b = LeftCEReal.of(base.seq[1:62], base.cap)  # runs one stage ahead
     ta = EnumerationTrace(60, [(15, 3, 1), (30, 8, 1)])
     out = same_real_transfer(a, b, ta)
     assert out.ok
