@@ -20,7 +20,7 @@ from .complexity import Cursor, KIndex, weight_change
 from .core import ApproximationTrace, CostFn, additive_cost, cost_fn, limit_estimate
 from .errors import NonAdditive
 from .machine import KProvider, RequestSet, request_set
-from .util import ONE, ZERO, least_length, pow2
+from .util import ONE, least_length
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,18 @@ def complexity_sum(index: KIndex, horizon: int, name: str) -> CostFn:
 
     One pointwise evaluator serves every query: ``index.sum_at`` takes one
     difference of its prefix column of prompt descriptions and adds the
-    delayed ones beyond x (see ``costlab.complexity``).
+    delayed ones beyond x (see ``costlab.complexity``), in units of
+    2^-scale.  The den is 2^scale of the index as it is now: no
+    description may be merged into it afterwards.
     """
 
-    def ev(x: int, s: int) -> Fraction:
+    def ev(x: int, s: int) -> int:
         return index.sum_at(x, min(s, horizon))
 
-    return cost_fn(name, horizon, ev, monotone_main=True, monotone_stage=True, proper=True)
+    return cost_fn(
+        name, horizon, ev, den=1 << index.scale,
+        monotone_main=True, monotone_stage=True, proper=True,
+    )
 
 
 def cost_k(p: KProvider) -> CostFn:
@@ -114,19 +119,16 @@ def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:
     if not c.props.additive:
         raise NonAdditive(f"{c.name} is not declared additive")
     check_additivity(c, min(c.horizon, 24))
-    seq = tuple(c(0, s) for s in range(c.horizon + 1))
-    return LeftCEReal.of(seq, cap if cap is not None else max(seq, default=ZERO))
+    units = tuple(c.units(0, s) for s in range(c.horizon + 1))
+    return LeftCEReal(units, c.den, cap if cap is not None else c.fraction(max(units)))
 
 
 def check_additivity(c: CostFn, bound: int) -> None:
     """Exhaustive telescoping check on all triples x < y < z <= bound.
 
-    c is evaluated at every point; the sums compare exact integers over the
-    least common denominator of those values.
+    c is evaluated at every point; the sums compare its integer units.
     """
-    vals = [[c(x, s) for s in range(bound + 1)] for x in range(bound + 1)]
-    den = math.lcm(*(v.denominator for row in vals for v in row))
-    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in vals]
+    scaled = [[c.units(x, s) for s in range(bound + 1)] for x in range(bound + 1)]
     for x in range(bound + 1):
         row_x = scaled[x]
         for y in range(x + 1, bound + 1):
@@ -152,49 +154,45 @@ def cost_g(g: Callable[[int], int], horizon: int, cap: Fraction = Fraction(1)) -
 
 def cost_max(p: KProvider) -> CostFn:
     """Single-description cost: c(x, s) = max of 2^-K_s(w) for x < w <= s."""
-    horizon = p.horizon
+    horizon, index = p.horizon, p.index
+    scale = index.scale  # every length held is at most the scale
 
-    def ev(x: int, s: int) -> Fraction:
-        best = p.index.min_at(x, min(s, horizon))
-        return pow2(best) if best is not None else ZERO
+    def ev(x: int, s: int) -> int:
+        best = index.min_at(x, min(s, horizon))
+        return 0 if best is None else 1 << (scale - best)
 
     return cost_fn(
-        "complexity-max",
-        horizon,
-        ev,
-        monotone_main=True,
-        monotone_stage=True,
-        proper=True,
+        "complexity-max", horizon, ev, den=1 << scale,
+        monotone_main=True, monotone_stage=True, proper=True,
     )
 
 
 def cost_from_approx(z: ApproximationTrace, h: Callable[[int], int]) -> CostFn:
-    """Trace-derived cost by the max recurrence.
+    """Trace-derived cost by the max recurrence, over den 2^max h(e).
 
     c(x, s) = 0 for x >= s; when e < x is the least position changed at
     stage s, c(x, s) = max(c(x, s-1), 2^-h(e)).  h = identity recovers the
-    plain change-driven cost.
+    plain change-driven cost.  h is read once per change, when the cost is
+    built, and must be nonnegative.
     """
     changes = sorted(
         (s, min(xs)) for s, xs in z.change_stages().items()
     )  # (stage, least changed position)
     stages = [s for s, _ in changes]
+    lengths = [h(e) for _s, e in changes]
+    if min(lengths, default=0) < 0:
+        raise ValueError("negative length")
+    top = max(lengths, default=0)  # the den is 2^top
 
-    def ev(x: int, s: int) -> Fraction:
+    def ev(x: int, s: int) -> int:
         if x >= s:
-            return ZERO
-        best = None
+            return 0
         hi = bisect.bisect_right(stages, min(s, z.horizon))
         lo = bisect.bisect_right(stages, x)
-        for t_idx in range(lo, hi):
-            e = changes[t_idx][1]
-            if e < x and (best is None or h(e) < best):
-                best = h(e)
-        return pow2(best) if best is not None else ZERO
+        best = min((lengths[i] for i in range(lo, hi) if changes[i][1] < x), default=None)
+        return 0 if best is None else 1 << (top - best)
 
-    return cost_fn(
-        "trace-derived", z.horizon, ev, monotone_stage=True
-    )
+    return cost_fn("trace-derived", z.horizon, ev, den=1 << top, monotone_stage=True)
 
 
 @dataclass(frozen=True)
@@ -259,16 +257,14 @@ def rescale_to_unit(c: CostFn) -> CostFn:
     Powers of two keep dyadic values dyadic; the result has limit at 0 within
     the unit interval.
     """
-    top = Fraction(c(0, c.horizon))
-    factor = pow2(least_length(1 / top) if top > 1 else 0)  # least 2^k >= top, k >= 0
-
-    def ev(x: int, s: int) -> Fraction:
-        return c(x, s) * factor
+    top = c.units(0, c.horizon)
+    k = least_length(Fraction(c.den, top)) if top > c.den else 0  # least 2^k >= top / den
 
     return cost_fn(
         c.name + "-rescaled",
         c.horizon,
-        ev,
+        c.units,
+        den=c.den << k,
         monotone_main=c.props.monotone_main,
         monotone_stage=c.props.monotone_stage,
         additive=c.props.additive,

@@ -87,7 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int | None) -> None:
+    """A seed given on the command line is a natural, as in a descriptor's seed line."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be a natural, not {seed}")
+
+
 def _cmd_run(args) -> int:
+    _check_seed(args.seed)
     text = args.descriptor.read_text()
     scenario = parse_scenario(text)
     if args.seed is not None:
@@ -110,6 +117,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _check_seed(args.seed)
     rng = generate.rng_for(args.seed, args.kind)
     if args.kind == "trace":
         art = dump_trace(

@@ -3,16 +3,16 @@
 A ``KIndex`` holds, per target w, the stages at which K_s(w) changes with
 its value from each, so ``k(w, s)`` is one bisect, and the improvement
 events in stage order.  ``sum_at(x, s)`` (the sum of 2^-K_s(w) over
-x < w <= s) and ``min_at(x, s)`` (the least such K_s(w)) read tables of
-the improvement rows, built in one pass over the events on first use.  As
-K_s(w) exists only for w < s, a row made by stage x + 1 has its target at
-or below x and never counts for x.  A *prompt* row, made at stage w + 1,
-counts for x whenever it is made in (x + 1, s]; a *delayed* row, made
-later, counts only if its target also lies beyond x.  So ``sum_at`` is one
-difference of an exact-int prefix column of prompt weights plus the
-weight changes of the window's delayed rows that count, and ``min_at`` the
-least length of the same rows, with the prompt lengths read in whole
-blocks of 64 from their minima.
+x < w <= s, as an int in units of 2^-scale) and ``min_at(x, s)`` (the
+least such K_s(w)) read tables of the improvement rows, built in one pass
+over the events on first use.  As K_s(w) exists only for w < s, a row made
+by stage x + 1 has its target at or below x and never counts for x.  A
+*prompt* row, made at stage w + 1, counts for x whenever it is made in
+(x + 1, s]; a *delayed* row, made later, counts only if its target also
+lies beyond x.  So ``sum_at`` is one difference of an exact-int prefix
+column of prompt weights plus the weight changes of the window's delayed
+rows that count, and ``min_at`` the least length of the same rows, with the
+prompt lengths read in whole blocks of 64 from their minima.
 
 Every index is canonical: its events are the strict improvements of
 K_s(w), one per target and stage, as in the staged Kraft-Chaitin
@@ -36,7 +36,6 @@ Conventions:
 from __future__ import annotations
 
 import bisect
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -132,19 +131,18 @@ class KIndex:
         targets = rows.delayed_targets
         return (column[i] for i in range(lo, hi) if targets[i] > x)
 
-    def sum_at(self, x: int, s: int) -> Fraction:
-        """The complexity sum: 2^-K_s(w) summed over x < w <= s."""
+    def sum_at(self, x: int, s: int) -> int:
+        """The complexity sum, 2^-K_s(w) summed over x < w <= s, in units of 2^-scale."""
         if s <= x + 1:
-            return Fraction(0)
+            return 0
         rows = self._tables()
         # each target's weight changes by stage s telescope to its current weight
         prompt = rows.prompt_stages
-        total = (
+        return (
             rows.prompt_prefix[bisect.bisect_right(prompt, s)]
             - rows.prompt_prefix[bisect.bisect_right(prompt, x + 1)]
             + sum(self._late(rows, x, s, rows.delayed_weights))
         )
-        return Fraction(total, 1 << self.scale)
 
     def min_at(self, x: int, s: int) -> int | None:
         """The least K_s(w) over x < w <= s, None if no such w is described by stage s."""

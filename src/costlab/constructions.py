@@ -95,7 +95,7 @@ def _run_simplicity(
     candidates: dict[int, list[int]] = {}  # unmet e -> elements seen so far
     events = []
     in_a: set[int] = set()
-    threshold = [pow2(e) for e in range(u.size)]
+    units, den = c.units, c.den
 
     for s in (sorted(fresh_at) if only_fresh else range(1, S + 1)):
         fresh = fresh_at.get(s, {})
@@ -111,7 +111,7 @@ def _run_simplicity(
             if rec.met:
                 continue
             for x in sorted(pool):
-                if c(x, s) <= threshold[e]:
+                if units(x, s) << e <= den:  # c(x, s) <= 2^-e
                     rec.met = True
                     rec.had_candidate = True
                     rec.witness = (s, x)
@@ -124,7 +124,7 @@ def _run_simplicity(
     for e, rec in enumerate(records):
         if not rec.met and not rec.had_candidate:
             for stage_in, x in arrivals[e]:
-                if x >= 2 * e and c(x, stage_in) <= threshold[e]:
+                if x >= 2 * e and units(x, stage_in) << e <= den:
                     rec.had_candidate = True
                     break
     trace = EnumerationTrace(S, events)
@@ -739,7 +739,10 @@ def separation_run(
 
     if x0 is None:
         probe = 1
-        while probe < p.horizon and p.index.sum_at(probe, p.horizon) > pow2(min(k + d + 2, 60)):
+        # c_K(probe, horizon) > 2^-min(k + d + 2, 60), on ints over 2^scale
+        while probe < p.horizon and (
+            p.index.sum_at(probe, p.horizon) << min(k + d + 2, 60) > 1 << p.index.scale
+        ):
             probe <<= 1
         if probe >= p.horizon:
             raise ScheduleInsufficient("no cheap starting point below the horizon")

@@ -8,6 +8,8 @@ proxy for the corresponding statement about all stages.
 from __future__ import annotations
 
 import bisect
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import Mismatch
-from .util import ZERO, pow2
+from .util import ZERO
 
 
 @dataclass(frozen=True)
@@ -35,18 +37,33 @@ class CostProps:
 
 @dataclass(frozen=True)
 class CostFn:
-    """A stage-evaluable cost function c(x, s) with exact rational values.
+    """A stage-evaluable cost function c(x, s) = units(x, s) / den, exact.
 
-    Evaluators must be pure and deterministic; ``eval_fn`` is the one
-    evaluator and every call ``c(x, s)`` goes through it.  Every stage is a
-    natural: a call raises on a negative x.  ``bulk`` and ``stage_scan`` are
-    unused, always None, and kept only because the benchmark's tracer reads
-    them.
+    ``eval_fn`` is the one evaluator: pure, deterministic, and returning
+    nonnegative int units over the declared ``den``.  ``units(x, s)`` is the
+    checked entry (a natural x, a nonnegative cost, zero above the diagonal
+    when declared stage-monotone) and ``c(x, s)`` its ``Fraction`` view.
+    Ledgers, chains and the checks below sum and compare the units.  Each
+    constructor's den:
+
+    - ``additive_cost`` (and ``cost_omega``, ``cost_g``,
+      ``additive_from_real`` on it): the column's own denominator;
+    - ``complexity_sum``/``cost_k`` and ``cost_max``: 2^scale of the K_s
+      index, its longest length;
+    - ``cost_from_approx``: 2^max h(e) over the least changed positions e;
+    - ``rescale_to_unit``: the rescaled cost's den times 2^k;
+    - ``geometric_cost``: 2^horizon.
+
+    Each of these constructors clamps s to the horizon.  ``bulk`` and
+    ``stage_scan`` are always None.  The benchmark's tracer still reads
+    them, so they stay only until the benchmark change that deletes them
+    (see ROADMAP.md).
     """
 
     name: str
     horizon: int
-    eval_fn: Callable[[int, int], Fraction]
+    eval_fn: Callable[[int, int], int]
+    den: int
     props: CostProps = field(default_factory=CostProps)
     bulk: Callable[[Sequence[tuple[int, int]]], list[Fraction]] | None = None
     stage_scan: Callable[[int, int], Iterable[tuple[int, Fraction]]] | None = None
@@ -54,98 +71,107 @@ class CostFn:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.den < 1:
+            raise ValueError("a cost function needs a positive denominator")
         # construction-time screen: a handful of sampled points must satisfy
         # the declared sign/zero constraints
         probes = {0, 1, self.horizon // 2, self.horizon}
         for x in probes:
             for s in probes:
-                self._checked(x, s)
+                self.units(x, s)
 
-    def _checked(self, x: int, s: int) -> Fraction:
+    def units(self, x: int, s: int) -> int:
+        """c(x, s) * den, checked."""
         if x < 0:
             raise ValueError("stage must be a natural")
-        v = self.eval_fn(x, s)
-        if v < 0:
+        u = self.eval_fn(x, s)
+        if u < 0:
             raise ValueError(f"{self.name}: negative cost at ({x}, {s})")
-        if self.props.monotone_stage and x > s and v != 0:
+        if u and x > s and self.props.monotone_stage:
             raise ValueError(f"{self.name}: nonzero cost above the diagonal at ({x}, {s})")
-        return v
+        return u
+
+    def fraction(self, units: int) -> Fraction:
+        """units / den as a Fraction.
+
+        Over a den longer than a machine word, the trailing zero bits that
+        units and den share are stripped first, so a power-of-two den costs
+        the Fraction no long gcd.
+        """
+        den = self.den
+        if units and den.bit_length() > 64:
+            shift = min(units & -units, den & -den).bit_length() - 1
+            units, den = units >> shift, den >> shift
+        return Fraction(units, den)
 
     def __call__(self, x: int, s: int) -> Fraction:
-        return self._checked(x, s)
+        return self.fraction(self.units(x, s))
 
 
 def cost_fn(
     name: str,
     horizon: int,
-    eval_fn: Callable[[int, int], Fraction],
+    eval_fn: Callable[[int, int], int],
     *,
+    den: int,
     monotone_main: bool = False,
     monotone_stage: bool = False,
     additive: bool = False,
     proper: bool = False,
 ) -> CostFn:
     props = CostProps(monotone_main, monotone_stage, additive, proper)
-    return CostFn(name, horizon, eval_fn, props)
+    return CostFn(name, horizon, eval_fn, den, props)
 
 
 @dataclass(frozen=True, kw_only=True)
 class AdditiveCost(CostFn):
-    """c(x, s) = (units[min(s, h)] - units[min(x, h)]) / den for x <= s, else 0.
+    """c(x, s) = (column[min(s, h)] - column[min(x, h)]) / den for x <= s, else 0.
 
-    ``units`` is a nondecreasing integer column on stages 0..h; the evaluator
-    memoizes one reduced Fraction per distinct difference, never evicted.
-    ``grid`` is the pair (matrix, den) with matrix[x][s] == c(x, s) * den,
-    built when first read; int64 when the column fits, exact ints beyond.
+    ``column`` is a nondecreasing integer column on stages 0..h.  ``grid``
+    is the pair (matrix, den) with matrix[x][s] == c(x, s) * den, built when
+    first read; int64 when the column fits, exact ints beyond.
     """
 
-    units: tuple[int, ...] = field(repr=False)
-    den: int
+    column: tuple[int, ...] = field(repr=False)
 
     @cached_property
     def grid(self) -> tuple[np.ndarray, int]:
-        u = self.units
+        u = self.column
         fits = -(1 << 62) <= u[0] and u[-1] < 1 << 62
         col = np.array(u, dtype=np.int64 if fits else object)
-        # units never decrease, so s < x gives a nonpositive difference
+        # the column never decreases, so s < x gives a nonpositive difference
         matrix = col[None, :] - col[:, None]
         return np.maximum(matrix, 0, out=matrix), self.den
 
 
 def additive_cost(name: str, units: Iterable[int], den: int, *, proper: bool = False) -> AdditiveCost:
-    """The additive cost of an integer column over one denominator (see AdditiveCost).
-
-    The memo keeps one entry per distinct difference evaluated, with no
-    eviction; a left-c.e. real has only as many as it has distinct increments.
-    """
+    """The additive cost of an integer column over one denominator (see AdditiveCost)."""
     units = tuple(units)
     h = len(units) - 1
-    values = {0: ZERO}  # the memo: one Fraction per distinct difference
     if h < 0 or den < 1:
         raise ValueError("an additive cost needs a unit column and a positive denominator")
-    if any(a > b for a, b in zip(units, units[1:])):
+    if any(map(operator.gt, units, units[1:])):
         raise ValueError(f"{name}: units must not decrease")
 
-    def ev(x: int, s: int) -> Fraction:
+    def ev(x: int, s: int) -> int:
         if x > s:
-            return ZERO
-        if x < 0:
-            raise ValueError("stage must be a natural")
-        k = units[s if s < h else h] - units[x if x < h else h]
-        return values[k] if k in values else values.setdefault(k, Fraction(k, den))
+            return 0
+        return units[s if s < h else h] - units[x if x < h else h]
 
     props = CostProps(monotone_main=True, monotone_stage=True, additive=True, proper=proper)
-    return AdditiveCost(name, max(h, 1), ev, props, units=units, den=den)
+    return AdditiveCost(name, max(h, 1), ev, den, props, column=units)
 
 
 def geometric_cost(horizon: int) -> CostFn:
-    """c(x, s) = 2^-x for x <= s, else 0; the simplest proper monotone example."""
+    """c(x, s) = 2^-x for x <= min(s, horizon), else 0, over den 2^horizon;
+    the simplest proper monotone example."""
 
-    def ev(x: int, s: int) -> Fraction:
-        return pow2(x) if x <= s else ZERO
+    def ev(x: int, s: int) -> int:
+        return 1 << (horizon - x) if x <= s and x <= horizon else 0
 
     return cost_fn(
-        "geometric", horizon, ev, monotone_main=True, monotone_stage=True, proper=True
+        "geometric", horizon, ev, den=1 << horizon,
+        monotone_main=True, monotone_stage=True, proper=True,
     )
 
 
@@ -276,7 +302,10 @@ class CostLedger:
     total: Fraction
 
     def __post_init__(self):
-        if sum((a for _s, _x, a in self.charges), ZERO) != self.total:
+        # the exact sum, on ints over the least common denominator
+        den = math.lcm(*(a.denominator for _s, _x, a in self.charges))
+        units = sum(a.numerator * (den // a.denominator) for _s, _x, a in self.charges)
+        if Fraction(units, den) != self.total:
             raise ValueError("ledger total does not match the charges")
 
     def partial(self, t: int) -> Fraction:
@@ -288,10 +317,14 @@ def cost_of_trace(c: CostFn, a: ApproximationTrace) -> CostLedger:
     """Exact total cost of all changes, charged at the least changed position."""
     if a.horizon > c.horizon:
         raise ValueError("trace horizon exceeds the cost function's horizon")
-    charges = tuple(
-        (s, xs[0], c(xs[0], s)) for s, xs in sorted(a.change_stages().items()) if xs[0] < s
+    units = c.units
+    charged = [
+        (s, xs[0], units(xs[0], s)) for s, xs in sorted(a.change_stages().items()) if xs[0] < s
+    ]
+    return CostLedger(
+        tuple((s, x, c.fraction(u)) for s, x, u in charged),
+        c.fraction(sum(u for _s, _x, u in charged)),
     )
-    return CostLedger(charges, sum((v for _s, _x, v in charges), ZERO))
 
 
 def obeys_at_horizon(c: CostFn, a: ApproximationTrace, bound: Fraction) -> bool:
@@ -318,7 +351,7 @@ def check_monotone(c: CostFn, X: int, S: int) -> MonotoneReport:
     if X > c.horizon or S > c.horizon:
         raise ValueError("check window exceeds the horizon")
     main, stage, diag = [], [], []
-    rows = [[c(x, s) for s in range(S + 1)] for x in range(X + 1)]
+    rows = [[c.units(x, s) for s in range(S + 1)] for x in range(X + 1)]
     for x in range(X + 1):
         for s in range(S + 1):
             if x > s and rows[x][s] != 0:
@@ -345,7 +378,7 @@ def check_proper(c: CostFn, X: int) -> ProperReport:
         raise ValueError("properness is defined for main-monotone cost functions")
     out: dict[int, int | None] = {}
     for x in range(X + 1):
-        out[x] = next((t for t in range(c.horizon + 1) if c(x, t) > 0), None)
+        out[x] = next((t for t in range(c.horizon + 1) if c.units(x, t) > 0), None)
     return ProperReport(out)
 
 
@@ -362,7 +395,7 @@ def limit_estimate(c: CostFn, x: int, *, tail_from: int | None = None) -> Fracti
     if c.props.monotone_stage:
         return c(x, c.horizon)
     start = c.horizon // 2 if tail_from is None else tail_from
-    return min(c(x, s) for s in range(start, c.horizon + 1))
+    return c.fraction(min(c.units(x, s) for s in range(start, c.horizon + 1)))
 
 
 @dataclass(frozen=True)
@@ -387,14 +420,15 @@ def benign_witness(c: CostFn, n: int, S: int) -> BenignChain:
         raise ValueError("benignity chains need a monotone cost function")
     if S > c.horizon:
         raise ValueError("chain bound exceeds the horizon")
-    threshold = pow2(n)
+    units, den = c.units, c.den
     chain = [0]
     # c is nondecreasing in s: gallop from x at s = x + 1, x + 2, x + 4, ...
     # up to S, then bisect between the last miss and the first hit, at most
     # 2 ceil(log2 g) + 1 evaluations for a gap g; a miss at S ends the chain
     while chain[-1] < S:
         x = miss = chain[-1]
-        reaches = lambda s: c(x, s) >= threshold  # noqa: E731
+        # c(x, s) >= 2^-n, on ints
+        reaches = lambda s: units(x, s) << n >= den  # noqa: E731
         step = 1
         while not reaches(hit := min(x + step, S)):
             if hit == S:

@@ -29,7 +29,7 @@ from .constructions import (
     separation_run,
     slow_enum_N,
 )
-from .core import benign_witness, cost_of_trace, geometric_cost
+from .core import CostFn, benign_witness, cost_fn, cost_of_trace, geometric_cost
 from .dual import audit_diagonalization, audit_dual, dual_construct
 from .errors import ParseError
 from .machine import baseline_provider, check_prefix_free
@@ -165,12 +165,11 @@ def run_additive_algebra(seed: int, count: int = 100, bound: int = 200) -> Scena
         rng = generate.rng_for(seed, f"real{i}")
         b = generate.left_ce_real(rng, bound)
         c = additive_from_real(b)
-        scale = 1 << generate.SCALE
         ev = c.eval_fn
+        # units over a den of at most 2^SCALE: the grid fits int64
         grid = np.zeros((bound + 1, bound + 1), dtype=np.int64)
         for x in range(bound + 1):
-            row = [ev(x, s) for s in range(x, bound + 1)]
-            grid[x, x:] = [v.numerator * (scale // v.denominator) for v in row]
+            grid[x, x:] = [ev(x, s) for s in range(x, bound + 1)]
         # c(x,y) + c(y,z) == c(x,z) for every x < y < z, sliced per middle y
         for y in range(1, bound):
             lhs = grid[:y, y][:, None] + grid[y, y + 1 :][None, :]
@@ -448,26 +447,32 @@ def run_dual(seed: int, count: int = 50, S: int = 10_000, requirements: int = 5)
     return res
 
 
+def quartic_and_halving(S: int) -> tuple[CostFn, CostFn]:
+    """The diagonalization scenario's pair at horizon S, for x <= min(s, S):
+    c(x, s) = 2^-(2x + 2) over den 2^(2S + 2) and d(x, s) = 2^-x over 2^S."""
+    c = cost_fn(
+        "quartic", S, lambda x, s: 1 << 2 * (S - x) if x <= min(s, S) else 0,
+        den=1 << (2 * S + 2), monotone_main=True, monotone_stage=True,
+    )
+    d = cost_fn(
+        "halving", S, lambda x, s: 1 << (S - x) if x <= min(s, S) else 0,
+        den=1 << S, monotone_main=True, monotone_stage=True,
+    )
+    return c, d
+
+
 def run_diagonalization(seed: int, count: int = 20, S: int = 400) -> ScenarioResult:
     """Obey one cost while defeating tracking adversaries under another."""
     from .constructions import diagonalize_nonimplication
-    from .core import cost_fn
-    from .util import ZERO, pow2
+    from .util import pow2
 
     res = ScenarioResult("diagonalization", seed)
     ok_cost = True
     ok_epochs = True
     ok_met = True
+    c, d = quartic_and_halving(S)
     for i in range(count):
         rng = generate.rng_for(seed, f"diag{i}")
-        c = cost_fn(
-            "quartic", S, lambda x, s: pow2(2 * x + 2) if x <= s else ZERO,
-            monotone_main=True, monotone_stage=True,
-        )
-        d = cost_fn(
-            "halving", S, lambda x, s: pow2(x) if x <= s else ZERO,
-            monotone_main=True, monotone_stage=True,
-        )
         phis = generate.adversary_mix(rng, rng.randint(1, 3))
         out = diagonalize_nonimplication(c, d, phis, S)
         if out.total > 4:

@@ -432,9 +432,9 @@ def _first_failures(c: CostFn, d: CostFn, N: int) -> list[int] | None:
     maximum of v first reaches v[s]; at the latest x = s, where both vanish.
     """
     both = isinstance(c, AdditiveCost) and isinstance(d, AdditiveCost)
-    if not both or c.den != d.den or len(c.units) != len(d.units):
+    if not both or c.den != d.den or len(c.column) != len(d.column):
         return None
-    v = [N * a - b for a, b in zip(c.units, d.units)]
+    v = [N * a - b for a, b in zip(c.column, d.column)]
     peak = list(itertools.accumulate(v, max))
     return [bisect.bisect_left(peak, w) for w in v]
 

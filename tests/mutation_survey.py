@@ -245,6 +245,27 @@ MUTANTS = [
         ("tests/test_scenarios.py",),
         "criterion 5's premise check never reports",
     ),
+    Mutant(
+        "src/costlab/core.py",
+        "reaches = lambda s: units(x, s) << n >= den",
+        "reaches = lambda s: units(x, s) << n > den",
+        ("tests/test_core.py",),
+        "a benignity chain link needs a cost above 2^-n, not at least 2^-n",
+    ),
+    Mutant(
+        "src/costlab/core.py",
+        "if u < 0:",
+        "if u < -1:",
+        ("tests/test_cost_units.py",),
+        "the cost screen lets a cost of minus one unit through",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "if units(x, s) << e <= den:",
+        "if units(x, s) << e < den:",
+        ("tests/test_constructions.py", "tests/test_stage_loop_references.py"),
+        "a simplicity candidate needs a cost below 2^-e, not at most 2^-e",
+    ),
 ]
 
 

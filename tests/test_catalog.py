@@ -24,7 +24,7 @@ from costlab.catalog import (
     rescale_to_unit,
     solovay_translate,
 )
-from costlab.core import ApproximationTrace, check_monotone, cost_fn
+from costlab.core import ApproximationTrace, check_monotone
 from costlab.errors import NonAdditive
 from costlab.generate import left_ce_real, rng_for
 from costlab.machine import (
@@ -35,6 +35,7 @@ from costlab.machine import (
 )
 from costlab.serialize import dump_real, load_real
 from costlab.util import ZERO, cantor_pair, cantor_unpair, least_length, pow2
+from unit_costs import units_cost
 
 
 def test_cost_k_zero_above_diagonal():
@@ -127,13 +128,13 @@ def test_additive_from_real_matches_fraction_reference():
     dyadic = left_ce_real(rng_for(7), 40)
     mixed = LeftCEReal.of(tuple(map(Fraction, ("0", "1/5", "1/3", "1/2", "2/3", "3/4", "3/4"))))
     for b in (dyadic, mixed):
-        ev = additive_from_real(b).eval_fn
+        c = additive_from_real(b)
         for x in range(b.horizon + 3):
             for s in range(b.horizon + 3):
                 want = b.at(s) - b.at(x) if x <= s else ZERO
-                assert ev(x, s) == want, (x, s)
+                assert Fraction(c.eval_fn(x, s), c.den) == want, (x, s)
     with pytest.raises(ValueError):
-        additive_from_real(dyadic).eval_fn(-1, 3)
+        additive_from_real(dyadic).units(-1, 3)
 
 
 def test_additive_algebra_oracle():
@@ -302,15 +303,15 @@ def rescale_exponent_loop(top: Fraction) -> int:
 @given(st.integers(0, 1 << 90), st.integers(1, 1 << 90))
 def test_rescale_to_unit_matches_loop(num, den):
     top = Fraction(num, den)
-    c = cost_fn("flat", 3, lambda x, s: top if x == 0 and s >= 3 else ZERO)
+    c = units_cost("flat", 3, lambda x, s: top if x == 0 and s >= 3 else ZERO, top.denominator)
     assert rescale_to_unit(c)(0, 3) == top * pow2(rescale_exponent_loop(top))
 
 
 def test_rescale_to_unit_exponent_stays_zero_at_or_below_one():
     for top in (ZERO, Fraction(1, 3), Fraction(1)):
-        c = cost_fn("flat", 3, lambda x, s: top if x == 0 and s >= 3 else ZERO)
+        c = units_cost("flat", 3, lambda x, s: top if x == 0 and s >= 3 else ZERO, 3)
         assert rescale_to_unit(c)(0, 3) == top
-    c = cost_fn("flat", 3, lambda x, s: Fraction(1 << 64) + 1 if x == 0 and s >= 3 else ZERO)
+    c = units_cost("flat", 3, lambda x, s: Fraction(1 << 64) + 1 if x == 0 and s >= 3 else ZERO, 1)
     assert rescale_to_unit(c)(0, 3) == (Fraction(1 << 64) + 1) / (1 << 65)
 
 
@@ -362,12 +363,12 @@ def test_rescale_to_unit():
 
 
 def test_non_additive_rejected():
-    from costlab.core import geometric_cost, cost_fn
+    from costlab.core import geometric_cost
 
     with pytest.raises(NonAdditive):
         real_from_additive(geometric_cost(10))
-    sneaky = cost_fn(
-        "sneaky", 10, lambda x, s: pow2(x) if x <= s else ZERO, additive=True
+    sneaky = units_cost(
+        "sneaky", 10, lambda x, s: pow2(x) if x <= s else ZERO, 1 << 20, additive=True
     )
     with pytest.raises(NonAdditive):
         real_from_additive(sneaky)
@@ -423,10 +424,10 @@ def test_real_of_repeated_objects_matches_reference(seq, ordered):
         assert str(exc.value) == want
         return
     b = LeftCEReal.of(seq, Fraction(2))
-    ev = additive_from_real(b).eval_fn
+    c = additive_from_real(b)
     for x in range(len(seq)):
         for s in range(x, len(seq)):
-            assert ev(x, s) == seq[s] - seq[x]
+            assert Fraction(c.eval_fn(x, s), c.den) == seq[s] - seq[x]
     lines = [f"{s} {v.numerator} {v.denominator}\n" for s, v in enumerate(seq)]
     assert dump_real(b) == "".join(lines)
 

@@ -1,6 +1,7 @@
 """The K_s index against a brute-force reference read straight from the grants."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def k_table(descriptions, s):
 
 def sum_ref(table, x):
     return sum((pow2(n) for w, n in table.items() if w > x), ZERO)
+
+
+def sum_value(index, x, s):
+    """``sum_at``'s units as the rational they stand for."""
+    return Fraction(index.sum_at(x, s), 1 << index.scale)
 
 
 def min_ref(table, x):
@@ -262,7 +268,7 @@ def test_copy_answers_like_a_fresh_build(p):
     for s in range(p.horizon + 3):
         for w in range(-1, p.horizon + 3):
             assert twin.k(w, s) == fresh.k(w, s)
-            assert twin.sum_at(w, s) == fresh.sum_at(w, s)
+            assert sum_value(twin, w, s) == sum_value(fresh, w, s)
             assert twin.min_at(w, s) == fresh.min_at(w, s)
 
 
@@ -280,8 +286,8 @@ def test_merge_on_a_copy_leaves_the_original_unchanged():
         for w in range(-1, 14):
             assert index.k(w, s) == k_table(desc, s).get(w)
             assert twin.k(w, s) == grown.k(w, s)
-            assert index.sum_at(w, s) == sum_ref(k_table(desc, s), w)
-            assert twin.sum_at(w, s) == grown.sum_at(w, s)
+            assert sum_value(index, w, s) == sum_ref(k_table(desc, s), w)
+            assert sum_value(twin, w, s) == sum_value(grown, w, s)
 
 
 def test_merge_on_the_original_leaves_a_copy_unchanged():
@@ -296,7 +302,7 @@ def test_merge_on_the_original_leaves_a_copy_unchanged():
     for s in range(25):
         for w in range(-1, 14):
             assert twin.k(w, s) == k_table(desc, s).get(w)
-            assert twin.sum_at(w, s) == sum_ref(k_table(desc, s), w)
+            assert sum_value(twin, w, s) == sum_ref(k_table(desc, s), w)
 
 
 def test_copy_of_a_walked_index_accepts_an_early_merge():
@@ -333,7 +339,7 @@ def test_merge_equals_a_fresh_build(base, extra):
     for s in range(45):
         for w in range(-1, 33):
             assert twin.k(w, s) == fresh.k(w, s)
-            assert twin.sum_at(w, s) == fresh.sum_at(w, s)
+            assert sum_value(twin, w, s) == sum_value(fresh, w, s)
             assert twin.min_at(w, s) == fresh.min_at(w, s)
             assert index.k(w, s) == k_table(base, s).get(w)
 
@@ -364,7 +370,7 @@ def test_add_must_lie_beyond_every_cursor_and_may_change_nothing():
     assert Cursor(index).advance(20) == [(3, None, 5), (2, None, 1)]
     assert cursor.advance(20) == [(2, None, 1)]
     assert index.k(3, 20) == 5
-    assert index.sum_at(0, 20) == pow2(5) + pow2(1) and index.min_at(2, 20) == 5
+    assert sum_value(index, 0, 20) == pow2(5) + pow2(1) and index.min_at(2, 20) == 5
 
 
 # ("merge", target, length, stages beyond the cursor) or ("advance", stages)
@@ -412,7 +418,7 @@ def test_index_and_cursor_match_reference(desc, ops):
         assert index.events == KIndex(desc).events  # canonical after every op
         table = k_table(desc, cursor.stage)
         for x in range(-1, cursor.stage + 2):  # the tables follow every merge
-            assert index.sum_at(x, cursor.stage) == sum_ref(table, x)
+            assert sum_value(index, x, cursor.stage) == sum_ref(table, x)
             assert index.min_at(x, cursor.stage) == min_ref(table, x)
     top = max([max(t, w + 1) for w, _n, t in desc] + [0])
     fresh = Cursor(index)
@@ -422,7 +428,7 @@ def test_index_and_cursor_match_reference(desc, ops):
         for w in range(0, 42):
             assert index.k(w, s) == table.get(w)
         for x in range(-1, s + 1):
-            assert index.sum_at(x, s) == sum_ref(table, x)
+            assert sum_value(index, x, s) == sum_ref(table, x)
             assert index.min_at(x, s) == min_ref(table, x)
     assert fresh.advance(top + 2) == []
 
@@ -431,11 +437,11 @@ def test_sums_stay_exact_where_the_scale_fits_int64_but_the_sum_does_not():
     # scale 62 fits int64, but the scaled sum 4 * 2^62 + 1 does not
     index = KIndex([(w, 0, 1) for w in range(4)] + [(4, 62, 1)])
     assert index.scale == 62
-    assert index.sum_at(-1, 5) == 4 + pow2(62)
-    assert index.sum_at(2, 5) == 1 + pow2(62)
+    assert sum_value(index, -1, 5) == 4 + pow2(62)
+    assert sum_value(index, 2, 5) == 1 + pow2(62)
     assert index.min_at(-1, 5) == 0 and index.min_at(3, 5) == 62 and index.min_at(4, 5) is None
     index.merge([(9, 1, 10)])  # merging drops the tables, which are rebuilt on the next query
-    assert index.sum_at(-1, 10) == 4 + pow2(1) + pow2(62)
+    assert sum_value(index, -1, 10) == 4 + pow2(1) + pow2(62)
 
 
 def test_sums_and_minima_over_whole_blocks_match_reference():
@@ -448,7 +454,7 @@ def test_sums_and_minima_over_whole_blocks_match_reference():
     for s in range(0, 301, 5):
         table = k_table(desc, s)
         for x in range(0, s + 1, 3):
-            assert p.index.sum_at(x, s) == sum_ref(table, x)
+            assert sum_value(p.index, x, s) == sum_ref(table, x)
             assert p.index.min_at(x, s) == min_ref(table, x)
 
 

@@ -28,7 +28,6 @@ from costlab.constructions import (
 from costlab.core import (
     ApproximationTrace,
     EnumerationTrace,
-    cost_fn,
     cost_of_trace,
     geometric_cost,
     obeys_at_horizon,
@@ -50,6 +49,7 @@ from costlab.machine import (
     request_set,
 )
 from costlab.util import ZERO, bits_to_nat, pow2
+from unit_costs import units_cost
 
 
 def test_simple_empty_universe():
@@ -102,8 +102,8 @@ def test_prompt_simple_witness_at_appearance():
 
 
 def test_prompt_starvation_reported():
-    flat = cost_fn(
-        "flat", 60, lambda x, s: Fraction(1) if x <= s else ZERO,
+    flat = units_cost(
+        "flat", 60, lambda x, s: Fraction(1) if x <= s else ZERO, 1,
         monotone_main=True, monotone_stage=True,
     )
     w = EnumerationTrace(60, [(10, 6, 1), (20, 8, 1)])
@@ -158,12 +158,12 @@ def test_divergence_requires_injectivity():
 
 
 def _quartic_and_halving(S):
-    c = cost_fn(
-        "quartic", S, lambda x, s: pow2(2 * x + 2) if x <= s else ZERO,
+    c = units_cost(
+        "quartic", S, lambda x, s: pow2(2 * x + 2) if x <= s else ZERO, 1 << (2 * S + 2),
         monotone_main=True, monotone_stage=True,
     )
-    d = cost_fn(
-        "halving", S, lambda x, s: pow2(x) if x <= s else ZERO,
+    d = units_cost(
+        "halving", S, lambda x, s: pow2(x) if x <= s else ZERO, 1 << S,
         monotone_main=True, monotone_stage=True,
     )
     return c, d
@@ -536,6 +536,11 @@ def test_separation_lists_only_honored_requests():
         assert q.k(y, max(t + 1, y + 1)) <= r + d
 
 
+def sum_value(index, x, s):
+    """``sum_at``'s units as the rational they stand for."""
+    return Fraction(index.sum_at(x, s), 1 << index.scale)
+
+
 def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
     """The separation loop that asks the live index for each element's sum and
     least length beyond it at every check, with Fraction comparisons.  It
@@ -553,7 +558,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
     measure = p.budget_used
     if x0 is None:
         probe = 1
-        while probe < p.horizon and p.index.sum_at(probe, p.horizon) > pow2(min(k + d + 2, 60)):
+        while probe < p.horizon and sum_value(p.index, probe, p.horizon) > pow2(min(k + d + 2, 60)):
             probe <<= 1
         if probe >= p.horizon:
             raise ScheduleInsufficient("no cheap starting point below the horizon")
@@ -576,10 +581,10 @@ def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
         requests = kc_add(requests, k, xv + 1, cur)
         describe(xv + 1, k + d, cur + 1)
         measure += pow2(k + d)
-        while live.sum_at(xv, cur) < pow2(k + d) and used < V:
+        while sum_value(live, xv, cur) < pow2(k + d) and used < V:
             cur += 1
             used += 1
-        if live.sum_at(xv, cur) < pow2(k + d):
+        if sum_value(live, xv, cur) < pow2(k + d):
             status = "budget_exhausted"
             break
         responded = False
@@ -588,7 +593,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
             used += 1
             ok = True
             for x in seq:
-                need = live.sum_at(x, cur)
+                need = sum_value(live, x, cur)
                 best = live.min_at(x, cur)
                 if best is not None and pow2(best) * (1 << b) >= need:
                     continue

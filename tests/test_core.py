@@ -13,7 +13,6 @@ from costlab.core import (
     benign_witness,
     check_monotone,
     check_proper,
-    cost_fn,
     cost_of_trace,
     geometric_cost,
     limit_estimate,
@@ -22,6 +21,7 @@ from costlab.core import (
 from costlab.generate import approximation_trace, left_ce_real, monotone_cost, rng_for
 from costlab.machine import baseline_provider
 from costlab.util import ZERO, pow2
+from unit_costs import units_cost
 
 
 def max_chain_brute(c, n, S):
@@ -84,12 +84,12 @@ def test_monotone_horizon_extension_never_cheaper():
 
 def test_negative_cost_rejected_at_construction():
     with pytest.raises(ValueError):
-        cost_fn("bad", 8, lambda x, s: Fraction(s - x), monotone_stage=False)
+        units_cost("bad", 8, lambda x, s: Fraction(s - x), 1, monotone_stage=False)
 
 
 def test_nonzero_above_diagonal_rejected_when_declared():
     with pytest.raises(ValueError):
-        cost_fn("bad", 8, lambda x, s: Fraction(1), monotone_stage=True)
+        units_cost("bad", 8, lambda x, s: Fraction(1), 1, monotone_stage=True)
 
 
 def test_check_monotone_geometric_passes():
@@ -105,7 +105,7 @@ def test_check_monotone_reports_a_single_fall_in_s():
             return ZERO
         return Fraction(4 * (7 - x) + s - (2 if (x, s) == (2, 4) else 0), 64)
 
-    report = check_monotone(cost_fn("one-fall", 6, ev), 6, 6)
+    report = check_monotone(units_cost("one-fall", 6, ev, 64), 6, 6)
     assert report.stage_violations == ((2, 3),)
     assert report.main_violations == () and report.diagonal_violations == ()
 
@@ -124,7 +124,7 @@ def test_check_proper_geometric_witness():
 
 
 def test_check_proper_zero_unwitnessed():
-    c = cost_fn("zero", 16, lambda x, s: ZERO, monotone_main=True, monotone_stage=True)
+    c = units_cost("zero", 16, lambda x, s: ZERO, 1, monotone_main=True, monotone_stage=True)
     report = check_proper(c, 8)
     assert not report.all_witnessed
     assert all(t is None for t in report.witnesses.values())
@@ -160,12 +160,12 @@ def test_limit_estimate_tail_window_for_nonmonotone():
     def ev(x, s):
         return Fraction(1, 2) if s % 2 == 0 else Fraction(1, 4)
 
-    c = cost_fn("wobble", 16, ev)
+    c = units_cost("wobble", 16, ev, 4)
     assert limit_estimate(c, 3) == Fraction(1, 4)
 
 
 def test_benign_zero_cost_chain_empty():
-    c = cost_fn("zero", 16, lambda x, s: ZERO, monotone_main=True, monotone_stage=True)
+    c = units_cost("zero", 16, lambda x, s: ZERO, 1, monotone_main=True, monotone_stage=True)
     assert benign_witness(c, 3, 16).k == 0
 
 
@@ -212,7 +212,7 @@ def test_benign_chain_gallops_within_its_evaluation_bound(gap, S):
         evals.append((x, s))
         return Fraction(int(s - x >= gap))
 
-    c = cost_fn("gap", S, ev, monotone_main=True, monotone_stage=True)
+    c = units_cost("gap", S, ev, 1, monotone_main=True, monotone_stage=True)
     evals.clear()
     chain = benign_witness(c, 0, S).chain
     assert chain == tuple(range(0, S + 1, gap))

@@ -1,12 +1,15 @@
-"""Integer-unit cost generators against their Fraction references.
+"""Integer-unit cost functions against their Fraction references.
 
-The generated monotone cost is a complexity sum on the K_s index; it is
-compared with the prefix-column evaluator it replaced.  The additive
-constructor is compared with plain Fraction arithmetic, also through its
-per-difference memo in any evaluation order, and its lazy grid with its
-pointwise values.  The potential path of ``implication_transfer`` (two
-additive costs over one denominator) is compared with its pointwise path,
-and it reads no grid.
+Every constructor's evaluator returns int units over its den; each is
+compared with the Fraction formula it replaced on a full small grid, also
+where the den is beyond int64, and the trailing-zero ``Fraction`` view with
+``Fraction(units, den)``.  The generated monotone cost is a complexity sum
+on the K_s index; it is compared with the prefix-column evaluator it
+replaced.  The additive constructor is compared with plain Fraction
+arithmetic in any evaluation order, and its lazy grid with its pointwise
+values.  The potential path of ``implication_transfer`` (two additive costs
+over one denominator) is compared with its pointwise path, and it reads no
+grid.
 """
 
 import random
@@ -22,10 +25,12 @@ from costlab.catalog import (
     LeftCEReal,
     additive_from_real,
     check_additivity,
+    cost_from_approx,
     cost_g,
     cost_k,
     cost_max,
     cost_omega,
+    rescale_to_unit,
 )
 from costlab.core import (
     AdditiveCost,
@@ -47,8 +52,10 @@ from costlab.generate import (
     trace_with_final,
 )
 from costlab.machine import baseline_provider
+from costlab.scenarios import quartic_and_halving
 from costlab.transforms import implication_transfer
 from costlab.util import ZERO, pow2
+from unit_costs import units_cost
 
 
 def monotone_cost_reference(rng: random.Random, S: int):
@@ -245,9 +252,11 @@ def test_check_additivity_on_exact_ints_over_the_lcm():
     tiny = Fraction(1, 3 << 80)
 
     def ev(x, s):  # off by 3^-1 2^-80 on the corner cell only, so every sum falls short
-        return base.eval_fn(x, s) + (tiny if (x, s) == (0, 6) else ZERO)
+        return base(x, s) + (tiny if (x, s) == (0, 6) else ZERO)
 
-    bent = cost_fn("bent", 6, ev, monotone_main=True, monotone_stage=True, additive=True)
+    bent = units_cost(
+        "bent", 6, ev, base.den << 80, monotone_main=True, monotone_stage=True, additive=True
+    )
     with pytest.raises(NonAdditive, match=r"c\(0,1\) \+ c\(1,6\) != c\(0,6\)"):
         check_additivity(bent, 6)
 
@@ -289,7 +298,13 @@ def test_monotone_cost_beyond_the_horizon_is_zero():
 
 def _pointwise(c):
     return cost_fn(
-        c.name, c.horizon, c.eval_fn, monotone_main=True, monotone_stage=True, additive=True
+        c.name,
+        c.horizon,
+        c.eval_fn,
+        den=c.den,
+        monotone_main=True,
+        monotone_stage=True,
+        additive=True,
     )
 
 
@@ -351,3 +366,124 @@ def test_implication_grid_path_without_int64_headroom():
     assert c.grid[0].dtype == np.int64
     r = _implication_both_ways(a, c, d, 4)
     assert r is not None and r.ok
+
+
+# ---- every constructor against its former Fraction formula ------------------
+
+
+def _same_on_grid(c, ref, xs, ss):
+    for x in xs:
+        for s in ss:
+            u = c.units(x, s)
+            assert isinstance(u, int) and Fraction(u, c.den) == c(x, s) == ref(x, s), (x, s)
+
+
+@pytest.mark.parametrize("h", [1, 7, 63, 64, 100])
+def test_geometric_cost_matches_fraction_formula(h):
+    c = geometric_cost(h)
+    assert c.den == 1 << h  # beyond int64 from h = 63 on
+    _same_on_grid(c, lambda x, s: pow2(x) if x <= s else ZERO, range(h + 1), range(h + 3))
+    assert all(c(x, s) == 0 for x in range(h + 1, h + 3) for s in range(h + 3))
+
+
+def _k_reference(p, x, s, pick):
+    s = min(s, p.horizon)
+    weights = [pow2(k) for w in range(x + 1, s + 1) if (k := p.index.k(w, s)) is not None]
+    return pick(weights, default=ZERO)
+
+
+@pytest.mark.parametrize("S", [16, 70])
+def test_cost_k_and_cost_max_match_fraction_formulas(S):
+    p = baseline_provider(S)
+    ck, cm = cost_k(p), cost_max(p)
+    assert ck.den == cm.den == 1 << p.index.scale
+    grid = range(S + 3), range(S + 3)
+    _same_on_grid(ck, lambda x, s: _k_reference(p, x, s, lambda w, default: sum(w, default)), *grid)
+    _same_on_grid(cm, lambda x, s: _k_reference(p, x, s, max), *grid)
+
+
+def test_cost_from_approx_matches_fraction_formula():
+    S = 30
+    z = approximation_trace(rng_for(5, "approx"), S, 12, 20)
+    for h in (lambda e: e, lambda e: 3 * e + 70):  # den 2^11 and 2^103
+        c = cost_from_approx(z, h)
+        least = {s: xs[0] for s, xs in z.change_stages().items()}
+
+        def ref(x, s):  # the max recurrence, one stage at a time
+            v = ZERO
+            for t in range(x + 1, min(s, S) + 1):
+                if t in least and least[t] < x:
+                    v = max(v, pow2(h(least[t])))
+            return v
+
+        assert c.den == 1 << max(h(e) for e in least.values())
+        _same_on_grid(c, ref, range(S + 2), range(S + 2))
+    with pytest.raises(ValueError, match="negative length"):
+        cost_from_approx(z, lambda e: e - 3)
+
+
+def test_quartic_and_halving_match_fraction_formulas():
+    S = 40
+    c, d = quartic_and_halving(S)
+    assert (c.den, d.den) == (1 << 82, 1 << 40)  # the quartic den is beyond int64
+    grid = range(S + 1), range(S + 3)
+    _same_on_grid(c, lambda x, s: pow2(2 * x + 2) if x <= s else ZERO, *grid)
+    _same_on_grid(d, lambda x, s: pow2(x) if x <= s else ZERO, *grid)
+
+
+@pytest.mark.parametrize(
+    "units,den",
+    [
+        ([0, 1, 1], 3),  # limit 1/3: no rescale
+        ([0, 1 << 70, 1 << 70], 3),  # limit 2^70 / 3: den 3 * 2^69
+        ([0, 5, (1 << 66) + 5], 1 << 64),  # limit just above 4
+        ([0, 1, 2], 2),  # limit exactly 1
+    ],
+)
+def test_rescale_to_unit_matches_fraction_formula(units, den):
+    c = additive_cost("c", units, den)
+    top = c(0, c.horizon)
+    k = 0
+    while (1 << k) < top:
+        k += 1
+    r = rescale_to_unit(c)
+    assert r.den == den << k and r(0, r.horizon) <= 1
+    _same_on_grid(r, lambda x, s: c(x, s) * pow2(k), range(4), range(4))
+
+
+def test_rescale_to_unit_of_a_third_beyond_int64():
+    c = additive_cost("c", [0, 1 << 70, 1 << 70], 3)
+    r = rescale_to_unit(c)
+    assert r.den == 3 << 69 and r.den >= 1 << 64
+    assert r(0, 2) == Fraction(2, 3) and r(1, 2) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 1 << 200),
+        st.tuples(st.integers(0, 1 << 40), st.integers(0, 300)).map(lambda p: p[0] << p[1]),
+    ),
+    st.one_of(
+        st.integers(1, 1 << 70),
+        st.integers(0, 300).map(lambda k: 1 << k),
+        st.tuples(st.integers(1, 1 << 40), st.integers(0, 300)).map(lambda p: p[0] << p[1]),
+    ),
+)
+def test_view_strips_shared_trailing_zeros_exactly(units, den):
+    c = cost_fn("view", 1, lambda x, s: 0, den=den)
+    v = c.fraction(units)
+    assert v == Fraction(units, den)
+    assert (v.numerator, v.denominator) == Fraction(units, den).as_integer_ratio()
+
+
+def test_checked_units_keep_the_screen_errors():
+    geo = geometric_cost(8)
+    with pytest.raises(ValueError, match="stage must be a natural"):
+        geo.units(-1, 3)
+    with pytest.raises(ValueError, match="negative cost"):
+        cost_fn("minus-one", 8, lambda x, s: -1 if (x, s) == (4, 8) else 0, den=16)
+    with pytest.raises(ValueError, match="above the diagonal"):
+        cost_fn("corner", 8, lambda x, s: int(x > s), den=1, monotone_stage=True)
+    with pytest.raises(ValueError, match="positive denominator"):
+        cost_fn("no-den", 8, lambda x, s: 0, den=0)

@@ -172,6 +172,24 @@ def test_cli_rejects_malformed_descriptor(tmp_path: Path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_a_negative_seed(tmp_path: Path, capsys):
+    desc = tmp_path / "k.txt"
+    desc.write_text("scenario kraft-audit\nparam S 64\n")
+    out = tmp_path / "out"
+    assert main(["run", str(desc), "-o", str(out), "--seed", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed" in err and "Traceback" not in err
+    assert not out.exists()  # no manifest with an unparsable seed line
+
+
+def test_cli_generate_rejects_a_negative_seed(tmp_path: Path, capsys):
+    target = tmp_path / "scenario.txt"
+    assert main(["generate", "scenario", "--seed", "-1", "-o", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed" in err and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_cli_generate_and_check(tmp_path: Path):
     target = tmp_path / "real.txt"
     assert main(["generate", "real", "--seed", "4", "--horizon", "40", "-o", str(target)]) == 0

@@ -29,7 +29,7 @@ from costlab.constructions import (
     build_prompt_simple,
     build_simple,
 )
-from costlab.core import CostFn, EnumerationTrace, cost_fn, cost_of_trace, geometric_cost
+from costlab.core import CostFn, EnumerationTrace, cost_of_trace, geometric_cost
 from costlab.dual import (
     DualAudit,
     DualState,
@@ -54,6 +54,7 @@ from costlab.generate import (
     universe,
 )
 from costlab.util import ZERO, pow2, triple_pair
+from unit_costs import units_cost
 
 
 def reference_run_simplicity(
@@ -430,12 +431,12 @@ def _early_universe(seed: int, size: int, S: int) -> Universe:
 
 def _jumpy_cost(S: int) -> CostFn:
     """Not stage-monotone: geometric, but 4 on every third stage."""
-    return cost_fn("jumpy", S, lambda x, s: Fraction(4) if s % 3 == 0 else pow2(x))
+    return units_cost("jumpy", S, lambda x, s: Fraction(4) if s % 3 == 0 else pow2(x), 1 << 2 * S)
 
 
 def _wobbly_cost(S: int) -> CostFn:
     """Not stage-monotone: a candidate may fail, pass later, then fail again."""
-    return cost_fn("wobbly", S, lambda x, s: pow2(max(0, x // 2 - (s * 7) % 5)))
+    return units_cost("wobbly", S, lambda x, s: pow2(max(0, x // 2 - (s * 7) % 5)), 1 << S)
 
 
 def _same_simplicity(got, want) -> None:

@@ -30,7 +30,6 @@ from costlab.core import (
     EnumerationTrace,
     additive_cost,
     check_proper,
-    cost_fn,
     cost_of_trace,
     geometric_cost,
     require_same_final_set,
@@ -65,6 +64,7 @@ from costlab.transforms import (
     to_enumeration,
 )
 from costlab.util import pow2
+from unit_costs import units_cost
 
 
 def ref_to_enumeration(a: ApproximationTrace, b: EnumerationTrace) -> EnumerationTrace:
@@ -262,7 +262,7 @@ def reference_first_failures(c, d, N) -> list[int] | None:
     (mc, _), (md, _) = c.grid, d.grid
     if mc.shape != md.shape:
         return None
-    if mc.dtype != object and N * (c.units[-1] - c.units[0]) >= 1 << 63:
+    if mc.dtype != object and N * (c.column[-1] - c.column[0]) >= 1 << 63:
         mc = mc.astype(object)  # N * c would wrap around in int64
     return np.argmin(N * mc > md, axis=0).tolist()
 
@@ -555,7 +555,7 @@ def test_implication_transfer_matches_reference():
             c, d = dominated_cost_pair(rng, S, N)  # the grid path
         elif i % 3 == 1:
             c = monotone_cost(rng, S)
-            d = cost_fn("half", S, lambda x, s, c=c: c(x, s) / 2, monotone_main=True)
+            d = units_cost("half", S, lambda x, s, c=c: c(x, s) / 2, 2 * c.den, monotone_main=True)
         else:
             c = d = additive_grid_cost(rng, S, "c")
         kinds.add(assert_same(implication_transfer, ref_implication_transfer, a, c, d, N))
@@ -609,7 +609,7 @@ def test_omega_ce_bound_matches_reference():
         c = [geometric_cost(S), monotone_cost(rng, S), additive_grid_cost(rng, S)][i % 3]
         X = rng.randint(0, S + 1)
         assert_same(omega_ce_bound, ref_omega_ce_bound, a, c, X)
-    flat = cost_fn("flat", 10, lambda x, s: Fraction(1, 2))
+    flat = units_cost("flat", 10, lambda x, s: Fraction(1, 2), 2)
     got = assert_same(omega_ce_bound, ref_omega_ce_bound, ApproximationTrace(10), flat, 3)
     assert got == "raised"  # not monotone
 

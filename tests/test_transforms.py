@@ -9,7 +9,6 @@ from costlab.catalog import LeftCEReal, additive_from_real, cost_k, cost_omega
 from costlab.core import (
     ApproximationTrace,
     EnumerationTrace,
-    cost_fn,
     cost_of_trace,
     geometric_cost,
 )
@@ -43,6 +42,7 @@ from costlab.transforms import (
     trim,
 )
 from costlab.util import ZERO, pow2
+from unit_costs import units_cost
 
 
 def test_trim_identity_when_already_cheap():
@@ -77,8 +77,8 @@ def test_trim_achieves_any_epsilon():
 def test_trim_succeeds_even_under_flat_costs():
     # every charged position lies below the horizon, so a cutoff above the
     # last charge always exists; the CutoffNotFound branch is defensive
-    flat = cost_fn(
-        "flat", 20, lambda x, s: Fraction(1) if x <= s else ZERO,
+    flat = units_cost(
+        "flat", 20, lambda x, s: Fraction(1) if x <= s else ZERO, 1,
         monotone_main=True, monotone_stage=True,
     )
     a = ApproximationTrace(20, [(5, 3, 1), (9, 6, 1)])
@@ -294,8 +294,8 @@ def test_implication_same_cost_doubled():
 
 
 def test_implication_zero_target():
-    zero = cost_fn(
-        "zero", 60, lambda x, s: ZERO, monotone_main=True, monotone_stage=True
+    zero = units_cost(
+        "zero", 60, lambda x, s: ZERO, 1, monotone_main=True, monotone_stage=True
     )
     rng = rng_for(7, "impl0")
     c, _ = dominated_cost_pair(rng, 60, 1)
@@ -392,8 +392,8 @@ def test_decide_from_cost_changing_position():
 
 
 def test_decide_from_cost_no_witness():
-    zero = cost_fn(
-        "zero", 20, lambda x, s: ZERO, monotone_main=True, monotone_stage=True
+    zero = units_cost(
+        "zero", 20, lambda x, s: ZERO, 1, monotone_main=True, monotone_stage=True
     )
     a = ApproximationTrace(20, [(2, 1, 1)])
     with pytest.raises(NoWitness):
