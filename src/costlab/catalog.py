@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .complexity import Cursor, KIndex, weight_change
+from .complexity import Cursor, KIndex
 from .core import ApproximationTrace, CostFn, additive_cost, cost_fn, limit_estimate
 from .errors import NonAdditive
 from .machine import KProvider, RequestSet, request_set
@@ -301,60 +301,70 @@ def domination_grid_report(p: KProvider) -> DominationReport:
     A (w, old, new) change of K_s moves P_s on [w, s] only, so it lowers h
     and raises q there.  c_max(x, s) does not increase in x, so the new
     weight raises it only on the run x = w - 1, w - 2, ... below the new
-    weight, and q takes the same raises.  Running maxima of h and q over x
-    are recomputed from the least cell a stage touched, and each stage
-    compares them at x = s with its two bounds: an exact maximum over every
-    x <= s, so every point (x, s) is compared.  Only a failing stage scans
-    its cells for the violations.
+    weight, and q takes the same raises.  As q only rises, its maximum
+    over x <= s is one running value, raised with each cell.  The running
+    maxima of h over x are recomputed from the least target a stage
+    changed; a stage that changed none below s extends them by cell s.
+    Each stage compares the two maxima with its two bounds: an exact
+    maximum over every x <= s, so every point (x, s) is compared.  Only a
+    failing stage scans its cells for the violations.
 
     The work is O(S + sum of span_s), span_s being s less the least cell
     touched at stage s.  The registered S = 2048 providers of the
     complexity-queries benchmark have a span sum of about 7150 for 2055
-    changes and take 5-10 ms on a 2-CPU host.  Schedules that first
-    describe many small targets far beyond their own stage have long
-    spans: 1000 targets of length 25 each described 1047 stages after its
-    own, at S = 2048, have a span sum of about 1.05 million and take
-    0.16-0.25 s on the same host.
+    changes and take 3.3-3.6 ms each on a 2-CPU host (seed-1 query0 to
+    query39, Python 3.11).  Schedules that first describe many small
+    targets far beyond their own stage have long spans: 1000 targets of
+    length 25 each described 1047 stages after its own, at S = 2048, have
+    a span sum of about 1.05 million and take 0.13 s on the same host.
     """
     S = p.horizon
     scale = p.max_length
     omega = p.omega_column()
     total = 0  # P_s(s): every target described by stage s lies below s
-    # per cell x <= s: h, q, c_max(x, s) and the running maxima of h and q
+    # per cell x <= s: h, q, c_max(x, s), the running maxima of h, and the
+    # maximum of q, which never falls
     h, q, cmx = [omega[0]], [0], [0]
-    hmax, qmax = h[:], q[:]
+    hmax, qm = h[:], 0
     omega_bad: list[tuple[int, int]] = []
     max_bad: list[tuple[int, int]] = []
-    cursor = Cursor(p.index)
+    advance = Cursor(p.index).advance
     for s in range(1, S + 1):
-        lo = s
-        for w, old, new in cursor.advance(s):
-            delta = weight_change(scale, old, new)
+        lo = s  # the least cell whose h moved
+        for w, old, new in advance(s):
+            weight = 1 << (scale - new)
+            delta = weight if old is None else weight - (1 << (scale - old))
             total += delta
+            if w < lo:
+                lo = w
             for x in range(w, s):
                 h[x] -= delta
                 q[x] += delta
-            weight = 1 << (scale - new)
+                if q[x] > qm:
+                    qm = q[x]
             x = w - 1
             while x >= 0 and cmx[x] < weight:
                 q[x] += weight - cmx[x]
                 cmx[x] = weight
+                if q[x] > qm:
+                    qm = q[x]
                 x -= 1
-            lo = min(lo, x + 1)
         bound = omega[s] - total
         h.append(bound)
         q.append(total)
         cmx.append(0)
-        hm = hmax[lo - 1] if lo else h[0]
-        qm = qmax[lo - 1] if lo else q[0]
-        del hmax[lo:], qmax[lo:]
-        for x in range(lo, s + 1):
-            if h[x] > hm:
-                hm = h[x]
-            if q[x] > qm:
-                qm = q[x]
+        if total > qm:
+            qm = total
+        if lo == s:  # no h below s moved: extend its running maxima by cell s
+            hm = max(hmax[-1], bound)
             hmax.append(hm)
-            qmax.append(qm)
+        else:
+            hm = hmax[lo - 1] if lo else h[0]
+            del hmax[lo:]
+            for x in range(lo, s + 1):
+                if h[x] > hm:
+                    hm = h[x]
+                hmax.append(hm)
         if hm > bound:
             omega_bad.extend((x, s) for x, v in enumerate(h) if v > bound)
         if qm > total:

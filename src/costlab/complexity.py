@@ -22,7 +22,9 @@ of its own keeps them from those changes.  ``merge`` is the one way to
 extend an index: a registered provider merges its requests into a
 ``copy`` of its base's index, and the separation game its requests and
 grants into a copy of its provider's.  A copy shares the per-target lists
-and the tables, which are replaced and never mutated.
+and the tables, which are replaced and never mutated: the first query
+after a merge patches the rows of the targets it improved into new
+tables, or builds them anew when the scale changed.
 
 Conventions:
 
@@ -50,6 +52,7 @@ _BLOCK = 64  # prompt lengths per entry of the block minima
 class _Rows(NamedTuple):
     """The improvement rows of a ``KIndex`` split by kind, each in stage order."""
 
+    scale: int  # the weights are in units of 2^-scale
     prompt_stages: list[int]
     prompt_prefix: list[int]  # [i]: the scaled weights of the first i prompt rows
     prompt_lengths: list[int]
@@ -88,7 +91,9 @@ class KIndex:
         self.events = events
         # the longest length held, so 2^-K is 2^(scale - K) / 2^scale
         self.scale = max((length for _stage, _w, length in events), default=0)
-        self._rows: _Rows | None = None
+        self._rows: _Rows | None = None  # None until the next query builds or patches them
+        self._stale: _Rows | None = None  # the tables a merge left behind, to patch
+        self._touched: set[int] = set()  # targets merged into since the tables were made
 
     def k(self, w: int, s: int) -> int | None:
         """K_s(w): the least length of w counting by stage s, None if there is none."""
@@ -97,30 +102,115 @@ class KIndex:
         return lengths[i - 1] if i else None
 
     def _tables(self) -> _Rows:
-        """The improvement rows split into prompt and delayed, built on first use
-        in one pass over the events, which lie in stage order."""
+        """The improvement rows split into prompt and delayed: built on first
+        use, and after a merge patched from the tables it left, unless the
+        merge changed the scale."""
         if self._rows is None:
-            rows = _Rows([], [0], [], [], [], [], [], [])
-            scale, current, total = self.scale, {}, 0
-            for stage, w, new in self.events:
-                old = current.get(w)
-                current[w] = new
-                if stage == w + 1:  # no earlier row for w: old is None
-                    total += 1 << (scale - new)
-                    rows.prompt_stages.append(stage)
-                    rows.prompt_prefix.append(total)
-                    rows.prompt_lengths.append(new)
-                else:
-                    rows.delayed_stages.append(stage)
-                    rows.delayed_targets.append(w)
-                    rows.delayed_lengths.append(new)
-                    rows.delayed_weights.append(weight_change(scale, old, new))
-            lengths = rows.prompt_lengths
-            rows.prompt_minima.extend(
-                min(lengths[i : i + _BLOCK]) for i in range(0, len(lengths), _BLOCK)
-            )
-            self._rows = rows
+            stale = self._stale
+            if stale is not None and stale.scale == self.scale:
+                self._rows = self._patched(stale)
+            else:
+                self._rows = self._build()
+            self._stale, self._touched = None, set()
         return self._rows
+
+    def _build(self) -> _Rows:
+        """The rows in one pass over the events, which lie in stage order."""
+        scale, current, total = self.scale, {}, 0
+        rows = _Rows(scale, [], [0], [], [], [], [], [], [])
+        for stage, w, new in self.events:
+            old = current.get(w)
+            current[w] = new
+            if stage == w + 1:  # no earlier row for w: old is None
+                total += 1 << (scale - new)
+                rows.prompt_stages.append(stage)
+                rows.prompt_prefix.append(total)
+                rows.prompt_lengths.append(new)
+            else:
+                rows.delayed_stages.append(stage)
+                rows.delayed_targets.append(w)
+                rows.delayed_lengths.append(new)
+                rows.delayed_weights.append(weight_change(scale, old, new))
+        lengths = rows.prompt_lengths
+        rows.prompt_minima.extend(
+            min(lengths[i : i + _BLOCK]) for i in range(0, len(lengths), _BLOCK)
+        )
+        return rows
+
+    def _patched(self, rows: _Rows) -> _Rows:
+        """``rows`` with the rows of every touched target replaced by its
+        current ones, at the same scale, in new lists: a copy may share ``rows``.
+
+        A merge changes the rows of the targets it improves and no others.
+        A target keeps its prompt row once it has one, since only a
+        description at stage w + 1 removes it and that one takes its place
+        with a shorter length; so each touched target replaces its prompt
+        row or inserts one.  The prefix column shifts by the weights gained
+        from the first such row on, and a block's minimum is recomputed from
+        the first inserted row, which moves the rows after it, or lowered to
+        a replaced row's length.  The delayed rows of a touched target are
+        made again from its lists, the first weighed against its prompt row.
+        """
+        scale, by_target = self.scale, self._by_target
+        stages, prefix, lengths = rows.prompt_stages, rows.prompt_prefix, rows.prompt_lengths
+        new_stages: list[int] = []
+        new_prefix, new_lengths = [0], []
+        start = shift = 0  # start: the next base row to copy, shifted up by shift
+        inserted = None  # the first inserted row's position
+        replaced: list[int] = []
+        delayed = [
+            row
+            for row in zip(
+                rows.delayed_stages, rows.delayed_targets,
+                rows.delayed_lengths, rows.delayed_weights,
+            )
+            if row[1] not in self._touched
+        ]
+        for w in sorted(self._touched):
+            w_stages, w_lengths = by_target[w]
+            old = None
+            for stage, length in zip(w_stages, w_lengths):
+                if stage != w + 1:
+                    delayed.append((stage, w, length, weight_change(scale, old, length)))
+                old = length
+            if w_stages[0] != w + 1:
+                continue  # no prompt row
+            length = w_lengths[0]
+            i = bisect.bisect_left(stages, w + 1, start)
+            present = i < len(stages) and stages[i] == w + 1
+            if present and lengths[i] == length:
+                continue  # the prompt row is unchanged
+            new_stages += stages[start:i]
+            new_lengths += lengths[start:i]
+            new_prefix += [v + shift for v in prefix[start + 1 : i + 1]]
+            if present:
+                shift -= 1 << (scale - lengths[i])
+                replaced.append(len(new_lengths))
+                start = i + 1
+            else:
+                if inserted is None:
+                    inserted = len(new_lengths)
+                start = i
+            weight = 1 << (scale - length)
+            shift += weight
+            new_stages.append(w + 1)
+            new_lengths.append(length)
+            new_prefix.append(new_prefix[-1] + weight)
+        new_stages += stages[start:]
+        new_lengths += lengths[start:]
+        new_prefix += [v + shift for v in prefix[start + 1 :]]
+        # the blocks before the first inserted row hold the same rows, or lower ones
+        kept = len(rows.prompt_minima) if inserted is None else inserted // _BLOCK
+        minima = rows.prompt_minima[:kept]
+        minima += (
+            min(new_lengths[i : i + _BLOCK]) for i in range(kept * _BLOCK, len(new_lengths), _BLOCK)
+        )
+        for i in replaced:
+            if i // _BLOCK < kept:
+                minima[i // _BLOCK] = min(minima[i // _BLOCK], new_lengths[i])
+        delayed.sort()
+        columns = [list(c) for c in zip(*delayed)] or [[], [], [], []]
+        return _Rows(scale, new_stages, new_prefix, new_lengths, minima, *columns)
 
     @staticmethod
     def _late(rows: _Rows, x: int, s: int, column: list[int]) -> Iterator[int]:
@@ -135,7 +225,7 @@ class KIndex:
         """The complexity sum, 2^-K_s(w) summed over x < w <= s, in units of 2^-scale."""
         if s <= x + 1:
             return 0
-        rows = self._tables()
+        rows = self._rows or self._tables()
         # each target's weight changes by stage s telescope to its current weight
         prompt = rows.prompt_stages
         return (
@@ -148,7 +238,7 @@ class KIndex:
         """The least K_s(w) over x < w <= s, None if no such w is described by stage s."""
         if s <= x + 1:
             return None
-        rows = self._tables()
+        rows = self._rows or self._tables()
         # lengths only fall: the least new one is the least current
         prompt, lengths = rows.prompt_stages, rows.prompt_lengths
         lo = bisect.bisect_right(prompt, x + 1)
@@ -168,14 +258,14 @@ class KIndex:
         It shares the per-target lists, which ``merge`` replaces and never
         mutates, and has its own event list, so a merge into one index leaves
         the other unchanged; and frontier 0, so it accepts a description at
-        any stage.  Built query tables are shared too: ``merge`` drops them
-        and never mutates them.
+        any stage.  The query tables are shared too, built first if they were
+        not: ``merge`` patches them, in new lists, and never mutates them.
         """
         twin = KIndex()
         twin._by_target = dict(self._by_target)
         twin.events = self.events[:]
         twin.scale = self.scale
-        twin._rows = self._rows
+        twin._rows = self._tables()
         return twin
 
     def merge(self, descriptions: Iterable[tuple[int, int, int]]) -> None:
@@ -188,7 +278,9 @@ class KIndex:
         becomes the longest length kept.  Each description costs a few
         bisects and list splices.  The stages must lie beyond every cursor's
         stage and need not come in order.  The target's lists are replaced,
-        never mutated, since a copy may share them.
+        never mutated, since a copy may share them.  The query tables are
+        patched on the next query: the rows of the improved targets are
+        replaced, or the tables built anew when the scale changed.
         """
         events, lost = self.events, -1  # lost: the longest length removed
         for w, length, stage in descriptions:
@@ -210,7 +302,9 @@ class KIndex:
             )
             bisect.insort(events, (stage, w, length))
             self.scale = max(self.scale, length)
-            self._rows = None
+            if self._rows is not None:
+                self._stale, self._rows = self._rows, None
+            self._touched.add(w)
         if lost == self.scale:  # the longest event may be gone
             self.scale = max((length for _stage, _w, length in events), default=0)
 
@@ -228,10 +322,12 @@ class Cursor:
         """Move to stage s; return the (w, old, new) length changes applied, in order."""
         if s < self.stage:
             raise ValueError("a cursor only moves forward")
-        self._index.frontier = max(self._index.frontier, s)
-        events, current, pos = self._index.events, self._current, self._pos
+        index = self._index
+        if s > index.frontier:
+            index.frontier = s
+        events, current, pos, end = index.events, self._current, self._pos, len(index.events)
         changes = []
-        while pos < len(events) and events[pos][0] <= s:
+        while pos < end and events[pos][0] <= s:
             _stage, w, length = events[pos]
             pos += 1
             changes.append((w, current.get(w), length))

@@ -15,7 +15,7 @@ from operator import neg
 from typing import Callable, Sequence
 
 from .catalog import LeftCEReal, additive_from_real, cost_from_approx, cost_k, cost_max
-from .complexity import Cursor, weight_change
+from .complexity import Cursor
 from .core import (
     ApproximationTrace,
     CostFn,
@@ -778,16 +778,20 @@ def separation_run(
     claim_caps = [k + b + d - r for r in range(min(2, k) + 1)]
     seg, checks = [[0] * len(claim_caps)], [[] for _ in claim_caps]
 
+    advance = view.advance
+
     def walk(s: int) -> None:
         nonlocal total
-        lo = len(seq)  # the least element whose cap moved
-        for w, old, new in view.advance(s):
+        n = lo = len(seq)  # lo: the least element whose cap moved
+        for w, old, new in advance(s):
             if w <= x0:
                 continue  # no element lies below w
-            delta = weight_change(scale, old, new)
+            delta = 1 << (scale - new)
+            if old is not None:
+                delta -= 1 << (scale - old)
             total += delta
             pos = bisect.bisect_left(seq, w)
-            for i in range(pos, len(seq)):
+            for i in range(pos, n):
                 low[i] += delta
                 cap[i] += delta
             i = pos - 1
@@ -795,12 +799,18 @@ def separation_run(
                 best[i] = new
                 cap[i] = low[i] + (1 << (scale - new + b))
                 i -= 1
-            lo = min(lo, i + 1)
+            if i < lo:
+                lo = i + 1
             sums = seg[pos - 1]  # w lies in (seq[pos - 1], seq[pos]]
-            for r, c in enumerate(claim_caps):
-                gone = 0 if old is None else 1 << (top - max(old, c))
-                sums[r] += (1 << (top - max(new, c))) - gone
-        for i in range(lo, len(seq)):
+            if new >= claim_caps[0]:  # no cap clips either length: each sum moves by delta
+                change = delta << (top - scale)
+                for r in range(len(sums)):
+                    sums[r] += change
+            else:
+                for r, c in enumerate(claim_caps):
+                    gone = 0 if old is None else 1 << (top - max(old, c))
+                    sums[r] += (1 << (top - max(new, c))) - gone
+        for i in range(lo, n):
             least[i] = min(least[i - 1], cap[i]) if i else cap[0]
 
     requests = RequestSet()

@@ -10,10 +10,11 @@ anywhere in this module.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .complexity import KIndex
@@ -175,11 +176,15 @@ class BaselineConfig:
 
 
 class _Grant(NamedTuple):
-    """One honored description: measured at omega_stage, usable from k_stage."""
+    """One honored description: measured at omega_stage, usable from k_stage.
 
+    Plain tuple order is the providers' grant order: by omega stage, then
+    length, then target (k_stage is max(omega_stage, target + 1)).
+    """
+
+    omega_stage: int
     length: int
     target: int
-    omega_stage: int
     k_stage: int
 
 
@@ -211,17 +216,17 @@ class KProvider:
             raise ValueError("horizon must be at least 1")
         self.horizon = horizon
         self.config = config
-        order = sorted(grants, key=lambda g: (g.omega_stage, g.length, g.target))
-        self.grants: tuple[_Grant, ...] = tuple(order)
+        self.grants: tuple[_Grant, ...] = tuple(sorted(grants))
         self.budget_used = budget_used
         if budget_used > 1:
             raise WeightOverflow(f"schedule weight {budget_used} exceeds 1")
 
-        self.max_length = max((g.length for g in self.grants), default=0)
+        lengths = [g.length for g in self.grants]
+        self.max_length = max(lengths, default=0)
         # omega sums the grants in omega-stage order, scaled by 2^max_length
         self._omega_stages = [g.omega_stage for g in self.grants]
         self._omega_scaled = list(
-            accumulate((1 << (self.max_length - g.length) for g in self.grants), initial=0)
+            accumulate(map((1 << self.max_length).__rshift__, lengths), initial=0)
         )
 
     @cached_property
@@ -238,9 +243,11 @@ class KProvider:
         return self._omega_scaled[bisect.bisect_right(self._omega_stages, min(s, self.horizon))]
 
     def omega_column(self) -> list[int]:
-        """omega_scaled(s) for every stage s from 0 to the horizon."""
-        stages, scaled = self._omega_stages, self._omega_scaled
-        return [scaled[bisect.bisect_right(stages, s)] for s in range(self.horizon + 1)]
+        """omega_scaled(s) for every stage s from 0 to the horizon, in one pass:
+        the running count of grants per stage is the number of grants by s."""
+        per_stage = Counter(self._omega_stages)
+        counts = accumulate(map(per_stage.get, range(self.horizon + 1), repeat(0)))
+        return list(map(self._omega_scaled.__getitem__, counts))
 
     def omega(self, s: int) -> Fraction:
         """Exact domain measure of the machine at stage s."""
@@ -279,12 +286,12 @@ def baseline_provider(S: int, config: BaselineConfig | None = None) -> KProvider
         )
     grants = []
     for w in range(S):
-        grants.append(_Grant(cfg.main_length(w), w, w + 1, w + 1))
+        grants.append(_Grant(w + 1, cfg.main_length(w), w, w + 1))
     j = 0
     while cfg.delay(j) <= S:
         stage = cfg.delay(j)
         w = 1 << j
-        grants.append(_Grant(cfg.shortcut_length(j), w, stage, max(stage, w + 1)))
+        grants.append(_Grant(stage, cfg.shortcut_length(j), w, max(stage, w + 1)))
         j += 1
     return KProvider(S, grants, cfg.infinite_weight(), cfg)
 
@@ -293,7 +300,7 @@ def _request_grants(rs: RequestSet, d: int) -> list[_Grant]:
     """The grants honoring each request (r, y, t) with length r + d from stage t + 1."""
     if d < 0:
         raise ValueError("coding constant must be a natural")
-    return [_Grant(r + d, y, t + 1, max(t + 1, y + 1)) for r, y, t in rs.entries]
+    return [_Grant(t + 1, r + d, y, max(t + 1, y + 1)) for r, y, t in rs.entries]
 
 
 def register_requests(p: KProvider, rs: RequestSet, d: int) -> KProvider:
@@ -302,7 +309,9 @@ def register_requests(p: KProvider, rs: RequestSet, d: int) -> KProvider:
     Requests enumerated at stage t take effect at stage t + 1 with the
     declared coding constant d, so the combined Kraft weight must stay
     within the unit budget.  The new provider's index is a copy of p's with
-    the requests merged in, equal to a fresh build of all the grants.
+    the requests merged in, equal to a fresh build of all the grants.  Its
+    grants are p's, already in order, merged with the new ones: ``sorted``
+    takes p's as one run and merges the few new ones into it.
     """
     grants = _request_grants(rs, d)
     added = pow2(d) * rs.weight

@@ -8,7 +8,7 @@ when they fail or ``survived`` when they pass.  An unmutated control run
 comes first, since a kill means nothing when the tests fail anyway.  A
 mutant whose note starts with ``equivalent:`` is expected to survive and
 every other one to be killed; the survey exits 1 when a verdict differs.
-pytest does not collect this file, and CI does not run it.
+pytest does not collect this file; CI runs it in a job of its own.
 
 Run from the root of a checkout:
 
@@ -265,6 +265,69 @@ MUTANTS = [
         "if units(x, s) << e < den:",
         ("tests/test_constructions.py", "tests/test_stage_loop_references.py"),
         "a simplicity candidate needs a cost below 2^-e, not at most 2^-e",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "new_prefix += [v + shift for v in prefix[start + 1 :]]",
+        "new_prefix += prefix[start + 1 :]",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "the patched prefix column is not shifted after the last patched row",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "minima[i // _BLOCK] = min(minima[i // _BLOCK], new_lengths[i])",
+        "minima[i // _BLOCK] = minima[i // _BLOCK]",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "a replaced prompt row leaves its block's minimum as it was",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "else inserted // _BLOCK",
+        "else inserted // _BLOCK + 1",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "the block of the first inserted prompt row keeps its old minimum",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "delayed.append((stage, w, length, weight_change(scale, old, length)))",
+        "delayed.append((stage, w, length, weight_change(scale, None, length)))",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "a spliced delayed row is weighed as its target's first row",
+    ),
+    Mutant(
+        "src/costlab/machine.py",
+        "map(per_stage.get, range(self.horizon + 1), repeat(0))",
+        "map(per_stage.get, range(-1, self.horizon), repeat(0))",
+        ("tests/test_machine.py",),
+        "the omega column counts the grants before each stage, not at or before it",
+    ),
+    Mutant(
+        "src/costlab/core.py",
+        "units = sum(a.numerator << (bits - a.denominator.bit_length()) for a in amounts)",
+        "units = self.total.numerator * den // self.total.denominator",
+        ("tests/test_core.py",),
+        "the ledger check takes a dyadic total on trust",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "hm = max(hmax[-1], bound)",
+        "hm = bound",
+        ("tests/test_complexity.py",),
+        "the domination grid's idle stage forgets the cells below it",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "                if q[x] > qm:\n                    qm = q[x]\n                x -= 1\n",
+        "                x -= 1\n",
+        ("tests/test_complexity.py",),
+        "the domination grid's c_max walk leaves the maximum of q as it was",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "if new >= claim_caps[0]:",
+        "if new >= claim_caps[-1]:",
+        ("tests/test_constructions.py",),
+        "the separation claim ledger skips the caps for a length between them",
     ),
 ]
 

@@ -221,6 +221,16 @@ def test_domination_sweep_matches_loop_with_late_descriptions():
     assert rep == reference_domination_grid_report(p)
 
 
+def test_domination_sweep_matches_loop_over_idle_stages():
+    # 10 is paid for at stage 1 and described from stage 11, so every x in
+    # [1, 10) fails the measure check from then on, through the 19 stages
+    # after it that change nothing
+    p = provider_from_requests(request_set([(2, 10, 0), (3, 4, 2)]), 0, 30)
+    rep = domination_grid_report(p)
+    assert rep.omega_violations[-1] == (9, 30)
+    assert rep == reference_domination_grid_report(p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(providers(top=300))
 def test_domination_sweep_matches_loop(p):
@@ -335,6 +345,9 @@ def test_merge_equals_a_fresh_build(base, extra):
     fresh = KIndex(base + extra)
     assert twin.events == fresh.events and twin.scale == fresh.scale
     assert index.events == KIndex(base).events and index.scale == KIndex(base).scale
+    # patched at an unchanged scale, else built anew; the shared ones unchanged
+    assert twin._tables() == fresh._tables()
+    assert index._tables() == KIndex(base)._tables()
     assert Cursor(twin).advance(50) == Cursor(fresh).advance(50)
     for s in range(45):
         for w in range(-1, 33):

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costlab.catalog import LeftCEReal, additive_from_real, cost_k, cost_omega
+from costlab.constructions import build_simple
 from costlab.core import (
     ApproximationTrace,
+    CostLedger,
     EnumerationTrace,
     benign_witness,
     check_monotone,
@@ -18,7 +20,7 @@ from costlab.core import (
     limit_estimate,
     obeys_at_horizon,
 )
-from costlab.generate import approximation_trace, left_ce_real, monotone_cost, rng_for
+from costlab.generate import approximation_trace, left_ce_real, monotone_cost, rng_for, universe
 from costlab.machine import baseline_provider
 from costlab.util import ZERO, pow2
 from unit_costs import units_cost
@@ -260,3 +262,41 @@ def test_ledger_totals_are_exact_sums(seed):
     ledger = cost_of_trace(c, a)
     assert sum((amt for _s, _x, amt in ledger.charges), ZERO) == ledger.total
     assert all(x < s for s, x, _amt in ledger.charges)
+
+
+def test_ledger_check_sees_one_unit_of_its_finest_charge_at_den_2_10000():
+    # the existence scenario's ledger: geometric cost over den 2^10000
+    c = geometric_cost(10_000)
+    trace, _ = build_simple(c, universe(rng_for(1, "universe7"), 32, 10_000), 10_000)
+    ledger = cost_of_trace(c, trace)
+    unit = Fraction(1, max(a.denominator for _s, _x, a in ledger.charges))
+    assert unit == Fraction(1, 2**2441)  # the finest of the 16 seed-1 universes
+    assert CostLedger(ledger.charges, ledger.total) == ledger
+    for off in (unit, -unit, unit / 2, Fraction(1, 3)):
+        with pytest.raises(ValueError, match="ledger total does not match the charges"):
+            CostLedger(ledger.charges, ledger.total + off)
+
+
+def test_ledger_check_over_mixed_denominators():
+    charges = ((2, 0, Fraction(1, 3)), (3, 1, Fraction(1, 4)), (5, 2, Fraction(5, 6)))
+    assert CostLedger(charges, Fraction(17, 12)).total == Fraction(17, 12)
+    for total in (Fraction(17, 12) + Fraction(1, 12), Fraction(17, 16), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="ledger total does not match the charges"):
+            CostLedger(charges, total)
+
+
+amounts = st.builds(
+    Fraction,
+    st.integers(0, 2**70),
+    st.one_of(st.integers(0, 200).map(lambda k: 2**k), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(amounts, max_size=12), st.integers(0, 250))
+def test_ledger_check_is_the_exact_sum(values, k):
+    charges = tuple((s + 1, s, a) for s, a in enumerate(values))
+    total = sum(values, ZERO)
+    assert CostLedger(charges, total).total == total
+    with pytest.raises(ValueError, match="ledger total does not match the charges"):
+        CostLedger(charges, total + Fraction(1, 2**k))

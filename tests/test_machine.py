@@ -1,9 +1,10 @@
 """Request sets, the machine builder, and staged complexity providers."""
 
+import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from costlab.catalog import domination_grid_report
@@ -12,7 +13,9 @@ from costlab.constructions import separation_run
 from costlab.errors import WeightOverflow
 from costlab.machine import (
     BaselineConfig,
+    KProvider,
     RequestSet,
+    _request_grants,
     baseline_provider,
     check_prefix_free,
     kc_add,
@@ -280,6 +283,118 @@ def test_memoized_baseline_is_left_as_built_by_its_readers():
     for s in range(S + 2):
         for w in range(S + 2):
             assert p.k(w, s) == fresh.k(w, s)
+
+
+def fresh_registration(p, rs, d):
+    """A provider of p's grants and the requests' built from scratch: the
+    reference for ``register_requests``."""
+    grants = [*p.grants, *_request_grants(rs, d)]
+    return KProvider(p.horizon, grants, p.budget_used + pow2(d) * rs.weight, p.config)
+
+
+@st.composite
+def registrations(draw):
+    """A base provider (the baseline, a schedule of its own or a registered
+    baseline), requests within its budget, lengths up to 45, and a coding
+    constant."""
+    S = draw(st.integers(1, 160))
+    d = draw(st.integers(0, 2))
+
+    def schedule(budget, top, d):
+        """Requests whose weight, and whose weight at coding constant d, fit."""
+        items = draw(
+            st.lists(
+                st.tuples(st.integers(1, top), st.integers(0, S + 3), st.integers(0, S + 3)),
+                max_size=12,
+            )
+        )
+        entries, weight = [], Fraction(0)
+        for r, y, t in sorted(items, key=lambda e: e[2]):
+            if weight + pow2(r) <= min(1, budget / pow2(d)):
+                weight += pow2(r)
+                entries.append((r, y, t))
+        return request_set(entries)
+
+    kind = draw(st.sampled_from(["baseline", "schedule", "registered"]))
+    if kind == "schedule":
+        base = provider_from_requests(schedule(Fraction(1, 2), 30, 0), 0, S)
+    else:
+        base = baseline_provider(S)
+        if kind == "registered":
+            base = register_requests(base, schedule(Fraction(1, 4), 30, d), d)
+    return base, schedule(1 - base.budget_used, 45, d), d
+
+
+# In the baseline of horizon 64, w = 40 has the prompt row (41, 40, 13), w = 16
+# the rows (17, 16, 11) and (32, 16, 9), and the longest length is 15.
+# A length-2 description of w = 40 from stage 41 replaces its prompt row.
+REPLACED_PROMPT_ROW = (baseline_provider(64), request_set([(2, 40, 3)]), 0)
+# No row for w = 0, and w = 64 the shortest of the first block: the new row
+# at stage 1 moves it to the second block.
+BLOCKS_SHIFTED = (
+    provider_from_requests(
+        request_set([(7 if w == 64 else 12, w, w) for w in range(1, 200)]), 0, 200
+    ),
+    request_set([(12, 0, 0)]),
+    0,
+)
+# A row for w = 16 at stage 21, between its two, reweighs the shortcut after it.
+DELAYED_ROW_SPLICED = (baseline_provider(64), request_set([(10, 16, 20)]), 0)
+# A new target with a length beyond the base's scale rebuilds the tables.
+SCALE_RAISED = (baseline_provider(64), request_set([(30, 100, 10)]), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(registrations())
+@example(REPLACED_PROMPT_ROW)
+@example(BLOCKS_SHIFTED)
+@example(DELAYED_ROW_SPLICED)
+@example(SCALE_RAISED)
+def test_registration_equals_a_fresh_build(case):
+    base, rs, d = case
+    before = copy.deepcopy(base.index._tables())
+    q, fresh = register_requests(base, rs, d), fresh_registration(base, rs, d)
+    old_order = sorted(fresh.grants, key=lambda g: (g.omega_stage, g.length, g.target))
+    assert q.grants == fresh.grants == tuple(old_order)
+    assert q.max_length == fresh.max_length and q.budget_used == fresh.budget_used
+    assert q._omega_stages == fresh._omega_stages
+    assert q._omega_scaled == fresh._omega_scaled
+    assert q.omega_column() == fresh.omega_column()
+    assert q.index.events == fresh.index.events and q.index.scale == fresh.index.scale
+    assert q.index._tables() == fresh.index._tables()
+    assert base.index._tables() == before
+
+
+@pytest.mark.parametrize(
+    "case, rebuilt",
+    [
+        (REPLACED_PROMPT_ROW, False),
+        (BLOCKS_SHIFTED, False),
+        (DELAYED_ROW_SPLICED, False),
+        (SCALE_RAISED, True),
+    ],
+    ids=["replaced-prompt-row", "blocks-shifted", "delayed-row-spliced", "scale-raised"],
+)
+def test_registration_patches_its_base_tables(monkeypatch, case, rebuilt):
+    base, rs, d = case
+    base.index._tables()
+    q = register_requests(base, rs, d)
+    builds = []
+    build = KIndex._build
+    monkeypatch.setattr(KIndex, "_build", lambda self: builds.append(self) or build(self))
+    assert q.index._tables() == fresh_registration(base, rs, d).index._build()
+    assert len(builds) == 1 + rebuilt  # the reference's build, and a rebuild's
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_schedules(), st.integers(0, 2), st.integers(1, 120), st.booleans())
+def test_omega_column_matches_the_pointwise_measure(entries, d, S, registered):
+    rs = request_set(entries)
+    if registered and pow2(d) * rs.weight <= 1 - baseline_provider(S).budget_used:
+        p = register_requests(baseline_provider(S), rs, d)
+    else:
+        p = provider_from_requests(rs, d, S)
+    assert p.omega_column() == [p.omega_scaled(s) for s in range(S + 1)]
 
 
 def test_register_overflow():
