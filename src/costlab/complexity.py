@@ -225,7 +225,7 @@ class KIndex:
         """The complexity sum, 2^-K_s(w) summed over x < w <= s, in units of 2^-scale."""
         if s <= x + 1:
             return 0
-        rows = self._rows or self._tables()
+        rows = self._tables()
         # each target's weight changes by stage s telescope to its current weight
         prompt = rows.prompt_stages
         return (
@@ -238,7 +238,7 @@ class KIndex:
         """The least K_s(w) over x < w <= s, None if no such w is described by stage s."""
         if s <= x + 1:
             return None
-        rows = self._rows or self._tables()
+        rows = self._tables()
         # lengths only fall: the least new one is the least current
         prompt, lengths = rows.prompt_stages, rows.prompt_lengths
         lo = bisect.bisect_right(prompt, x + 1)

@@ -302,18 +302,9 @@ class CostLedger:
     total: Fraction
 
     def __post_init__(self):
-        # the exact sum, on ints over the least common denominator: the largest
-        # one when all are powers of two, as for every dyadic cost, so that the
-        # charges scale by shifts
-        amounts = [a for _s, _x, a in self.charges]
-        dens = [a.denominator for a in amounts]
-        if all(d & (d - 1) == 0 for d in dens):
-            den = max(dens, default=1)
-            bits = den.bit_length()
-            units = sum(a.numerator << (bits - a.denominator.bit_length()) for a in amounts)
-        else:
-            den = math.lcm(*dens)
-            units = sum(a.numerator * (den // a.denominator) for a in amounts)
+        # the exact sum, on ints over the least common denominator
+        den = math.lcm(*(a.denominator for _s, _x, a in self.charges))
+        units = sum(a.numerator * (den // a.denominator) for _s, _x, a in self.charges)
         if units * self.total.denominator != self.total.numerator * den:
             raise ValueError("ledger total does not match the charges")
 

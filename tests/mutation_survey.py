@@ -303,10 +303,10 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/core.py",
-        "units = sum(a.numerator << (bits - a.denominator.bit_length()) for a in amounts)",
+        "units = sum(a.numerator * (den // a.denominator) for _s, _x, a in self.charges)",
         "units = self.total.numerator * den // self.total.denominator",
         ("tests/test_core.py",),
-        "the ledger check takes a dyadic total on trust",
+        "the ledger check takes its total on trust",
     ),
     Mutant(
         "src/costlab/catalog.py",
