@@ -27,5 +27,5 @@ out0 = separation_run(0, p, 1, 50_000)
 print(f"  status {out0.status} after {len(out0.sequence)} element(s)")
 
 print("\n== no opponent: honest providers simply never respond ==")
-honest = separation_run(1, p, 1, 5000, opponent=None)
+honest = separation_run(1, p, 1, 5000, greedy=False)
 print(f"  status {honest.status} with {len(honest.sequence)} element(s)")

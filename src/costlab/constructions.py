@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import neg
 from typing import Callable, Sequence
 
@@ -154,10 +155,20 @@ def build_prompt_simple(
 
 @dataclass(frozen=True)
 class IntervalLedger:
+    """Cost charged to each delayed interval j0..J, held as units over the cost's den."""
+
     j0: int
     J: int
-    per_interval: dict[int, Fraction]
-    total: Fraction
+    cost: CostFn = field(repr=False)
+    units: dict[int, int]
+
+    @cached_property
+    def per_interval(self) -> dict[int, Fraction]:
+        return {j: self.cost.fraction(u) for j, u in self.units.items()}
+
+    @cached_property
+    def total(self) -> Fraction:
+        return self.cost.fraction(sum(self.units.values()))
 
 
 def slow_enum_N(p: KProvider, J: int) -> tuple[EnumerationTrace, IntervalLedger]:
@@ -204,14 +215,14 @@ def slow_enum_N(p: KProvider, J: int) -> tuple[EnumerationTrace, IntervalLedger]
     events.sort(key=lambda e: e[0])
     trace = EnumerationTrace(p.horizon, events)
 
-    ledger = cost_of_trace(cost_k(p), trace)
-    per: dict[int, Fraction] = {j: ZERO for j in range(j0, J + 1)}
-    for _s, x, amount in ledger.charges:
+    ck = cost_k(p)
+    per = dict.fromkeys(range(j0, J + 1), 0)
+    for _s, x, u in cost_of_trace(ck, trace).units:
         if x > (1 << (j0 - 1)):
             j = max(x - 1, 1).bit_length()
             if j in per:
-                per[j] += amount
-    return trace, IntervalLedger(j0, J, per, sum(per.values(), ZERO))
+                per[j] += u
+    return trace, IntervalLedger(j0, J, ck, per)
 
 
 def infinite_ce_divergence(
@@ -696,14 +707,14 @@ def separation_run(
     V: int,
     *,
     x0: int | None = None,
-    opponent: str | None = "greedy",
+    greedy: bool = True,
 ) -> SeparationResult:
     """Bounded run of the sum-versus-max separation game.
 
     The builder repeatedly buys cost beyond the last sequence element and
     waits for single descriptions to dominate the accumulated sums by the
-    factor 2^b.  The greedy opponent plays the absurd domination hypothesis
-    for as long as the unit measure allows; with no opponent the wait
+    factor 2^b.  The greedy opponent (``greedy``) plays the absurd domination
+    hypothesis for as long as the unit measure allows; without it the wait
     exhausts the stage budget, the expected outcome for honest providers.
     A failing check waits while an event of the provider's index or a grant
     is still to take effect, even a grant that improves nothing; then the
@@ -866,7 +877,7 @@ def separation_run(
                 status = "response_impossible"
             elif last > cur:
                 pass  # let earlier descriptions register before adding more
-            elif opponent != "greedy":
+            elif not greedy:
                 status = "budget_exhausted"  # nothing can change anymore
             else:
                 L = _grant_length(b, total - low[i], scale)

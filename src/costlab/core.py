@@ -8,12 +8,11 @@ proxy for the corresponding statement about all stages.
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -55,9 +54,9 @@ class CostFn:
     - ``geometric_cost``: 2^horizon.
 
     Each of these constructors clamps s to the horizon.  ``bulk`` and
-    ``stage_scan`` are always None.  The benchmark's tracer still reads
-    them, so they stay only until the benchmark change that deletes them
-    (see ROADMAP.md).
+    ``stage_scan`` are class attributes, always None and not fields: the
+    benchmark's tracer still reads them, so they stay only until the
+    benchmark change that deletes them (see ROADMAP.md).
     """
 
     name: str
@@ -65,8 +64,8 @@ class CostFn:
     eval_fn: Callable[[int, int], int]
     den: int
     props: CostProps = field(default_factory=CostProps)
-    bulk: Callable[[Sequence[tuple[int, int]]], list[Fraction]] | None = None
-    stage_scan: Callable[[int, int], Iterable[tuple[int, Fraction]]] | None = None
+    bulk = None
+    stage_scan = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -295,22 +294,26 @@ class CostLedger:
     """Per-stage charge record of a trace against a cost function.
 
     One charge per stage with a change at some position below the stage,
-    taken at the least changed position; the total is the exact sum.
+    taken at the least changed position.  ``units`` holds the charges as
+    int units over the cost's den; ``charges``, ``total`` and ``partial``
+    are their exact ``Fraction`` views, each a sum of those units.
     """
 
-    charges: tuple[tuple[int, int, Fraction], ...]  # (stage, least x, amount)
-    total: Fraction
+    cost: CostFn = field(repr=False)
+    units: tuple[tuple[int, int, int], ...]  # (stage, least x, units)
 
-    def __post_init__(self):
-        # the exact sum, on ints over the least common denominator
-        den = math.lcm(*(a.denominator for _s, _x, a in self.charges))
-        units = sum(a.numerator * (den // a.denominator) for _s, _x, a in self.charges)
-        if units * self.total.denominator != self.total.numerator * den:
-            raise ValueError("ledger total does not match the charges")
+    @cached_property
+    def charges(self) -> tuple[tuple[int, int, Fraction], ...]:
+        fraction = self.cost.fraction
+        return tuple((s, x, fraction(u)) for s, x, u in self.units)
+
+    @cached_property
+    def total(self) -> Fraction:
+        return self.cost.fraction(sum(u for _s, _x, u in self.units))
 
     def partial(self, t: int) -> Fraction:
         """Total of charges at stages <= t."""
-        return sum((a for s, _x, a in self.charges if s <= t), ZERO)
+        return self.cost.fraction(sum(u for s, _x, u in self.units if s <= t))
 
 
 def cost_of_trace(c: CostFn, a: ApproximationTrace) -> CostLedger:
@@ -321,10 +324,7 @@ def cost_of_trace(c: CostFn, a: ApproximationTrace) -> CostLedger:
     charged = [
         (s, xs[0], units(xs[0], s)) for s, xs in sorted(a.change_stages().items()) if xs[0] < s
     ]
-    return CostLedger(
-        tuple((s, x, c.fraction(u)) for s, x, u in charged),
-        c.fraction(sum(u for _s, _x, u in charged)),
-    )
+    return CostLedger(c, tuple(charged))
 
 
 def obeys_at_horizon(c: CostFn, a: ApproximationTrace, bound: Fraction) -> bool:

@@ -34,7 +34,6 @@ class CostFunctional:
     name: str
     fn: Callable[[OracleBit, int, int], tuple[int, int, int] | None]
     den: int
-    monotone_stage: bool = True
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,12 @@ class TotalCostFunctional:
     def value(self, bit: OracleBit, x: int, s: int) -> Fraction:
         return Fraction(self.eval_fn(bit, x, s)[0], self.den)
 
-    def use(self, bit: OracleBit, x: int, s: int) -> int:
-        return self.eval_fn(bit, x, s)[1]
-
 
 def totalize(c: CostFunctional) -> TotalCostFunctional:
     """Stage-limited totalization: the value at the largest settled time.
 
     The stage-s value is the underlying value at the largest t <= s whose
-    computation converges within s steps, and 0 when there is none; declared
-    monotonicity is preserved.
+    computation converges within s steps, and 0 when there is none.
     """
 
     def ev(bit: OracleBit, x: int, s: int) -> tuple[int, int]:

@@ -85,19 +85,12 @@ def trace_with_final(
         flips = rng.randint(0, max_flips)
         if flips == 0 and target == 0:
             continue
-        n_changes = 2 * flips + (1 if target == 1 else 0)
-        if n_changes == 0:
+        # an odd number of changes ends on 1, an even one on 0
+        n = min(2 * flips + target, settle_by - 1) or target
+        n -= (n - target) % 2
+        if n <= 0:
             continue
-        n_changes = min(n_changes, settle_by - 1) or (1 if target else 0)
-        if n_changes == 0:
-            continue
-        if target == 1 and n_changes % 2 == 0:
-            n_changes -= 1
-        if target == 0 and n_changes % 2 == 1:
-            n_changes -= 1
-        if n_changes <= 0:
-            continue
-        stages = sorted(rng.sample(range(1, settle_by + 1), n_changes))
+        stages = sorted(rng.sample(range(1, settle_by + 1), n))
         v = 0
         for s in stages:
             v = 1 - v

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .complexity import KIndex
 from .errors import WeightOverflow
-from .util import ZERO, dyadic_sum, floor_log2, pow2
+from .util import dyadic_sum, floor_log2, pow2
 
 INF = None  # complexity value for "no description yet"
 
@@ -28,12 +28,12 @@ INF = None  # complexity value for "no description yet"
 class RequestSet:
     """Append-only schedule of (length, target) description requests.
 
-    The invariant ``weight == sum(2**-r)`` is maintained exactly and the
-    weight never exceeds 1 (bounded request set condition).
+    ``weight`` is the exact sum of 2^-r over the entries, computed once on
+    construction, and never exceeds 1 (bounded request set condition).
     """
 
     entries: tuple[tuple[int, int, int], ...] = ()  # (length r, target y, stage)
-    weight: Fraction = ZERO
+    weight: Fraction = field(init=False)
 
     def __post_init__(self):
         last_stage = 0
@@ -44,10 +44,9 @@ class RequestSet:
                 raise ValueError("request stages must be nondecreasing")
             last_stage = stage
         w = dyadic_sum(r for r, _y, _stage in self.entries)
-        if w != self.weight:
-            raise ValueError("declared weight does not match entries")
         if w > 1:
             raise WeightOverflow(f"request weight {w} exceeds 1")
+        object.__setattr__(self, "weight", w)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -78,8 +77,7 @@ def kc_add(rs: RequestSet, r: int, y: int, stage: int) -> RequestSet:
 
 def request_set(items: Iterable[tuple[int, int, int]]) -> RequestSet:
     """The request set of a complete schedule, validated once."""
-    entries = tuple((r, y, stage) for r, y, stage in items)
-    return RequestSet(entries, dyadic_sum(r for r, _y, _stage in entries))
+    return RequestSet(tuple((r, y, stage) for r, y, stage in items))
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,6 @@ class PrefixMachine:
     """A finite prefix-free machine: bit-string descriptions mapped to outputs."""
 
     descriptions: tuple[tuple[str, int], ...]  # (description, output)
-    coding_constant: int = 0
 
     def kraft_sum(self) -> Fraction:
         return dyadic_sum(len(sigma) for sigma, _ in self.descriptions)
@@ -150,7 +147,7 @@ def kc_machine(rs: RequestSet, d: int) -> PrefixMachine:
     described = []
     for r, y, _stage in rs.entries:
         described.append((alloc.take(r + d), y))
-    return PrefixMachine(tuple(described), d)
+    return PrefixMachine(tuple(described))
 
 
 @dataclass(frozen=True)

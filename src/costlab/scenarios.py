@@ -93,19 +93,17 @@ def run_existence(seed: int, count: int = 100, sets: int = 32, S: int = 10_000) 
         trace, ledger = build_simple(c, u, S)
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
-        total = cost_of_trace(c, trace).total
-        if total > 2:
+        costs = cost_of_trace(c, trace)
+        if costs.total > 2:
             cost_ok = False
-            res.add(f"universe {i} total", False, f"{total} > 2")
+            res.add(f"universe {i} total", False, f"{costs.total} > 2")
         frac = ledger.met_fraction_of_candidates()
         if frac < Fraction(9, 10):
             met_ok = False
             res.add(f"universe {i} met rate", False, str(frac))
         if i == 0:
             res.artifacts["existence_trace.txt"] = dump_trace(trace)
-            res.artifacts["existence_ledger.csv"] = dump_ledger_csv(
-                cost_of_trace(c, trace)
-            )
+            res.artifacts["existence_ledger.csv"] = dump_ledger_csv(costs)
     res.add("total cost <= 2 on all universes", cost_ok, f"{count} universes")
     res.add("met >= 90% of requirements with candidates", met_ok, f"{count} universes")
     res.add("runtime per universe < 5 s", worst_time < 5.0, _UNRECORDED)

@@ -33,7 +33,7 @@ from .core import (
     require_same_final_set,
 )
 from .errors import CutoffNotFound, Mismatch, NoWitness, StageSeqExhausted
-from .util import ZERO, cantor_pair, cantor_unpair, pow2
+from .util import cantor_pair, cantor_unpair, pow2
 
 
 @dataclass(frozen=True)
@@ -584,11 +584,11 @@ def decide_from_cost(
     ledger = cost_of_trace(c, a)
     if ledger.total != S_total:
         raise ValueError("S_total must be the exact ledger total of the trace")
-    partial = ZERO
-    charges = {s: amt for s, _x, amt in ledger.charges}
+    residual = sum(u for _s, _x, u in ledger.units)  # S_total - partial, on units
+    charges = {s: u for s, _x, u in ledger.units}
     for t in range(1, a.horizon + 1):
-        partial += charges.get(t, ZERO)
-        delta = c(x, t)
-        if delta > 0 and S_total - partial < delta:
+        residual -= charges.get(t, 0)
+        delta = c.units(x, t)
+        if delta > 0 and residual < delta:
             return a.value(x, t)
     raise NoWitness(f"no decisive stage for position {x} at this horizon")

@@ -303,10 +303,17 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/core.py",
-        "units = sum(a.numerator * (den // a.denominator) for _s, _x, a in self.charges)",
-        "units = self.total.numerator * den // self.total.denominator",
+        "return self.cost.fraction(sum(u for _s, _x, u in self.units))",
+        "return self.cost.fraction(sum(u for _s, _x, u in self.units[1:]))",
         ("tests/test_core.py",),
-        "the ledger check takes its total on trust",
+        "the ledger's total leaves out its first charge",
+    ),
+    Mutant(
+        "src/costlab/machine.py",
+        "w = dyadic_sum(r for r, _y, _stage in self.entries)",
+        "w = dyadic_sum(r for r, _y, _stage in self.entries[1:])",
+        ("tests/test_machine.py",),
+        "a request set's weight leaves out its first request",
     ),
     Mutant(
         "src/costlab/catalog.py",

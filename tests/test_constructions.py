@@ -369,7 +369,7 @@ def test_separation_game_progress_with_opponent():
 
 def test_separation_honest_provider_stalls():
     p = baseline_provider(1024)
-    out = separation_run(1, p, 1, 3000, opponent=None)
+    out = separation_run(1, p, 1, 3000, greedy=False)
     assert out.status == "budget_exhausted"
     assert len(out.sequence) <= 2
 
@@ -541,7 +541,7 @@ def sum_value(index, x, s):
     return Fraction(index.sum_at(x, s), 1 << index.scale)
 
 
-def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
+def reference_separation_run(b, p, d, V, *, x0=None, greedy=True):
     """The separation loop that asks the live index for each element's sum and
     least length beyond it at every check, with Fraction comparisons.  It
     records the stage of the provider's last event and the stage from which
@@ -601,7 +601,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, opponent="greedy"):
                 if b == 0 and best is not None:
                     status = "response_impossible"
                     break
-                if opponent != "greedy":
+                if not greedy:
                     if not pending():
                         status = "budget_exhausted"
                     break
@@ -657,7 +657,7 @@ _SCHEDULE_FREE = provider_from_requests(RequestSet(), 0, 1024)
         ("registered11", lambda: _registered_provider(11, 2048), 1, 1, 100_000, {}),
         ("schedule-free b=0", lambda: _SCHEDULE_FREE, 0, 1, 3000, {"x0": 2}),
         ("schedule-free b=1", lambda: _SCHEDULE_FREE, 1, 1, 3000, {"x0": 2}),
-        ("no opponent", lambda: baseline_provider(1024), 1, 1, 3000, {"opponent": None}),
+        ("no opponent", lambda: baseline_provider(1024), 1, 1, 3000, {"greedy": False}),
         ("b=5", lambda: _SCHEDULE_FREE, 5, 1, 300, {"x0": 2}),
         ("x0=16383", lambda: _SCHEDULE_FREE, 1, 1, 3000, {"x0": 16383}),
         # a description of the element itself lies not beyond it
@@ -691,15 +691,15 @@ def test_separation_matches_reference_loop(case):
 @given(
     st.lists(st.tuples(st.integers(6, 40), st.integers(0, 40), st.integers(0, 60)), max_size=12),
     st.integers(0, 2),
-    st.sampled_from(["greedy", None]),
+    st.booleans(),
 )
 # the second description of 0 improves nothing: no event is left pending for it
-@example(schedule=[(6, 0, 0), (6, 0, 11)], b=1, opponent="greedy")
-def test_separation_matches_reference_loop_on_random_schedules(schedule, b, opponent):
+@example(schedule=[(6, 0, 0), (6, 0, 11)], b=1, greedy=True)
+def test_separation_matches_reference_loop_on_random_schedules(schedule, b, greedy):
     # from x0 = 2 the descriptions land below x0, between elements, on
     # elements and beyond the last one while the game is played
     p = provider_from_requests(request_set(sorted(schedule, key=lambda e: e[2])), 0, 64)
-    kw = {"x0": 2, "opponent": opponent}
+    kw = {"x0": 2, "greedy": greedy}
     assert separation_run(b, p, 1, 200, **kw) == reference_separation_run(b, p, 1, 200, **kw)
 
 

@@ -154,13 +154,7 @@ def test_request_set_rejects_weight_above_one():
     with pytest.raises(WeightOverflow):
         request_set([(1, 0, 0), (1, 1, 0), (70, 2, 0)])
     assert request_set([(1, 0, 0), (2, 1, 0), (2, 2, 0)]).weight == 1
-
-
-def test_request_set_rejects_wrong_declared_weight():
-    entries = ((1, 0, 0), (70, 1, 0))
-    with pytest.raises(ValueError, match="declared weight"):
-        RequestSet(entries, Fraction(1, 2))
-    assert RequestSet(entries, Fraction(1, 2) + pow2(70)).weight == request_set(entries).weight
+    assert request_set([(1, 0, 0), (70, 1, 0)]).weight == Fraction(1, 2) + pow2(70)
 
 
 @settings(max_examples=80, deadline=None)

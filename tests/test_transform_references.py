@@ -9,6 +9,8 @@ return the same events, initial set, stage sequence and rule, totals,
 bound, displacement and exceptions, or raise the same error.
 ``reference_first_failures`` is the full-grid ``argmin`` that
 ``_first_failures`` replaced with a search on the potential N*u_c - u_d.
+``reference_trace_with_final`` is the former body of the transforms' input
+generator, which must draw the same numbers and emit the same events.
 """
 
 from __future__ import annotations
@@ -635,3 +637,52 @@ def test_same_real_transfer_matches_reference():
         got = assert_same(same_real_transfer, ref_same_real_transfer, a, b, ta)
         assert got == ("raised" if a is short_real or b is short_real else "ok")
     assert kinds == {"ok", "raised"}
+
+
+def reference_trace_with_final(rng, S, final, width, settle_by, max_flips=3):
+    """``generate.trace_with_final`` as first written, with its parity rule
+    spelled out case by case."""
+    events = []
+    for x in range(width):
+        target = 1 if x in final else 0
+        flips = rng.randint(0, max_flips)
+        if flips == 0 and target == 0:
+            continue
+        n_changes = 2 * flips + (1 if target == 1 else 0)
+        if n_changes == 0:
+            continue
+        n_changes = min(n_changes, settle_by - 1) or (1 if target else 0)
+        if n_changes == 0:
+            continue
+        if target == 1 and n_changes % 2 == 0:
+            n_changes -= 1
+        if target == 0 and n_changes % 2 == 1:
+            n_changes -= 1
+        if n_changes <= 0:
+            continue
+        stages = sorted(rng.sample(range(1, settle_by + 1), n_changes))
+        v = 0
+        for s in stages:
+            v = 1 - v
+            events.append((s, x, v))
+    events.sort(key=lambda ev: ev[0])
+    return ApproximationTrace(S, events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.integers(0, 16),
+    st.integers(1, 40),
+    st.integers(0, 6),
+    st.sets(st.integers(0, 20)),
+)
+def test_trace_with_final_matches_reference(seed, S, width, settle_by, max_flips, final):
+    settle_by = min(settle_by, S)
+    final = frozenset(final)
+    rng, ref = random.Random(seed), random.Random(seed)
+    a = trace_with_final(rng, S, final, width, settle_by, max_flips)
+    b = reference_trace_with_final(ref, S, final, width, settle_by, max_flips)
+    assert a.events == b.events
+    assert rng.getstate() == ref.getstate()
