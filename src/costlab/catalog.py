@@ -241,14 +241,19 @@ def additive_requests(c: CostFn) -> RequestSet:
 
     For every w with c(w-1, w) > 0 the entry has the least length r_w with
     2^-r_w <= c(w-1, w); the resulting weight telescopes below c's limit at 0,
-    so the unit budget cannot overflow once that limit is at most 1.
+    so the unit budget cannot overflow once that limit is at most 1.  On the
+    increment's units u, r_w is the least r with den <= u << r, by bit lengths.
     """
     if not c.props.additive:
         raise NonAdditive(f"{c.name} is not declared additive")
     if limit_estimate(c, 0) > 1:
         raise ValueError("rescale first: the limit at 0 exceeds 1")
-    increments = ((w, c(w - 1, w)) for w in range(1, c.horizon + 1))
-    return request_set((least_length(v), w, w) for w, v in increments if v > 0)
+    den, requests = c.den, []
+    for w in range(1, c.horizon + 1):
+        if u := c.units(w - 1, w):
+            r = max(0, den.bit_length() - u.bit_length())  # u << r has den's bit length
+            requests.append((r + (u << r < den), w, w))
+    return request_set(requests)
 
 
 def rescale_to_unit(c: CostFn) -> CostFn:

@@ -96,43 +96,40 @@ class PrefixMachine:
 def check_prefix_free(strings: Iterable[str]) -> list[tuple[str, str]]:
     """Return all (prefix, extension) conflicts among the given strings.
 
-    Sorting makes this complete: if any string is a proper prefix of another,
-    it is a prefix of its immediate lexicographic successor.
+    Sorting makes this complete: a string that is a prefix of another, or
+    equal to it, is a prefix of its immediate lexicographic successor.
     """
     ordered = sorted(strings)
     conflicts = []
     for a, b in zip(ordered, ordered[1:]):
-        if b.startswith(a) and a != b:
+        if b.startswith(a):
             conflicts.append((a, b))
     return conflicts
 
 
-class _IntervalAllocator:
-    """Leftmost-fit allocation of dyadic subintervals of [0, 1).
+def _allocate(requests: Iterable[tuple[int, int]], d: int) -> PrefixMachine:
+    """Leftmost-fit allocation of a dyadic subinterval of [0, 1) of length
+    r + d to each (length r, output y) request.
 
-    Free pieces are kept sorted by position; the construction preserves the
-    invariant that piece sizes strictly increase from left to right, so the
-    leftmost fitting piece is also the best fit and allocation succeeds
-    whenever the remaining measure suffices.
+    The free pieces have distinct lengths that fall from left to right, so
+    the leftmost piece that fits a length L is the longest free length <= L:
+    the top bit at or below L of ``free``, whose bit l is set when the piece
+    [k 2^-l, (k + 1) 2^-l) with k = ``pos[l]`` is free.  A split frees one
+    sibling of each length l + 1..L, so allocation fails only when the
+    remaining measure is below 2^-L.
     """
-
-    def __init__(self):
-        self._free: list[tuple[int, int]] = [(0, 0)]  # (index k, length l): [k*2^-l, (k+1)*2^-l)
-
-    def take(self, length: int) -> str:
-        for pos, (k, l) in enumerate(self._free):
-            if l <= length:
-                del self._free[pos]
-                if l == length:
-                    return format(k, f"0{length}b") if length else ""
-                # split: keep the leftmost sub-piece, free the siblings
-                taken = k << (length - l)
-                pieces = [(taken >> (length - m)) + 1 for m in range(length, l, -1)]
-                self._free[pos:pos] = [
-                    (piece, m) for piece, m in zip(pieces, range(length, l, -1))
-                ]
-                return format(taken, f"0{length}b") if length else ""
-        raise WeightOverflow("no free interval fits the requested length")
+    free, pos, described = 1, {0: 0}, []
+    for r, y in requests:
+        L = r + d
+        l = (free & ((2 << L) - 1)).bit_length() - 1
+        if l < 0:
+            raise WeightOverflow("no free interval fits the requested length")
+        taken = pos.pop(l) << (L - l)
+        free ^= (2 << L) - (1 << l)  # clears bit l, sets the split's bits l + 1..L
+        for m in range(l + 1, L + 1):
+            pos[m] = (taken >> (L - m)) + 1
+        described.append((bin(taken | 1 << L)[3:], y))
+    return PrefixMachine(tuple(described))
 
 
 def kc_machine(rs: RequestSet, d: int) -> PrefixMachine:
@@ -143,11 +140,7 @@ def kc_machine(rs: RequestSet, d: int) -> PrefixMachine:
     """
     if d < 0:
         raise ValueError("coding constant must be a natural")
-    alloc = _IntervalAllocator()
-    described = []
-    for r, y, _stage in rs.entries:
-        described.append((alloc.take(r + d), y))
-    return PrefixMachine(tuple(described))
+    return _allocate(((r, y) for r, y, _stage in rs.entries), d)
 
 
 @dataclass(frozen=True)
@@ -257,8 +250,9 @@ class KProvider:
         return request_set((g.length, g.target, g.omega_stage) for g in self.grants)
 
     def machine(self) -> PrefixMachine:
-        """Materialize the prefix-free machine behind this provider."""
-        return kc_machine(self.request_schedule(), 0)
+        """Materialize the prefix-free machine behind this provider from its
+        sorted grants; WeightOverflow when they weigh more than 1."""
+        return _allocate(((g.length, g.target) for g in self.grants), 0)
 
 
 @lru_cache(maxsize=8)

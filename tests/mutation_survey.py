@@ -336,6 +336,27 @@ MUTANTS = [
         ("tests/test_constructions.py",),
         "the separation claim ledger skips the caps for a length between them",
     ),
+    Mutant(
+        "src/costlab/machine.py",
+        "l = (free & ((2 << L) - 1)).bit_length() - 1",
+        "l = (free & ((1 << L) - 1)).bit_length() - 1",
+        ("tests/test_machine.py",),
+        "the allocator skips a free piece of exactly the requested length",
+    ),
+    Mutant(
+        "src/costlab/machine.py",
+        "taken = pos.pop(l) << (L - l)\n        free ^= (2 << L) - (1 << l)",
+        "taken = pos[l] << (L - l)\n        free |= (2 << L) - (2 << l)",
+        ("tests/test_machine.py",),
+        "the allocator keeps the piece it takes free",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "r + (u << r < den)",
+        "r + (u << r <= den)",
+        ("tests/test_catalog.py",),
+        "an additive request is one bit longer when its increment is exactly 2^-r",
+    ),
 ]
 
 

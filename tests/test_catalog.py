@@ -24,7 +24,7 @@ from costlab.catalog import (
     rescale_to_unit,
     solovay_translate,
 )
-from costlab.core import ApproximationTrace, check_monotone
+from costlab.core import ApproximationTrace, additive_cost, check_monotone
 from costlab.errors import NonAdditive
 from costlab.generate import left_ce_real, rng_for
 from costlab.machine import (
@@ -344,6 +344,46 @@ def test_additive_requests_least_power():
         while pow2(r) > v:
             r += 1
         assert r == w + 1 == least_length(v)
+
+
+def additive_requests_reference(c):
+    """The request lengths as least_length of each increment's Fraction."""
+    increments = ((w, c(w - 1, w)) for w in range(1, c.horizon + 1))
+    return request_set((least_length(v), w, w) for w, v in increments if v > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 32), st.integers(1, 120))
+def test_additive_requests_match_the_fraction_reference_on_random_reals(seed, S):
+    c = additive_from_real(left_ce_real(rng_for(seed, "requests"), S))
+    assert additive_requests(c) == additive_requests_reference(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1 << 90), max_size=30), st.integers(0, 3))
+def test_additive_requests_match_the_fraction_reference_beyond_int64(steps, extra):
+    # den 3^60 + extra is 96 bits long, beyond int64, and no power of two
+    den = 3**60 + extra
+    units = [0, *accumulate(steps)]
+    units = [u for u in units if u <= den]
+    c = additive_cost("wide", units, den)
+    assert additive_requests(c) == additive_requests_reference(c)
+
+
+@pytest.mark.parametrize(
+    "units, den, lengths",
+    [
+        ([0, 7], 7, [0]),  # u == den: length 0
+        ([0, 8, 15], 15, [1, 2]),  # 8 has den's bit length and lies below it
+        ([0, 1 << 70, (1 << 70) + (1 << 69)], 1 << 71, [1, 2]),
+        ([0, (1 << 70) - 1, 1 << 71], 1 << 71, [2, 1]),  # 2^70 - 1 is just short of 2^-1
+    ],
+)
+def test_additive_requests_rounding_edges(units, den, lengths):
+    c = additive_cost("edge", units, den)
+    rs = additive_requests(c)
+    assert [r for r, _w, _s in rs.entries] == lengths
+    assert rs == additive_requests_reference(c)
 
 
 def test_additive_requests_weight_within_budget():

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from costlab.catalog import domination_grid_report
+from costlab.catalog import additive_from_real, additive_requests, domination_grid_report
 from costlab.complexity import KIndex
 from costlab.constructions import separation_run
 from costlab.errors import WeightOverflow
+from costlab.generate import left_ce_real, rng_for
 from costlab.machine import (
     BaselineConfig,
     KProvider,
     RequestSet,
+    _allocate,
+    _Grant,
     _request_grants,
     baseline_provider,
     check_prefix_free,
@@ -28,14 +31,48 @@ from costlab.util import pow2
 
 
 def check_prefix_free_pairwise(strings):
-    """Quadratic reference check used to validate the sorted one."""
+    """Quadratic reference check used to validate the sorted one; a repeated
+    string is a prefix of its copy."""
     items = list(strings)
     conflicts = []
     for i, a in enumerate(items):
         for b in items[i + 1 :]:
-            if a != b and (b.startswith(a) or a.startswith(b)):
+            if b.startswith(a) or a.startswith(b):
                 conflicts.append((a, b) if b.startswith(a) else (b, a))
     return conflicts
+
+
+class ScanningAllocator:
+    """Reference leftmost-fit allocation of dyadic subintervals of [0, 1).
+
+    Free pieces are kept in a list sorted by position and scanned from the
+    left; the construction keeps piece sizes strictly increasing from left to
+    right, so the leftmost fitting piece is also the best fit.
+    """
+
+    def __init__(self):
+        self._free: list[tuple[int, int]] = [(0, 0)]  # (index k, length l): [k*2^-l, (k+1)*2^-l)
+
+    def take(self, length: int) -> str:
+        for pos, (k, l) in enumerate(self._free):
+            if l <= length:
+                del self._free[pos]
+                if l == length:
+                    return format(k, f"0{length}b") if length else ""
+                # split: keep the leftmost sub-piece, free the siblings
+                taken = k << (length - l)
+                pieces = [(taken >> (length - m)) + 1 for m in range(length, l, -1)]
+                self._free[pos:pos] = [
+                    (piece, m) for piece, m in zip(pieces, range(length, l, -1))
+                ]
+                return format(taken, f"0{length}b") if length else ""
+        raise WeightOverflow("no free interval fits the requested length")
+
+
+def scanning_machine(entries, d):
+    """The reference's descriptions of (r, y, stage) entries at coding constant d."""
+    alloc = ScanningAllocator()
+    return tuple((alloc.take(r + d), y) for r, y, _stage in entries)
 
 
 def test_single_request_weight():
@@ -82,6 +119,15 @@ def test_prefix_conflict_that_sorts_last_is_found():
     assert check_prefix_free(domain) == [("11110", "111101")]
 
 
+def test_repeated_description_is_a_conflict():
+    # one interval handed out twice keeps the lengths and the Kraft sum of a
+    # machine that describes two outputs by "01" and "00"
+    for domain in (["01", "01"], ["1", "01", "001", "01"], ["0", "10", "11", "11"]):
+        assert check_prefix_free(domain) == check_prefix_free_pairwise(domain) != []
+    assert check_prefix_free(["1", "01", "001", "01"]) == [("01", "01")]
+    assert check_prefix_free(["01", "01", "011"]) == [("01", "01"), ("01", "011")]
+
+
 def test_machine_coding_constant_offsets_lengths():
     rs = request_set([(1, 0, 0), (3, 1, 1), (2, 2, 2)])
     m = kc_machine(rs, 3)
@@ -96,6 +142,7 @@ def test_machine_deterministic():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=24))
+@example([2, 2, 2, 2])  # an allocator that keeps "01" free hands it out three times
 def test_machine_existence_on_random_schedules(lengths):
     rs = RequestSet()
     for i, r in enumerate(lengths):
@@ -132,8 +179,31 @@ def test_scaled_weights_match_fraction_reference(entries, d):
     assert rs.entries == tuple(entries)
     assert rs.weight == reference
     m = kc_machine(rs, d)
+    assert m.descriptions == scanning_machine(entries, d)
     assert m.kraft_sum() == pow2(d) * reference
     assert check_prefix_free(m.domain()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 8) | st.integers(0, 130), max_size=40),
+    st.integers(min_value=0, max_value=3),
+)
+def test_allocator_runs_out_where_the_reference_does(lengths, d):
+    """Both allocators agree until the measure runs out, and both raise
+    WeightOverflow at the first request that takes the weight above 1."""
+    alloc, taken, weight = ScanningAllocator(), [], Fraction(0)
+    for r in lengths:
+        weight += pow2(r + d)
+        if weight > 1:
+            with pytest.raises(WeightOverflow):
+                alloc.take(r + d)
+            with pytest.raises(WeightOverflow):
+                _allocate([(r, y) for y, r in enumerate(lengths[: len(taken) + 1])], d)
+            break
+        taken.append(alloc.take(r + d))
+    requests = [(r, y) for y, r in enumerate(lengths[: len(taken)])]
+    assert _allocate(requests, d).descriptions == tuple(zip(taken, range(len(taken))))
 
 
 @pytest.mark.parametrize(
@@ -404,6 +474,28 @@ def test_kraft_equality_at_horizon():
     m = p.machine()
     assert m.kraft_sum() == honored
     assert check_prefix_free(m.domain()) == []
+
+
+@pytest.mark.parametrize("i, S", [(0, 128), (1, 256), (2, 512)])
+def test_provider_machine_equals_its_request_schedule_machine(i, S):
+    # the provider-churn workload's seed-1 providers: the baseline plus the
+    # requests of a random additive cost, registered with coding constant 3
+    extra = additive_requests(additive_from_real(left_ce_real(rng_for(1, f"kraft{i}"), 100)))
+    p = register_requests(baseline_provider(S), extra, 3)
+    rs = p.request_schedule()
+    m = p.machine()
+    assert m == kc_machine(rs, 0)
+    assert m.descriptions == scanning_machine(rs.entries, 0)
+    assert check_prefix_free(m.domain()) == []
+
+
+def test_provider_machine_refuses_grants_above_the_unit_budget():
+    # the stated budget is 1/2, but the grants weigh 1/2 + 1/2 + 1/4
+    grants = [_Grant(1, 1, 0, 1), _Grant(1, 1, 1, 2), _Grant(2, 2, 2, 3)]
+    p = KProvider(8, grants, Fraction(1, 2))
+    with pytest.raises(WeightOverflow):
+        p.machine()
+    assert KProvider(8, grants[:2], Fraction(1, 2)).machine().domain() == ("0", "1")
 
 
 def test_provider_from_requests_single_description():
