@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .complexity import Cursor, KIndex
+from .complexity import KIndex
 from .core import ApproximationTrace, CostFn, additive_cost, cost_fn, limit_estimate
 from .errors import NonAdditive
 from .machine import KProvider, RequestSet, request_set
@@ -333,10 +333,13 @@ def domination_grid_report(p: KProvider) -> DominationReport:
     hmax, qm = h[:], 0
     omega_bad: list[tuple[int, int]] = []
     max_bad: list[tuple[int, int]] = []
-    advance = Cursor(p.index).advance
+    changes = p.index.changes(S)
+    at, end = 0, len(changes)  # at: the first change not yet applied
     for s in range(1, S + 1):
         lo = s  # the least cell whose h moved
-        for w, old, new in advance(s):
+        while at < end and changes[at][0] <= s:
+            _stage, w, old, new = changes[at]
+            at += 1
             weight = 1 << (scale - new)
             delta = weight if old is None else weight - (1 << (scale - old))
             total += delta

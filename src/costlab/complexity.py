@@ -16,9 +16,10 @@ prompt lengths read in whole blocks of 64 from their minima.
 
 Every index is canonical: its events are the strict improvements of
 K_s(w), one per target and stage, as in the staged Kraft-Chaitin
-bookkeeping.  A ``Cursor`` walks them forward and returns the
-``(w, old, new)`` changes it applies, so a caller that holds running sums
-of its own keeps them from those changes.  ``merge`` is the one way to
+bookkeeping.  ``changes(s)`` lists them up to stage s as (stage, w, old,
+new) changes, which a sweep applies by position to running sums of its own;
+one that merges as it plays reads ``events`` so.  Both move ``frontier``,
+beyond which a merge must lie.  ``merge`` is the one way to
 extend an index: a registered provider merges its requests into a
 ``copy`` of its base's index, and the separation game its requests and
 grants into a copy of its provider's.  A copy shares the per-target lists
@@ -69,11 +70,11 @@ class KIndex:
     ``descriptions`` yields (target w, length, stage) triples.  Each target
     keeps its stages in order with K_s(w) from each on.  ``events`` is every
     (stage, w, length) strict improvement in stage order and nothing else,
-    so a cursor and the query tables take each one as a change.
+    so a sweep and the query tables take each one as a change.
     """
 
     def __init__(self, descriptions: Iterable[tuple[int, int, int]] = ()):
-        self.frontier = 0  # the furthest stage any cursor has reached or walks to
+        self.frontier = 0  # the furthest stage a sweep has read the events to
         by_target: dict[int, tuple[list[int], list[int]]] = {}  # w -> (stages, lengths)
         events: list[tuple[int, int, int]] = []
         for event in sorted((max(st, w + 1), w, ln) for w, ln, st in descriptions):
@@ -100,6 +101,19 @@ class KIndex:
         stages, lengths = self._by_target.get(w, ((), ()))
         i = bisect.bisect_right(stages, s)
         return lengths[i - 1] if i else None
+
+    def changes(self, s: int) -> list[tuple[int, int, int | None, int]]:
+        """The (stage, w, old, new) changes up to stage s, old None at w's
+        first; moves ``frontier`` to s."""
+        self.frontier = max(self.frontier, s)
+        current: dict[int, int] = {}
+        out = []
+        for stage, w, new in self.events:
+            if stage > s:
+                break
+            out.append((stage, w, current.get(w), new))
+            current[w] = new
+        return out
 
     def _tables(self) -> _Rows:
         """The improvement rows split into prompt and delayed: built on first
@@ -253,7 +267,7 @@ class KIndex:
         return min(window, default=None)
 
     def copy(self) -> KIndex:
-        """An index of the same descriptions that no cursor has walked.
+        """An index of the same descriptions that no sweep has read.
 
         It shares the per-target lists, which ``merge`` replaces and never
         mutates, and has its own event list, so a merge into one index leaves
@@ -276,8 +290,8 @@ class KIndex:
         its target is left out, one that does removes the target's events
         from its stage on that it leaves improving nothing, and ``scale``
         becomes the longest length kept.  Each description costs a few
-        bisects and list splices.  The stages must lie beyond every cursor's
-        stage and need not come in order.  The target's lists are replaced,
+        bisects and list splices.  The stages must lie beyond ``frontier``
+        and need not come in order.  The target's lists are replaced,
         never mutated, since a copy may share them.  The query tables are
         patched on the next query: the rows of the improved targets are
         replaced, or the tables built anew when the scale changed.
@@ -286,7 +300,7 @@ class KIndex:
         for w, length, stage in descriptions:
             stage = max(stage, w + 1)
             if stage <= self.frontier:
-                raise ValueError("a description must take effect beyond every cursor")
+                raise ValueError("a description must take effect beyond the frontier")
             stages, lengths = self._by_target.get(w, ((), ()))
             i = bisect.bisect_right(stages, stage)
             if i and lengths[i - 1] <= length:
@@ -308,29 +322,3 @@ class KIndex:
         if lost == self.scale:  # the longest event may be gone
             self.scale = max((length for _stage, _w, length in events), default=0)
 
-
-class Cursor:
-    """Forward walk over a canonical ``KIndex``'s events, holding K_s at its stage."""
-
-    def __init__(self, index: KIndex):
-        self.stage = 0
-        self._index = index
-        self._pos = 0
-        self._current: dict[int, int] = {}
-
-    def advance(self, s: int) -> list[tuple[int, int | None, int]]:
-        """Move to stage s; return the (w, old, new) length changes applied, in order."""
-        if s < self.stage:
-            raise ValueError("a cursor only moves forward")
-        index = self._index
-        if s > index.frontier:
-            index.frontier = s
-        events, current, pos, end = index.events, self._current, self._pos, len(index.events)
-        changes = []
-        while pos < end and events[pos][0] <= s:
-            _stage, w, length = events[pos]
-            pos += 1
-            changes.append((w, current.get(w), length))
-            current[w] = length
-        self.stage, self._pos = s, pos
-        return changes

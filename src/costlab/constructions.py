@@ -16,7 +16,6 @@ from operator import neg
 from typing import Callable, Sequence
 
 from .catalog import LeftCEReal, additive_from_real, cost_from_approx, cost_k, cost_max
-from .complexity import Cursor
 from .core import (
     ApproximationTrace,
     CostFn,
@@ -453,9 +452,11 @@ def build_complete_model(
     The invariant bounds the bumps in (m, s] beyond marker k's position m by
     2^-k.  No consistent input breaks it: a bump 2^-j with j <= k moves marker
     k past the bump's stage, and each j > k bumps once, so the bumps beyond k
-    total less than 2^-k.  The failing markers are found where beta bumps or a
-    marker moves and carried over the stages between; only the axioms that
-    an enumeration killed are issued again.
+    total less than 2^-k.  The loop visits only stage 1, the entries, the
+    convergences and the bump stage after each, which alone change anything.
+    It finds the failing markers where beta bumps or a marker moves and
+    carries them and beta over the runs between; only the axioms that an
+    enumeration killed are issued again.
     """
     if halting.horizon > S:
         raise ValueError("halting-set horizon exceeds the run horizon")
@@ -480,7 +481,9 @@ def build_complete_model(
     events: list[tuple[int, int, int]] = []
     marker_log: list[tuple[int, int, int, int]] = []
     actions: list[tuple[int, int]] = []
-    axiom_log: list[tuple[int, int, frozenset[int], int]] = []  # (k, use, snap, value)
+    # per k: (use, |A below use|, value) of each axiom issued; as A only grows,
+    # it applies at the end when no element below its use entered since
+    axioms: dict[int, list[tuple[int, int, int]]] = {kk: [] for kk in range(K_max + 1)}
     axiom_use = [0] * (K_max + 1)  # use of each k's live axiom
     killed = set(range(K_max + 1))  # k whose axiom is issued at this stage
     halting_so_far: set[int] = set()
@@ -494,7 +497,14 @@ def build_complete_model(
         events.append((s, x, 1))
         killed.update(kk for kk, use in enumerate(axiom_use) if x < use)
 
-    for s in range(1, S + 1):
+    visits = {1, *by_stage, *phi_by_stage, *(t + 1 for t in phi_by_stage)}
+    for s in sorted(v for v in visits if 1 <= v <= S) + [S + 1]:
+        idle = range(len(beta_units), s)  # stages that change nothing
+        beta_units += [beta_units[-1]] * len(idle)
+        if failing:
+            violations.extend((t, kk) for t in idle for kk in failing)
+        if s > S:
+            break
         beta_units.append(beta_units[-1] + next_bump)
         next_bump = 0
 
@@ -519,7 +529,7 @@ def build_complete_model(
             for kk in sorted(killed):
                 use = axiom_use[kk] = markers[kk] + 1
                 val = 1 if kk in halting_so_far else 0
-                axiom_log.append((kk, use, frozenset(x for x in in_a if x < use), val))
+                axioms[kk].append((use, sum(x < use for x in in_a), val))
             killed.clear()
 
         if k_conv is not None or beta_units[s] != beta_units[s - 1]:
@@ -528,17 +538,13 @@ def build_complete_model(
             violations.extend((s, kk) for kk in failing)
 
     beta = LeftCEReal(tuple(beta_units), 1 << K_max, cap=Fraction(beta_units[-1], 1 << K_max) + 1)
-    trace = EnumerationTrace(S, sorted(events, key=lambda e: e[0]))
+    trace = EnumerationTrace(S, events)  # appended in stage order
     total = cost_of_trace(additive_from_real(beta), trace).total
 
     decoded: dict[int, int] = {}
-    final = frozenset(in_a)
+    final = sorted(in_a)
     for kk in range(K_max + 1):
-        applicable = {
-            v
-            for ax_k, ax_use, ax_snap, v in axiom_log
-            if ax_k == kk and ax_snap == frozenset(x for x in final if x < ax_use)
-        }
+        applicable = {v for use, below, v in axioms[kk] if below == bisect.bisect_left(final, use)}
         if len(applicable) != 1:
             violations.append((S, kk))
         decoded[kk] = max(applicable) if applicable else 0
@@ -650,12 +656,10 @@ def weak_ktrivial_requests(
     cm = cost_max(p)
     entries: list[tuple[int, int, int]] = []
     drops = 0
-    cursor = Cursor(p.index)
-    for stage in range(1, a.horizon + 1):
-        for n, _old, length in cursor.advance(stage):
-            prefix = "".join(str(a.value(i, stage)) for i in range(n))
-            entries.append((length + 1, bits_to_nat(drop_trailing_zeros(prefix)), stage))
-            drops += 1
+    for stage, n, _old, length in p.index.changes(a.horizon):
+        prefix = "".join(str(a.value(i, stage)) for i in range(n))
+        entries.append((length + 1, bits_to_nat(drop_trailing_zeros(prefix)), stage))
+        drops += 1
     changes = 0
     for s, x, _v in a.events:
         r = p.index.min_at(x, min(s, p.horizon))  # c_max = 2^-r
@@ -742,7 +746,6 @@ def separation_run(
     # the game's own copy of K_s: it merges the builder's requests and the
     # opponent's grants as it plays
     live = p.index.copy()
-    view = Cursor(live)
     # the idle rule's stage: the latest at which an event of the provider's
     # index or a grant takes effect, whether or not the grant improves anything
     last = live.events[-1][0] if live.events else 0
@@ -789,12 +792,19 @@ def separation_run(
     claim_caps = [k + b + d - r for r in range(min(2, k) + 1)]
     seg, checks = [[0] * len(claim_caps)], [[] for _ in claim_caps]
 
-    advance = view.advance
+    # by position: a merge lands beyond the frontier, past the events walked
+    events, current, at = live.events, {}, 0  # current: K_s(w) at the walk's stage
 
     def walk(s: int) -> None:
-        nonlocal total
+        nonlocal total, at
+        live.frontier = s
         n = lo = len(seq)  # lo: the least element whose cap moved
-        for w, old, new in advance(s):
+        end = len(events)
+        while at < end and events[at][0] <= s:
+            _stage, w, new = events[at]
+            at += 1
+            old = current.get(w)
+            current[w] = new
             if w <= x0:
                 continue  # no element lies below w
             delta = 1 << (scale - new)

@@ -352,10 +352,11 @@ def dual_construct(
             live_by_x.setdefault(x, []).append((price, w))
 
         # 4. activate requirements
+        floor = -1  # the largest guess of an active requirement below e
         for e in range(E):
             if e in active:
+                floor = max(floor, active[e])
                 continue
-            floor = max((v for i, v in active.items() if i < e), default=-1)
             chosen = None
             for v in range(max(e, floor + 1), n + 1):
                 v_price = priced.get(v)
@@ -391,7 +392,7 @@ def dual_construct(
                         held_total[i] = Fraction(sum(px.values()), L)
                 held[e] = per_x
                 held_total[e] = Fraction(sum(per_x.values()), L)
-                active[e] = v
+                active[e] = floor = v  # v > floor: the scan starts above it
                 activations.append((s, e, v, x))
                 if x not in f_members:
                     f_members.add(x)
@@ -404,8 +405,8 @@ def dual_construct(
 
         s = high_water = high_water + 1
 
-    d_trace = EnumerationTrace(S, sorted(d_events, key=lambda ev: ev[0]))
-    f_trace = EnumerationTrace(S, sorted(f_events, key=lambda ev: ev[0]))
+    d_trace = EnumerationTrace(S, d_events)  # both appended in stage order
+    f_trace = EnumerationTrace(S, f_events)
     activated = {e for _s, e, _v, _x in activations}
     starved = tuple(e for e in range(E) if e not in activated)
     return DualState(

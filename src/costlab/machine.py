@@ -191,8 +191,9 @@ class KProvider:
 
     ``baseline_provider`` memoizes its providers, so its callers share one
     provider and one index.  The index's only state that changes is the
-    ``frontier`` that cursors move.  ``KIndex.merge`` is for a ``copy``
-    only: the separation game and ``register_requests`` merge into one.
+    ``frontier`` that sweeps over its events move.  The grants weigh at most
+    ``budget_used``, at most 1.  ``KIndex.merge`` is for a ``copy`` only:
+    the separation game and ``register_requests`` merge into one.
     """
 
     def __init__(
@@ -218,6 +219,9 @@ class KProvider:
         self._omega_scaled = list(
             accumulate(map((1 << self.max_length).__rshift__, lengths), initial=0)
         )
+        weight = self._omega_scaled[-1]  # the grants' weight, on ints over 2^max_length
+        if weight * budget_used.denominator > budget_used.numerator << self.max_length:
+            raise WeightOverflow(f"the grants weigh more than the stated budget {budget_used}")
 
     @cached_property
     def index(self) -> KIndex:
@@ -266,7 +270,7 @@ def baseline_provider(S: int, config: BaselineConfig | None = None) -> KProvider
 
     The provider is built once per (S, config) and shared by every caller
     (the last eight are kept): it is immutable, and so is its index apart
-    from its cursors' frontier (see ``KProvider``).
+    from its frontier (see ``KProvider``).
     """
     if S < 1:
         raise ValueError("horizon must be at least 1")

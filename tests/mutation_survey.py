@@ -134,7 +134,7 @@ MUTANTS = [
         "            killed.clear()\n",
         "",
         ("tests/test_stage_loop_references.py", "tests/test_constructions.py"),
-        "equivalent: a live axiom issued again repeats its use, snapshot and value",
+        "equivalent: a live axiom issued again repeats its use, its count below the use and its value",
     ),
     Mutant(
         "src/costlab/catalog.py",
@@ -356,6 +356,34 @@ MUTANTS = [
         "r + (u << r <= den)",
         ("tests/test_catalog.py",),
         "an additive request is one bit longer when its increment is exactly 2^-r",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "out.append((stage, w, current.get(w), new))",
+        "out.append((stage, w, None, new))",
+        ("tests/test_complexity.py",),
+        "KIndex.changes reports every change as its target's first",
+    ),
+    Mutant(
+        "src/costlab/dual.py",
+        "active[e] = floor = v",
+        "active[e] = v",
+        ("tests/test_stage_loop_references.py", "tests/test_dual.py"),
+        "the dual's activation floor is not raised by an activation at the same stage",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "*phi_by_stage, *(t + 1 for t in phi_by_stage)}",
+        "*phi_by_stage}",
+        ("tests/test_stage_loop_references.py", "tests/test_constructions.py"),
+        "the complete model does not visit the bump stage after a convergence",
+    ),
+    Mutant(
+        "src/costlab/machine.py",
+        "if weight * budget_used.denominator > budget_used.numerator << self.max_length:",
+        "if weight * budget_used.denominator >= budget_used.numerator << self.max_length:",
+        ("tests/test_machine.py",),
+        "a provider refuses grants that weigh exactly its stated budget",
     ),
 ]
 

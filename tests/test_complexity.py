@@ -18,7 +18,7 @@ from costlab.catalog import (
     cost_omega,
     domination_grid_report,
 )
-from costlab.complexity import Cursor, KIndex, weight_change
+from costlab.complexity import KIndex, weight_change
 from costlab.machine import (
     KProvider,
     baseline_provider,
@@ -27,6 +27,7 @@ from costlab.machine import (
     request_set,
 )
 from costlab.util import ZERO, pow2
+from kcursor import Cursor
 
 
 def k_table(descriptions, s):
@@ -200,12 +201,14 @@ def test_domination_grid_reports_a_c_max_raised_above_c_k(monkeypatch):
     # (60, 3, 3) is injected at stage 65: it raises c_max(x, s) to 2^-3 for
     # every x <= 59 and leaves c_K as it was, which stays below 2^-3 there
     # until 70 is described at stage 71
-    advance = Cursor.advance
+    changes = KIndex.changes
 
     def injected(self, s):
-        return advance(self, s) + ([(60, 3, 3)] if s == 65 else [])
+        found = changes(self, s)
+        i = sum(stage <= 65 for stage, *_rest in found)
+        return found[:i] + ([(65, 60, 3, 3)] if s >= 65 else []) + found[i:]
 
-    monkeypatch.setattr(Cursor, "advance", injected)
+    monkeypatch.setattr(KIndex, "changes", injected)
     rep = domination_grid_report(p)
     assert rep.omega_violations == ()
     assert rep.max_violations == tuple((x, s) for s in range(65, 71) for x in range(60))
@@ -349,6 +352,7 @@ def test_merge_equals_a_fresh_build(base, extra):
     assert twin._tables() == fresh._tables()
     assert index._tables() == KIndex(base)._tables()
     assert Cursor(twin).advance(50) == Cursor(fresh).advance(50)
+    assert twin.changes(50) == fresh.changes(50)
     for s in range(45):
         for w in range(-1, 33):
             assert twin.k(w, s) == fresh.k(w, s)
@@ -364,6 +368,15 @@ def test_merge_must_lie_beyond_every_cursor():
         index.merge([(2, 1, 10)])
     index.merge([(2, 1, 11)])
     assert index.k(2, 11) == 1
+
+
+def test_merge_must_lie_beyond_the_changes_read():
+    index = KIndex([(3, 5, 4), (3, 2, 8)])
+    assert index.changes(10) == [(4, 3, None, 5), (8, 3, 5, 2)]
+    with pytest.raises(ValueError):
+        index.merge([(2, 1, 10)])
+    index.merge([(2, 1, 11)])
+    assert index.changes(20) == [(4, 3, None, 5), (8, 3, 5, 2), (11, 2, None, 1)]
 
 
 def test_add_must_lie_beyond_every_cursor_and_may_change_nothing():
@@ -435,8 +448,10 @@ def test_index_and_cursor_match_reference(desc, ops):
             assert index.min_at(x, cursor.stage) == min_ref(table, x)
     top = max([max(t, w + 1) for w, _n, t in desc] + [0])
     fresh = Cursor(index)
+    walked = []  # (stage, w, old, new): the reference walk's changes, stage by stage
     for s in range(top + 2):
-        fresh.advance(s)
+        walked += [(s, *change) for change in fresh.advance(s)]
+        assert index.changes(s) == walked == KIndex(desc).changes(s)
         table = k_table(desc, s)
         for w in range(0, 42):
             assert index.k(w, s) == table.get(w)

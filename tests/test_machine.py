@@ -490,12 +490,22 @@ def test_provider_machine_equals_its_request_schedule_machine(i, S):
 
 
 def test_provider_machine_refuses_grants_above_the_unit_budget():
-    # the stated budget is 1/2, but the grants weigh 1/2 + 1/2 + 1/4
+    # the stated budget is 1/2, but the grants weigh 1/2 + 1/2 + 1/4: the
+    # provider refuses them when built, where omega(8) would read 5/4, and
+    # the allocator behind machine() refuses them on its own
     grants = [_Grant(1, 1, 0, 1), _Grant(1, 1, 1, 2), _Grant(2, 2, 2, 3)]
-    p = KProvider(8, grants, Fraction(1, 2))
     with pytest.raises(WeightOverflow):
-        p.machine()
-    assert KProvider(8, grants[:2], Fraction(1, 2)).machine().domain() == ("0", "1")
+        KProvider(8, grants, Fraction(1, 2))
+    with pytest.raises(WeightOverflow):
+        _allocate(((g.length, g.target) for g in grants), 0)
+    assert KProvider(8, grants[:2], Fraction(1)).machine().domain() == ("0", "1")
+
+
+def test_provider_builds_on_grants_that_weigh_exactly_its_budget():
+    grants = [_Grant(1, 1, 1, 2), _Grant(2, 2, 2, 3)]  # 1/2 + 1/4
+    assert KProvider(8, grants, Fraction(3, 4)).omega(8) == Fraction(3, 4)
+    with pytest.raises(WeightOverflow):
+        KProvider(8, grants, Fraction(3, 4) - pow2(60))
 
 
 def test_provider_from_requests_single_description():
