@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, generate
-from .catalog import additive_from_real, cost_k
+from .catalog import additive_from_real, additive_requests, cost_k
 from .core import cost_of_trace, geometric_cost
 from .errors import CostLabError, ParseError
 from .machine import baseline_provider, check_prefix_free, kc_machine
@@ -130,8 +130,6 @@ def _cmd_generate(args) -> int:
     elif args.kind == "real":
         art = dump_real(generate.left_ce_real(rng, args.horizon))
     elif args.kind == "schedule":
-        from .catalog import additive_requests
-
         b = generate.left_ce_real(rng, args.horizon)
         art = dump_schedule(additive_requests(additive_from_real(b)))
     else:

@@ -382,7 +382,7 @@ def check_proper(c: CostFn, X: int) -> ProperReport:
     return ProperReport(out)
 
 
-def limit_estimate(c: CostFn, x: int, *, tail_from: int | None = None) -> Fraction:
+def limit_estimate(c: CostFn, x: int) -> Fraction:
     """Finite-horizon proxy for the limit value of c(x, .).
 
     For stage-monotone cost functions this is the exact supremum over
@@ -394,8 +394,7 @@ def limit_estimate(c: CostFn, x: int, *, tail_from: int | None = None) -> Fracti
         return ZERO
     if c.props.monotone_stage:
         return c(x, c.horizon)
-    start = c.horizon // 2 if tail_from is None else tail_from
-    return c.fraction(min(c.units(x, s) for s in range(start, c.horizon + 1)))
+    return c.fraction(min(c.units(x, s) for s in range(c.horizon // 2, c.horizon + 1)))
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,21 @@ from .catalog import LeftCEReal, complexity_sum
 from .complexity import KIndex
 from .constructions import Adversary, Universe, copycat_adversary, stubborn_adversary
 from .core import ApproximationTrace, CostFn, EnumerationTrace, additive_cost
-from .dual import PhiMock, blank_phi, scripted_phi, sensitive_phi
+from .dual import PhiMock, TotalCostFunctional, blank_phi, scripted_phi, sensitive_phi
 
 SCALE = 24  # generated rationals are multiples of 2**-SCALE
+DUAL_SUPPORT = 24  # the dual inputs' staircase cost is 0 beyond this x
 
 
 def rng_for(seed: int, salt: str = "") -> random.Random:
     return random.Random(f"{seed}:{salt}")
 
 
-def universe(rng: random.Random, size: int, S: int, mean_elements: int = 24) -> Universe:
-    """Family of enumeration traces; element x of set e arrives at a stage > x."""
+def universe(rng: random.Random, size: int, S: int) -> Universe:
+    """Family of enumeration traces of at most 48 elements each; x arrives at a stage > x."""
     sets = []
     for e in range(size):
-        count = rng.randint(1, 2 * mean_elements)
+        count = rng.randint(1, 48)
         elements = sorted(rng.sample(range(2 * e, max(4 * e + 2, S // 4)),
                                      min(count, max(1, S // 8))))
         events = []
@@ -175,25 +176,25 @@ def monotone_cost(rng: random.Random, S: int) -> CostFn:
 
 
 def same_final_pair(
-    rng: random.Random, S: int, width: int = 48
+    rng: random.Random, S: int
 ) -> tuple[ApproximationTrace, ApproximationTrace, frozenset[int]]:
-    final = frozenset(
-        x for x in range(width) if rng.random() < 0.3
-    )
+    """Two approximations of width 48 that settle on one final set by S // 2."""
+    final = frozenset(x for x in range(48) if rng.random() < 0.3)
     settle = max(4, S // 2)
-    e = trace_with_final(rng, S, final, width, settle)
-    f = trace_with_final(rng, S, final, width, settle)
+    e = trace_with_final(rng, S, final, 48, settle)
+    f = trace_with_final(rng, S, final, 48, settle)
     return e, f, final
 
 
-def adversary_mix(rng: random.Random, count: int, width: int = 48) -> list[Adversary]:
+def adversary_mix(rng: random.Random, count: int) -> list[Adversary]:
+    """Copycats (chance 0.6) and stubborn adversaries over the naturals below 48."""
     out: list[Adversary] = []
     for i in range(count):
         kind = rng.random()
         if kind < 0.6:
-            out.append(copycat_adversary(width))
+            out.append(copycat_adversary(48))
         else:
-            members = frozenset(rng.sample(range(width), rng.randint(0, 4)))
+            members = frozenset(rng.sample(range(48), rng.randint(0, 4)))
             out.append(stubborn_adversary(members))
     return out
 
@@ -215,12 +216,8 @@ def halting_schedule(
     return halting, converging
 
 
-def dual_inputs(
-    rng: random.Random, entrants: int, requirements: int, support: int = 24
-):
+def dual_inputs(rng: random.Random, entrants: int, requirements: int):
     """(entrant order, scripted functionals, staircase cost functional)."""
-    from .dual import TotalCostFunctional
-
     order = list(range(entrants))
     rng.shuffle(order)
     phis: list[PhiMock] = []
@@ -231,28 +228,22 @@ def dual_inputs(
         elif roll < 0.8:
             phis.append(scripted_phi(e, frozenset(rng.sample(range(200), 3))))
         else:
-            phis.append(sensitive_phi(e, rng.randint(0, support)))
-    jump_at = {x: rng.randint(1, 3 * (x + 1)) for x in range(support + 1)}
+            phis.append(sensitive_phi(e, rng.randint(0, DUAL_SUPPORT)))
+    jump_at = {x: rng.randint(1, 3 * (x + 1)) for x in range(DUAL_SUPPORT + 1)}
 
-    # 2^-(x+2) from its jump stage on, in units of 2^-(support+2)
+    # 2^-(x+2) from its jump stage on, in units of 2^-(DUAL_SUPPORT+2)
     def ev(bit, x: int, s: int):
-        if x > support:
+        if x > DUAL_SUPPORT:
             return 0, 0
         if s >= jump_at[x]:
-            return 1 << (support - x), 1
+            return 1 << (DUAL_SUPPORT - x), 1
         return 0, 1
 
-    c = TotalCostFunctional("staircase", ev, 1 << (support + 2), support_bound=support)
+    c = TotalCostFunctional("staircase", ev, 1 << (DUAL_SUPPORT + 2), support_bound=DUAL_SUPPORT)
     return order, phis, c
 
 
-def dual_inputs_scripted(
-    rng: random.Random,
-    entrants: int,
-    requirements: int,
-    S: int,
-    support: int = 24,
-):
+def dual_inputs_scripted(rng: random.Random, entrants: int, requirements: int, S: int):
     """Dual inputs whose functionals are scripted to chase activations.
 
     Starting from blank functionals, the run's auxiliary set is recorded and
@@ -263,7 +254,7 @@ def dual_inputs_scripted(
     """
     from .dual import dual_construct  # looked up per call, so a traced run sees the passes
 
-    order, _phis, c = dual_inputs(rng, entrants, requirements, support)
+    order, _phis, c = dual_inputs(rng, entrants, requirements)
     scripts: list[frozenset[int]] = [frozenset() for _ in range(requirements)]
     for _ in range(max(6, requirements + 1)):
         phis = [scripted_phi(e, scripts[e]) for e in range(requirements)]

@@ -17,6 +17,7 @@ import numpy as np
 from . import generate
 from .catalog import (
     additive_from_real,
+    additive_requests,
     cost_k,
     domination_grid_report,
     real_from_additive,
@@ -26,13 +27,15 @@ from .constructions import (
     build_complete_model,
     build_prompt_simple,
     build_simple,
+    diagonalize_nonimplication,
+    infinite_ce_divergence,
     separation_run,
     slow_enum_N,
 )
 from .core import CostFn, benign_witness, cost_fn, cost_of_trace, geometric_cost
 from .dual import audit_diagonalization, audit_dual, dual_construct
 from .errors import ParseError
-from .machine import baseline_provider, check_prefix_free
+from .machine import baseline_provider, check_prefix_free, register_requests
 from .serialize import _lines, _nat, dump_ledger_csv, dump_schedule, dump_trace, dump_wishes_csv
 from .transforms import (
     change_set,
@@ -41,6 +44,7 @@ from .transforms import (
     implication_transfer,
     join,
 )
+from .util import pow2
 
 
 # Runtime gates keep their verdict but not the measured seconds, so that two
@@ -64,6 +68,7 @@ class ScenarioResult:
     seed: int
     checks: list[CheckLine] = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)
+    _failed: set[str] = field(default_factory=set, init=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -71,6 +76,18 @@ class ScenarioResult:
 
     def add(self, label: str, ok: bool, detail: str) -> None:
         self.checks.append(CheckLine(label, bool(ok), detail))
+
+    def expect(self, check: str, ok: bool, label: str | None = None, detail: str = "") -> None:
+        """One instance's outcome for `check`: a failure fails the check's
+        verdict and, given a label, adds the instance's own failing line."""
+        if not ok:
+            self._failed.add(check)
+            if label is not None:
+                self.add(label, False, detail)
+
+    def verdict(self, check: str, detail: str) -> None:
+        """`check`'s summary line: it fails if any instance of it failed."""
+        self.add(check, check not in self._failed, detail)
 
     def summary(self) -> str:
         head = f"scenario {self.name} seed {self.seed}\n"
@@ -82,10 +99,10 @@ class ScenarioResult:
 def run_existence(seed: int, count: int = 100, sets: int = 32, S: int = 10_000) -> ScenarioResult:
     """Simple-set construction: exact cost bound and met-requirement rate."""
     res = ScenarioResult("existence", seed)
+    cost_check = "total cost <= 2 on all universes"
+    met_check = "met >= 90% of requirements with candidates"
     c = geometric_cost(S)
     worst_time = 0.0
-    cost_ok = True
-    met_ok = True
     for i in range(count):
         rng = generate.rng_for(seed, f"universe{i}")
         u = generate.universe(rng, sets, S)
@@ -94,41 +111,35 @@ def run_existence(seed: int, count: int = 100, sets: int = 32, S: int = 10_000) 
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
         costs = cost_of_trace(c, trace)
-        if costs.total > 2:
-            cost_ok = False
-            res.add(f"universe {i} total", False, f"{costs.total} > 2")
+        res.expect(cost_check, costs.total <= 2, f"universe {i} total", f"{costs.total} > 2")
         frac = ledger.met_fraction_of_candidates()
-        if frac < Fraction(9, 10):
-            met_ok = False
-            res.add(f"universe {i} met rate", False, str(frac))
+        res.expect(met_check, frac >= Fraction(9, 10), f"universe {i} met rate", str(frac))
         if i == 0:
             res.artifacts["existence_trace.txt"] = dump_trace(trace)
             res.artifacts["existence_ledger.csv"] = dump_ledger_csv(costs)
-    res.add("total cost <= 2 on all universes", cost_ok, f"{count} universes")
-    res.add("met >= 90% of requirements with candidates", met_ok, f"{count} universes")
+    res.verdict(cost_check, f"{count} universes")
+    res.verdict(met_check, f"{count} universes")
     res.add("runtime per universe < 5 s", worst_time < 5.0, _UNRECORDED)
     return res
 
 
 def run_prompt_existence(seed: int, count: int = 20, sets: int = 16, S: int = 2000) -> ScenarioResult:
     res = ScenarioResult("prompt-existence", seed)
+    cost_check = "prompt total cost <= 2"
+    witness_check = "promptness witness at appearance stage"
     c = geometric_cost(S)
-    ok_cost = True
-    ok_witness = True
     for i in range(count):
         rng = generate.rng_for(seed, f"prompt{i}")
         u = generate.universe(rng, sets, S)
         trace, ledger = build_prompt_simple(c, u, S)
-        if cost_of_trace(c, trace).total > 2:
-            ok_cost = False
+        res.expect(cost_check, cost_of_trace(c, trace).total <= 2)
         for rec in ledger.records:
             if rec.met and rec.witness is not None:
                 stage, x = rec.witness
                 arrived = u.sets[rec.index].stages_of(x)
-                if arrived and arrived[0] != stage:
-                    ok_witness = False
-    res.add("prompt total cost <= 2", ok_cost, f"{count} universes")
-    res.add("promptness witness at appearance stage", ok_witness, f"{count} universes")
+                res.expect(witness_check, not arrived or arrived[0] == stage)
+    res.verdict(cost_check, f"{count} universes")
+    res.verdict(witness_check, f"{count} universes")
     return res
 
 
@@ -156,9 +167,9 @@ def run_domination(seed: int = 0, S: int = 4096) -> ScenarioResult:
 def run_additive_algebra(seed: int, count: int = 100, bound: int = 200) -> ScenarioResult:
     """Exact additivity on all triples and the real <-> cost roundtrip."""
     res = ScenarioResult("additive-algebra", seed)
+    triples_check = "exact additivity on all triples"
+    roundtrip_check = "real <-> cost roundtrip identity"
     t0 = time.perf_counter()
-    triples_ok = True
-    roundtrip_ok = True
     for i in range(count):
         rng = generate.rng_for(seed, f"real{i}")
         b = generate.left_ce_real(rng, bound)
@@ -172,16 +183,13 @@ def run_additive_algebra(seed: int, count: int = 100, bound: int = 200) -> Scena
         for y in range(1, bound):
             lhs = grid[:y, y][:, None] + grid[y, y + 1 :][None, :]
             if not np.array_equal(lhs, grid[:y, y + 1 :]):
-                triples_ok = False
-                res.add(f"real {i} additivity", False, f"violated at middle {y}")
+                res.expect(triples_check, False, f"real {i} additivity", f"violated at middle {y}")
                 break
         back = real_from_additive(c, cap=b.cap)
-        if back.seq != b.seq:
-            roundtrip_ok = False
-            res.add(f"real {i} roundtrip", False, "sequences differ")
+        res.expect(roundtrip_check, back.seq == b.seq, f"real {i} roundtrip", "sequences differ")
     dt = time.perf_counter() - t0
-    res.add("exact additivity on all triples", triples_ok, f"{count} reals, bound {bound}")
-    res.add("real <-> cost roundtrip identity", roundtrip_ok, f"{count} reals")
+    res.verdict(triples_check, f"{count} reals, bound {bound}")
+    res.verdict(roundtrip_check, f"{count} reals")
     res.add("runtime < 10 s", dt < 10.0, _UNRECORDED)
     return res
 
@@ -189,9 +197,9 @@ def run_additive_algebra(seed: int, count: int = 100, bound: int = 200) -> Scena
 def run_conjunction(seed: int, count: int = 100, S: int = 1000) -> ScenarioResult:
     """Conjunction bound with exhaustive final-set equality."""
     res = ScenarioResult("conjunction", seed)
+    bound_check = "(c+d)-ledger <= 4 + c-ledger + d-ledger"
+    final_check = "final-set equality exhaustive"
     t0 = time.perf_counter()
-    ok_bound = True
-    ok_final = True
     for i in range(count):
         rng = generate.rng_for(seed, f"conj{i}")
         e, f, final = generate.same_final_pair(rng, S)
@@ -199,14 +207,13 @@ def run_conjunction(seed: int, count: int = 100, S: int = 1000) -> ScenarioResul
         d = generate.additive_grid_cost(rng, S, "conj-d")
         r = conjoin(e, f, c, d)
         if not r.ok:
-            ok_bound = False
-            res.add(f"instance {i} bound", False, f"{r.output_total} > {r.bound}")
-        if r.trace.final_set() != final:
-            ok_final = False
-            res.add(f"instance {i} final", False, "final set changed")
+            res.expect(bound_check, False, f"instance {i} bound", f"{r.output_total} > {r.bound}")
+        res.expect(
+            final_check, r.trace.final_set() == final, f"instance {i} final", "final set changed"
+        )
     dt = time.perf_counter() - t0
-    res.add("(c+d)-ledger <= 4 + c-ledger + d-ledger", ok_bound, f"{count} instances")
-    res.add("final-set equality exhaustive", ok_final, f"{count} instances")
+    res.verdict(bound_check, f"{count} instances")
+    res.verdict(final_check, f"{count} instances")
     res.add("runtime < 30 s", dt < 30.0, _UNRECORDED)
     return res
 
@@ -214,28 +221,28 @@ def run_conjunction(seed: int, count: int = 100, S: int = 1000) -> ScenarioResul
 def run_implication(seed: int, count: int = 100, S: int = 1000) -> ScenarioResult:
     """Implication transfer bound under pointwise-verified domination."""
     res = ScenarioResult("implication", seed)
+    premise_check = "domination premise verified pointwise"
+    bound_check = "d-ledger(output) <= N * c-ledger(input)"
     t0 = time.perf_counter()
-    ok_bound = True
-    ok_premise = True
     tri = np.triu_indices(S + 1, k=1)  # every x < s cell of the (S+1)-square grids
     for i in range(count):
         rng = generate.rng_for(seed, f"impl{i}")
         N = rng.randint(1, 4)
         c, d = generate.dominated_cost_pair(rng, S, N)
         if not np.all(N * c.grid[0][tri] > d.grid[0][tri]):
-            ok_premise = False
-            res.add(f"instance {i} premise", False, "domination fails on the grid")
+            res.expect(
+                premise_check, False, f"instance {i} premise", "domination fails on the grid"
+            )
             continue
         a = generate.trace_with_final(
             rng, S, frozenset(rng.sample(range(40), 6)), 40, S // 2
         )
         r = implication_transfer(a, c, d, N)
         if not r.ok or r.trace.final_set() != a.final_set():
-            ok_bound = False
-            res.add(f"instance {i} bound", False, f"{r.output_total} > {r.bound}")
+            res.expect(bound_check, False, f"instance {i} bound", f"{r.output_total} > {r.bound}")
     dt = time.perf_counter() - t0
-    res.add("domination premise verified pointwise", ok_premise, f"{count} instances")
-    res.add("d-ledger(output) <= N * c-ledger(input)", ok_bound, f"{count} instances")
+    res.verdict(premise_check, f"{count} instances")
+    res.verdict(bound_check, f"{count} instances")
     res.add("runtime < 30 s", dt < 30.0, _UNRECORDED)
     return res
 
@@ -243,31 +250,32 @@ def run_implication(seed: int, count: int = 100, S: int = 1000) -> ScenarioResul
 def run_changeset_join(seed: int, count: int = 100, S: int = 1000) -> ScenarioResult:
     """Change-set and join ledger inequalities plus exact decoding."""
     res = ScenarioResult("changeset-join", seed)
-    ok_cs = True
-    ok_decode = True
-    ok_join = True
+    cs_check = "change-set ledger <= source ledger"
+    decode_check = "decode(change_set) == final set"
+    join_check = "join ledger <= sum of ledgers"
     for i in range(count):
         rng = generate.rng_for(seed, f"csj{i}")
         c = generate.monotone_cost(rng, S)
         a = generate.approximation_trace(rng, S, 40, rng.randint(2, 10))
         b = generate.approximation_trace(rng, S, 40, rng.randint(2, 10))
         cs = change_set(a)
-        if cost_of_trace(c, cs).total > cost_of_trace(c, a).total:
-            ok_cs = False
-            res.add(f"instance {i} change-set ledger", False, "inequality violated")
-        if decode_change_set(cs) != a.final_set():
-            ok_decode = False
-            res.add(f"instance {i} decode", False, "decode mismatch")
+        a_total = cost_of_trace(c, a).total
+        res.expect(
+            cs_check, cost_of_trace(c, cs).total <= a_total,
+            f"instance {i} change-set ledger", "inequality violated",
+        )
+        res.expect(
+            decode_check, decode_change_set(cs) == a.final_set(),
+            f"instance {i} decode", "decode mismatch",
+        )
         jt = join(a, b)
-        if (
-            cost_of_trace(c, jt).total
-            > cost_of_trace(c, a).total + cost_of_trace(c, b).total
-        ):
-            ok_join = False
-            res.add(f"instance {i} join ledger", False, "inequality violated")
-    res.add("change-set ledger <= source ledger", ok_cs, f"{count} instances")
-    res.add("decode(change_set) == final set", ok_decode, f"{count} instances")
-    res.add("join ledger <= sum of ledgers", ok_join, f"{count} instances")
+        res.expect(
+            join_check, cost_of_trace(c, jt).total <= a_total + cost_of_trace(c, b).total,
+            f"instance {i} join ledger", "inequality violated",
+        )
+    res.verdict(cs_check, f"{count} instances")
+    res.verdict(decode_check, f"{count} instances")
+    res.verdict(join_check, f"{count} instances")
     return res
 
 
@@ -279,9 +287,6 @@ def run_kraft_audit(seed: int, S: int = 512) -> ScenarioResult:
         "baseline": baseline_provider(S),
     }
     rng = generate.rng_for(seed, "kraft")
-    from .catalog import additive_requests
-    from .machine import register_requests
-
     b = generate.left_ce_real(rng, 100)
     extra = additive_requests(additive_from_real(b))
     providers["registered"] = register_requests(baseline_provider(128), extra, 3)
@@ -311,10 +316,9 @@ def run_slow_enum(seed: int = 0, J: int = 12) -> ScenarioResult:
     cfg_horizon = (1 << (J + 1)) + (1 << (J - 1)) + 1
     p = baseline_provider(cfg_horizon)
     trace, ledger = slow_enum_N(p, J)
-    per_ok = all(v >= 1 for v in ledger.per_interval.values())
     res.add(
         "per-interval cost >= 1",
-        per_ok,
+        all(v >= 1 for v in ledger.per_interval.values()),
         "; ".join(f"j={j}: {v}" for j, v in ledger.per_interval.items()),
     )
     res.add(
@@ -331,49 +335,44 @@ def run_benignity(seed: int = 0, S: int = 4096, n_max: int = 10) -> ScenarioResu
     res = ScenarioResult("benignity", seed)
     p = baseline_provider(S)
     ck = cost_k(p)
-    ok_k = True
+    k_check = "complexity-sum chains: k <= 2^n"
     details = []
     for n in range(n_max + 1):
         chain = benign_witness(ck, n, S)
         details.append(f"n={n}: k={chain.k}")
-        if chain.k > (1 << n):
-            ok_k = False
-    res.add("complexity-sum chains: k <= 2^n", ok_k, "; ".join(details))
+        res.expect(k_check, chain.k <= 1 << n)
+    res.verdict(k_check, "; ".join(details))
     rng = generate.rng_for(seed, "benign")
     b = generate.left_ce_real(rng, S, cap=Fraction(1))
     ca = additive_from_real(b)
-    ok_a = True
+    a_check = "additive chains (cap 1): k <= 2^n"
     for n in range(n_max + 1):
-        chain = benign_witness(ca, n, S)
-        if chain.k > (1 << n):
-            ok_a = False
-    res.add("additive chains (cap 1): k <= 2^n", ok_a, f"n <= {n_max}")
+        res.expect(a_check, benign_witness(ca, n, S).k <= 1 << n)
+    res.verdict(a_check, f"n <= {n_max}")
     return res
 
 
 def run_complete_model(seed: int, count: int = 50, S: int = 2000, markers: int = 14) -> ScenarioResult:
     """Movable-marker coding: invariant, cost bound 4, exact decoding."""
     res = ScenarioResult("complete-model", seed)
-    ok_inv = True
-    ok_cost = True
-    ok_decode = True
+    inv_check = "stage invariant at every stage"
+    cost_check = "total cost <= 4 exactly"
+    decode_check = "halting-set decode exact at horizon"
     for i in range(count):
         rng = generate.rng_for(seed, f"cm{i}")
         halting, phis = generate.halting_schedule(rng, S, markers)
         out = build_complete_model(halting, phis, S)
-        if out.invariant_violations:
-            ok_inv = False
-            res.add(f"run {i} invariant", False, str(out.invariant_violations[:3]))
-        if out.total > 4:
-            ok_cost = False
-            res.add(f"run {i} cost", False, str(out.total))
+        res.expect(
+            inv_check, not out.invariant_violations,
+            f"run {i} invariant", str(out.invariant_violations[:3]),
+        )
+        res.expect(cost_check, out.total <= 4, f"run {i} cost", str(out.total))
         want = out.halting_final
-        if any(out.decoded[k] != (1 if k in want else 0) for k in out.decoded):
-            ok_decode = False
-            res.add(f"run {i} decode", False, "mismatch")
-    res.add("stage invariant at every stage", ok_inv, f"{count} runs")
-    res.add("total cost <= 4 exactly", ok_cost, f"{count} runs")
-    res.add("halting-set decode exact at horizon", ok_decode, f"{count} runs")
+        exact = all(out.decoded[k] == (1 if k in want else 0) for k in out.decoded)
+        res.expect(decode_check, exact, f"run {i} decode", "mismatch")
+    res.verdict(inv_check, f"{count} runs")
+    res.verdict(cost_check, f"{count} runs")
+    res.verdict(decode_check, f"{count} runs")
     return res
 
 
@@ -415,10 +414,10 @@ def run_separation(
 def run_dual(seed: int, count: int = 50, S: int = 10_000, requirements: int = 5) -> ScenarioResult:
     """Dual construction: held budgets, monotone decoding, cheap halting set."""
     res = ScenarioResult("dual", seed)
-    ok_held = True
-    ok_mono = True
-    ok_total = True
-    ok_diag = True
+    held_check = "per-e held totals <= 3^-e at every stage end"
+    mono_check = "gamma nondecreasing in t on the grid"
+    total_check = "halting-set ledger <= 3/2 exactly"
+    diag_check = "every activated requirement diagonalized"
     worst = 0.0
     for i in range(count):
         rng = generate.rng_for(seed, f"dual{i}")
@@ -427,20 +426,14 @@ def run_dual(seed: int, count: int = 50, S: int = 10_000, requirements: int = 5)
         st = dual_construct(c, order, phis, S)
         audit = audit_dual(st)
         worst = max(worst, time.perf_counter() - t0)
-        if not audit.held_ok:
-            ok_held = False
-        if not audit.gamma_monotone:
-            ok_mono = False
-        if not audit.halting_bound_ok:
-            ok_total = False
-        if not audit_diagonalization(st, phis):
-            ok_diag = False
+        res.expect(held_check, audit.held_ok)
+        res.expect(mono_check, audit.gamma_monotone)
+        res.expect(total_check, audit.halting_bound_ok)
+        res.expect(diag_check, audit_diagonalization(st, phis))
         if i == 0:
             res.artifacts["dual_wishes.csv"] = dump_wishes_csv(st.wishes)
-    res.add("per-e held totals <= 3^-e at every stage end", ok_held, f"{count} runs")
-    res.add("gamma nondecreasing in t on the grid", ok_mono, f"{count} runs")
-    res.add("halting-set ledger <= 3/2 exactly", ok_total, f"{count} runs")
-    res.add("every activated requirement diagonalized", ok_diag, f"{count} runs")
+    for check in (held_check, mono_check, total_check, diag_check):
+        res.verdict(check, f"{count} runs")
     res.add("runtime per run < 60 s", worst < 60.0, _UNRECORDED)
     return res
 
@@ -461,40 +454,29 @@ def quartic_and_halving(S: int) -> tuple[CostFn, CostFn]:
 
 def run_diagonalization(seed: int, count: int = 20, S: int = 400) -> ScenarioResult:
     """Obey one cost while defeating tracking adversaries under another."""
-    from .constructions import diagonalize_nonimplication
-    from .util import pow2
-
     res = ScenarioResult("diagonalization", seed)
-    ok_cost = True
-    ok_epochs = True
-    ok_met = True
+    cost_check = "output obeys the priced cost (total <= 4)"
+    epochs_check = "per-epoch progress within 2^-(b+e)+1 budget"
+    met_check = "met requirements drive tracking adversaries above 1"
     c, d = quartic_and_halving(S)
     for i in range(count):
         rng = generate.rng_for(seed, f"diag{i}")
         phis = generate.adversary_mix(rng, rng.randint(1, 3))
         out = diagonalize_nonimplication(c, d, phis, S)
-        if out.total > 4:
-            ok_cost = False
+        res.expect(cost_check, out.total <= 4)
         for rec in out.ledger.records:
-            b = 0
-            for epoch in rec.alpha_epochs:
-                if epoch > 2 * pow2(b + rec.index):
-                    ok_epochs = False
-                b += 1
+            for b, epoch in enumerate(rec.alpha_epochs):
+                res.expect(epochs_check, epoch <= 2 * pow2(b + rec.index))
         for idx, adv in enumerate(phis):
             if adv.name.startswith("copycat") and out.ledger.records[idx].met:
-                if out.adversary_totals[idx] <= 1:
-                    ok_met = False
-    res.add("output obeys the priced cost (total <= 4)", ok_cost, f"{count} runs")
-    res.add("per-epoch progress within 2^-(b+e)+1 budget", ok_epochs, f"{count} runs")
-    res.add("met requirements drive tracking adversaries above 1", ok_met, f"{count} runs")
+                res.expect(met_check, out.adversary_totals[idx] > 1)
+    for check in (cost_check, epochs_check, met_check):
+        res.verdict(check, f"{count} runs")
     return res
 
 
 def run_divergence(seed: int = 0, R: int = 5, S: int = 600) -> ScenarioResult:
     """Summed limit prices over an infinite set grow without bound."""
-    from .constructions import infinite_ce_divergence
-
     res = ScenarioResult("divergence", seed)
     p = baseline_provider(S)
     rs, sums = infinite_ce_divergence(list(range(4 * (1 << R))), R, p, 1)
@@ -514,14 +496,12 @@ def run_divergence(seed: int = 0, R: int = 5, S: int = 600) -> ScenarioResult:
 
 def run_solovay(seed: int, count: int = 50, S: int = 200) -> ScenarioResult:
     res = ScenarioResult("solovay", seed)
-    ok_self = True
+    check = "self-translation with N=2 has no violations"
     for i in range(count):
         rng = generate.rng_for(seed, f"sol{i}")
         a = generate.left_ce_real(rng, S)
-        cert = solovay_translate(a, a, 2)
-        if not cert.ok:
-            ok_self = False
-    res.add("self-translation with N=2 has no violations", ok_self, f"{count} reals")
+        res.expect(check, solovay_translate(a, a, 2).ok)
+    res.verdict(check, f"{count} reals")
     return res
 
 

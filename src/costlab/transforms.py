@@ -170,11 +170,8 @@ def to_enumeration(a: ApproximationTrace, b: EnumerationTrace) -> EnumerationTra
     return EnumerationTrace(a.horizon, events, a.initial & final)
 
 
-def change_set(
-    a: ApproximationTrace,
-    pairing: Callable[[int, int], int] = cantor_pair,
-) -> EnumerationTrace:
-    """C.e. record of the approximation: the i-th change of x enters as pair(x, i)."""
+def change_set(a: ApproximationTrace) -> EnumerationTrace:
+    """C.e. record of the approximation: the i-th change of x enters as cantor_pair(x, i)."""
     if a.initial:
         raise ValueError("change sets are defined for approximations starting empty")
     counts: dict[int, int] = {}
@@ -182,21 +179,15 @@ def change_set(
     for s, x, _v in a.events:
         i = counts.get(x, 0)
         counts[x] = i + 1
-        p = pairing(x, i)
-        if p < x:
-            raise ValueError("pairing must satisfy pair(x, i) >= x")
-        events.append((s, p, 1))
+        events.append((s, cantor_pair(x, i), 1))
     return EnumerationTrace(a.horizon, events)
 
 
-def decode_change_set(
-    cs: EnumerationTrace,
-    unpair: Callable[[int], tuple[int, int]] = cantor_unpair,
-) -> frozenset[int]:
+def decode_change_set(cs: EnumerationTrace) -> frozenset[int]:
     """Recover the approximated set from its change set at the horizon."""
     counts: dict[int, int] = {}
     for p in cs.final_set():
-        x, _i = unpair(p)
+        x, _i = cantor_unpair(p)
         counts[x] = counts.get(x, 0) + 1
     return frozenset(x for x, n in counts.items() if n % 2 == 1)
 

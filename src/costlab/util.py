@@ -42,7 +42,7 @@ def least_length(v: Fraction) -> int:
 
 
 def cantor_pair(x: int, i: int) -> int:
-    """Monotone pairing with pair(x, i) >= x; the default change-set pairing."""
+    """Monotone pairing with pair(x, i) >= x; the change-set pairing."""
     s = x + i
     return s * (s + 1) // 2 + x
 

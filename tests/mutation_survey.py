@@ -385,6 +385,20 @@ MUTANTS = [
         ("tests/test_machine.py",),
         "a provider refuses grants that weigh exactly its stated budget",
     ),
+    Mutant(
+        "src/costlab/scenarios.py",
+        "self._failed.add(check)",
+        "pass",
+        ("tests/test_scenarios.py",),
+        "a failing instance leaves its check's summary line passing",
+    ),
+    Mutant(
+        "src/costlab/scenarios.py",
+        "self.add(label, False, detail)",
+        "pass",
+        ("tests/test_scenarios.py",),
+        "a failing instance adds no line of its own",
+    ),
 ]
 
 

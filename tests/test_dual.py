@@ -21,6 +21,7 @@ from costlab.dual import (
     hat_sup,
     nondeficiency_stages,
     oracle_from_set,
+    scripted_phi,
     totalize,
 )
 from costlab.generate import dual_inputs, dual_inputs_scripted, rng_for
@@ -243,3 +244,31 @@ def test_audit_flags_a_halting_cost_just_above_three_halves():
         audit = audit_dual(bad)
         assert audit.halting_total == alpha
         assert audit.halting_bound_ok is ok
+
+
+def test_audit_flags_a_decoded_value_that_falls_as_its_use_grows():
+    # one wish at x = 0 with use 1, granted from stage 0; D enters 3 at stage 5.
+    # gamma(0, 1) reads the wish at stage 0, gamma(0, horizon) at stage 5, where
+    # it counts only if it was not removed by then
+    st, _ = _simple_dual(0)
+    for removed, ok in ((None, True), (6, True), (5, False)):
+        bad = dataclasses.replace(
+            st,
+            d_trace=EnumerationTrace(st.horizon, [(5, 3, 1)]),
+            wishes=(Wish(0, Fraction(1, 4), 1, 0, 0, removed),),
+        )
+        assert audit_dual(bad).gamma_monotone is ok, removed
+
+
+def test_audit_flags_a_functional_that_agrees_with_f_at_the_horizon():
+    st, phis = _simple_dual(0)
+    agree = st.f_trace.final_set()
+    live = {
+        e for s, e, v, _x in st.activations
+        if not any((ce, cv) == (e, v) and cs >= s for cs, ce, cv, _n in st.cancellations)
+    }
+    assert live and len(live) < len(phis)
+    for e in range(len(phis)):
+        scripted = [scripted_phi(e, agree) if i == e else phi for i, phi in enumerate(phis)]
+        # an activation cancelled after it was made owes no disagreement
+        assert audit_diagonalization(st, scripted) is (e not in live), e

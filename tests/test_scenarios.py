@@ -1,15 +1,17 @@
 """Scenario kinds and demos that no other suite runs."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import runpy
 from pathlib import Path
 
 import pytest
 
-from costlab import generate
-from costlab.core import additive_cost
-from costlab.scenarios import SCENARIOS, Scenario, run_implication
+from costlab import generate, scenarios
+from costlab.core import ApproximationTrace, additive_cost
+from costlab.scenarios import SCENARIOS, Scenario, run_conjunction, run_dual, run_implication
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -57,3 +59,49 @@ def test_implication_premise_fails_on_a_pair_that_fails_at_one_cell(monkeypatch)
     lines = {line.label: line.render() for line in run_implication(0, count=2, S=S).checks}
     for label in ("instance 0 premise", "instance 1 premise", "domination premise verified pointwise"):
         assert lines[label].startswith("[FAIL]")
+
+
+def _failing_on(calls, fn, spoil):
+    """fn, with its result spoiled on the calls at the given positions."""
+    position = itertools.count()
+
+    def wrapped(*args):
+        out = fn(*args)
+        return spoil(out) if next(position) in calls else out
+
+    return wrapped
+
+
+def test_conjunction_reports_a_failing_instance_and_its_checks(monkeypatch):
+    # the second instance misses its bound and ends on a set no generated pair has
+    def spoil(r):
+        trace = ApproximationTrace(r.trace.horizon, [(1, 999, 1)])
+        return dataclasses.replace(r, trace=trace, output_total=r.bound + 1)
+
+    monkeypatch.setattr(scenarios, "conjoin", _failing_on({1}, scenarios.conjoin, spoil))
+    res = run_conjunction(0, count=3, S=200)
+    assert [line.render()[:7] + line.label for line in res.checks] == [
+        "[FAIL] instance 1 bound",
+        "[FAIL] instance 1 final",
+        "[FAIL] (c+d)-ledger <= 4 + c-ledger + d-ledger",
+        "[FAIL] final-set equality exhaustive",
+        "[PASS] runtime < 30 s",
+    ]
+    assert res.summary().endswith("\nFAILURES PRESENT\n")
+
+
+def test_dual_fails_exactly_the_checks_whose_instances_failed(monkeypatch):
+    # run 1's held totals and run 0's diagonalization fail; no run adds a line
+    held = _failing_on({1}, scenarios.audit_dual, lambda a: dataclasses.replace(a, held_ok=False))
+    monkeypatch.setattr(scenarios, "audit_dual", held)
+    diag = _failing_on({0}, scenarios.audit_diagonalization, lambda ok: False)
+    monkeypatch.setattr(scenarios, "audit_diagonalization", diag)
+    res = run_dual(0, count=2, S=2000)
+    assert [line.render()[:7] + line.label for line in res.checks] == [
+        "[FAIL] per-e held totals <= 3^-e at every stage end",
+        "[PASS] gamma nondecreasing in t on the grid",
+        "[PASS] halting-set ledger <= 3/2 exactly",
+        "[FAIL] every activated requirement diagonalized",
+        "[PASS] runtime per run < 60 s",
+    ]
+    assert not res.ok
