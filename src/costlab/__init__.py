@@ -40,7 +40,6 @@ from .catalog import (
     solovay_translate,
 )
 from .machine import (
-    BaselineConfig,
     KProvider,
     PrefixMachine,
     RequestSet,

@@ -91,7 +91,7 @@ def complexity_sum(index: KIndex, horizon: int, name: str) -> CostFn:
 
     return cost_fn(
         name, horizon, ev, den=1 << index.scale,
-        monotone_main=True, monotone_stage=True, proper=True,
+        monotone_main=True, monotone_stage=True,
     )
 
 
@@ -106,9 +106,8 @@ def cost_omega(p: KProvider) -> CostFn:
 
 
 def additive_from_real(b: LeftCEReal) -> CostFn:
-    """The additive cost c(x, s) = b(s) - b(x) on b's own column; proper when b strictly increases."""
-    units = b.units
-    return additive_cost("additive", units, b.den, proper=all(map(operator.lt, units, units[1:])))
+    """The additive cost c(x, s) = b(s) - b(x) on b's own column."""
+    return additive_cost("additive", b.units, b.den)
 
 
 def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:
@@ -149,7 +148,7 @@ def cost_g(g: Callable[[int], int], horizon: int, cap: Fraction = Fraction(1)) -
     units = list(accumulate((1 << (scale - n) for n in lengths), initial=0))
     if Fraction(units[-1], 1 << scale) > cap:
         raise ValueError(f"sum of 2^-g(w) on [0, {horizon}] exceeds the cap {cap}")
-    return additive_cost("length-sum", units, 1 << scale, proper=True)
+    return additive_cost("length-sum", units, 1 << scale)
 
 
 def cost_max(p: KProvider) -> CostFn:
@@ -163,7 +162,7 @@ def cost_max(p: KProvider) -> CostFn:
 
     return cost_fn(
         "complexity-max", horizon, ev, den=1 << scale,
-        monotone_main=True, monotone_stage=True, proper=True,
+        monotone_main=True, monotone_stage=True,
     )
 
 
@@ -273,7 +272,6 @@ def rescale_to_unit(c: CostFn) -> CostFn:
         monotone_main=c.props.monotone_main,
         monotone_stage=c.props.monotone_stage,
         additive=c.props.additive,
-        proper=c.props.proper,
     )
 
 

@@ -16,8 +16,9 @@ prompt lengths read in whole blocks of 64 from their minima.
 
 Every index is canonical: its events are the strict improvements of
 K_s(w), one per target and stage, as in the staged Kraft-Chaitin
-bookkeeping.  ``changes(s)`` lists them up to stage s as (stage, w, old,
-new) changes, which a sweep applies by position to running sums of its own;
+bookkeeping, each a (stage, w, old, new) change that records the length
+it replaces, old None at w's first.  ``changes(s)`` is their prefix up to
+stage s, which a sweep applies by position to running sums of its own;
 one that merges as it plays reads ``events`` so.  Both move ``frontier``,
 beyond which a merge must lie.  ``merge`` is the one way to
 extend an index: a registered provider merges its requests into a
@@ -69,29 +70,26 @@ class KIndex:
 
     ``descriptions`` yields (target w, length, stage) triples.  Each target
     keeps its stages in order with K_s(w) from each on.  ``events`` is every
-    (stage, w, length) strict improvement in stage order and nothing else,
-    so a sweep and the query tables take each one as a change.
+    strict improvement in stage order and nothing else, as a (stage, w, old,
+    new) change with old None at w's first, so a sweep and the query tables
+    take each one as a change.
     """
 
     def __init__(self, descriptions: Iterable[tuple[int, int, int]] = ()):
         self.frontier = 0  # the furthest stage a sweep has read the events to
         by_target: dict[int, tuple[list[int], list[int]]] = {}  # w -> (stages, lengths)
-        events: list[tuple[int, int, int]] = []
-        for event in sorted((max(st, w + 1), w, ln) for w, ln, st in descriptions):
-            stage, w, length = event
-            entry = by_target.get(w)
-            if entry is None:
-                by_target[w] = ([stage], [length])
-            elif length < entry[1][-1]:
-                entry[0].append(stage)
-                entry[1].append(length)
-            else:
-                continue
-            events.append(event)
+        events: list[tuple[int, int, int | None, int]] = []
+        for stage, w, length in sorted((max(st, w + 1), w, ln) for w, ln, st in descriptions):
+            stages, lengths = by_target.setdefault(w, ([], []))
+            old = lengths[-1] if lengths else None
+            if old is None or length < old:
+                stages.append(stage)
+                lengths.append(length)
+                events.append((stage, w, old, length))
         self._by_target = by_target
         self.events = events
         # the longest length held, so 2^-K is 2^(scale - K) / 2^scale
-        self.scale = max((length for _stage, _w, length in events), default=0)
+        self.scale = max((new for _stage, _w, _old, new in events), default=0)
         self._rows: _Rows | None = None  # None until the next query builds or patches them
         self._stale: _Rows | None = None  # the tables a merge left behind, to patch
         self._touched: set[int] = set()  # targets merged into since the tables were made
@@ -103,17 +101,9 @@ class KIndex:
         return lengths[i - 1] if i else None
 
     def changes(self, s: int) -> list[tuple[int, int, int | None, int]]:
-        """The (stage, w, old, new) changes up to stage s, old None at w's
-        first; moves ``frontier`` to s."""
+        """The events up to stage s, a prefix of ``events``; moves ``frontier`` to s."""
         self.frontier = max(self.frontier, s)
-        current: dict[int, int] = {}
-        out = []
-        for stage, w, new in self.events:
-            if stage > s:
-                break
-            out.append((stage, w, current.get(w), new))
-            current[w] = new
-        return out
+        return self.events[: bisect.bisect_left(self.events, (s + 1,))]
 
     def _tables(self) -> _Rows:
         """The improvement rows split into prompt and delayed: built on first
@@ -130,11 +120,9 @@ class KIndex:
 
     def _build(self) -> _Rows:
         """The rows in one pass over the events, which lie in stage order."""
-        scale, current, total = self.scale, {}, 0
+        scale, total = self.scale, 0
         rows = _Rows(scale, [], [0], [], [], [], [], [], [])
-        for stage, w, new in self.events:
-            old = current.get(w)
-            current[w] = new
+        for stage, w, old, new in self.events:
             if stage == w + 1:  # no earlier row for w: old is None
                 total += 1 << (scale - new)
                 rows.prompt_stages.append(stage)
@@ -288,13 +276,15 @@ class KIndex:
 
         It keeps the index canonical: a description that does not improve
         its target is left out, one that does removes the target's events
-        from its stage on that it leaves improving nothing, and ``scale``
-        becomes the longest length kept.  Each description costs a few
-        bisects and list splices.  The stages must lie beyond ``frontier``
-        and need not come in order.  The target's lists are replaced,
-        never mutated, since a copy may share them.  The query tables are
-        patched on the next query: the rows of the improved targets are
-        replaced, or the tables built anew when the scale changed.
+        from its stage on that it leaves improving nothing, records the
+        length it replaces and becomes the old length of the target's next
+        event, and ``scale`` becomes the longest length kept.  Each
+        description costs a few bisects, which probe with (stage, w) as old
+        may be None, and list splices.  The stages must lie beyond
+        ``frontier`` and need not come in order.  The target's lists are
+        replaced, never mutated, since a copy may share them.  The query
+        tables are patched on the next query: the rows of the improved
+        targets are replaced, or the tables built anew when the scale changed.
         """
         events, lost = self.events, -1  # lost: the longest length removed
         for w, length, stage in descriptions:
@@ -307,18 +297,22 @@ class KIndex:
                 continue
             lo = hi = bisect.bisect_left(stages, stage, 0, i)
             while hi < len(stages) and lengths[hi] >= length:
-                del events[bisect.bisect_left(events, (stages[hi], w, lengths[hi]))]
+                del events[bisect.bisect_left(events, (stages[hi], w))]
                 lost = max(lost, lengths[hi])
                 hi += 1
             self._by_target[w] = (
                 [*stages[:lo], stage, *stages[hi:]],
                 [*lengths[:lo], length, *lengths[hi:]],
             )
-            bisect.insort(events, (stage, w, length))
+            old = lengths[lo - 1] if lo else None
+            events.insert(bisect.bisect_left(events, (stage, w)), (stage, w, old, length))
+            if hi < len(stages):  # w's next surviving event now replaces this length
+                at = bisect.bisect_left(events, (stages[hi], w))
+                events[at] = (stages[hi], w, length, lengths[hi])
             self.scale = max(self.scale, length)
             if self._rows is not None:
                 self._stale, self._rows = self._rows, None
             self._touched.add(w)
         if lost == self.scale:  # the longest event may be gone
-            self.scale = max((length for _stage, _w, length in events), default=0)
+            self.scale = max((new for _stage, _w, _old, new in events), default=0)
 

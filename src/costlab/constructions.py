@@ -29,7 +29,7 @@ from .errors import (
     NoWitness,
     ScheduleInsufficient,
 )
-from .machine import KProvider, RequestSet, kc_add, register_requests, request_set
+from .machine import KProvider, RequestSet, kc_add, register_requests, request_set, shortcut_stage
 from .util import ZERO, bits_to_nat, drop_trailing_zeros, pow2
 
 
@@ -173,21 +173,20 @@ class IntervalLedger:
 def slow_enum_N(p: KProvider, J: int) -> tuple[EnumerationTrace, IntervalLedger]:
     """Enumerate the naturals in order, but so slowly that the cost diverges.
 
-    Elements of the dyadic interval ending at 2^j wait until the provider's
-    shortcut description of 2^j is in place, so each such enumeration is
-    charged at least the shortcut weight; the per-interval ledger certifies
-    a cost of at least 1 per delayed interval.
+    Elements of the dyadic interval ending at 2^j wait until
+    ``shortcut_stage(j)``, when the baseline's shortcut description of 2^j
+    is in place, so each such enumeration is charged at least the shortcut
+    weight; the per-interval ledger certifies a cost of at least 1 per
+    delayed interval.  A provider with no such shortcuts in time raises
+    ``ScheduleInsufficient``.
     """
-    cfg = p.config
-    if cfg is None:
-        raise ScheduleInsufficient("provider has no baseline schedule configuration")
     if J < 1:
         raise ValueError("at least one interval is needed")
     j0 = None
     for j in range(1, J + 1):
         ok = True
         for jj in range(j, J + 1):
-            kv = p.k(1 << jj, cfg.delay(jj))
+            kv = p.k(1 << jj, shortcut_stage(jj))
             if kv is None or kv > jj - 1:
                 ok = False
                 break
@@ -198,7 +197,7 @@ def slow_enum_N(p: KProvider, J: int) -> tuple[EnumerationTrace, IntervalLedger]
         raise ScheduleInsufficient(
             f"no interval up to {J} has its power-of-two shortcut in time"
         )
-    top_stage = cfg.delay(J) + (1 << (J - 1))
+    top_stage = shortcut_stage(J) + (1 << (J - 1))
     if top_stage > p.horizon:
         raise ScheduleInsufficient(
             f"horizon {p.horizon} cannot cover the delayed schedule ({top_stage})"
@@ -210,7 +209,7 @@ def slow_enum_N(p: KProvider, J: int) -> tuple[EnumerationTrace, IntervalLedger]
     for j in range(j0, J + 1):
         base = 1 << (j - 1)
         for offset, x in enumerate(range(base + 1, (1 << j) + 1)):
-            events.append((cfg.delay(j) + 1 + offset, x, 1))
+            events.append((shortcut_stage(j) + 1 + offset, x, 1))
     events.sort(key=lambda e: e[0])
     trace = EnumerationTrace(p.horizon, events)
 
@@ -793,7 +792,7 @@ def separation_run(
     seg, checks = [[0] * len(claim_caps)], [[] for _ in claim_caps]
 
     # by position: a merge lands beyond the frontier, past the events walked
-    events, current, at = live.events, {}, 0  # current: K_s(w) at the walk's stage
+    events, at = live.events, 0
 
     def walk(s: int) -> None:
         nonlocal total, at
@@ -801,10 +800,8 @@ def separation_run(
         n = lo = len(seq)  # lo: the least element whose cap moved
         end = len(events)
         while at < end and events[at][0] <= s:
-            _stage, w, new = events[at]
+            _stage, w, old, new = events[at]
             at += 1
-            old = current.get(w)
-            current[w] = new
             if w <= x0:
                 continue  # no element lies below w
             delta = 1 << (scale - new)

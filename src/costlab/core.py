@@ -27,7 +27,6 @@ class CostProps:
     monotone_main: bool = False   # nonincreasing in x
     monotone_stage: bool = False  # zero for x > s, nondecreasing in s
     additive: bool = False        # c(x,y) + c(y,z) == c(x,z)
-    proper: bool = False          # every x eventually has positive cost
 
     @property
     def monotone(self) -> bool:
@@ -116,9 +115,8 @@ def cost_fn(
     monotone_main: bool = False,
     monotone_stage: bool = False,
     additive: bool = False,
-    proper: bool = False,
 ) -> CostFn:
-    props = CostProps(monotone_main, monotone_stage, additive, proper)
+    props = CostProps(monotone_main, monotone_stage, additive)
     return CostFn(name, horizon, eval_fn, den, props)
 
 
@@ -143,7 +141,7 @@ class AdditiveCost(CostFn):
         return np.maximum(matrix, 0, out=matrix), self.den
 
 
-def additive_cost(name: str, units: Iterable[int], den: int, *, proper: bool = False) -> AdditiveCost:
+def additive_cost(name: str, units: Iterable[int], den: int) -> AdditiveCost:
     """The additive cost of an integer column over one denominator (see AdditiveCost)."""
     units = tuple(units)
     h = len(units) - 1
@@ -157,7 +155,7 @@ def additive_cost(name: str, units: Iterable[int], den: int, *, proper: bool = F
             return 0
         return units[s if s < h else h] - units[x if x < h else h]
 
-    props = CostProps(monotone_main=True, monotone_stage=True, additive=True, proper=proper)
+    props = CostProps(monotone_main=True, monotone_stage=True, additive=True)
     return AdditiveCost(name, max(h, 1), ev, den, props, column=units)
 
 
@@ -170,7 +168,7 @@ def geometric_cost(horizon: int) -> CostFn:
 
     return cost_fn(
         "geometric", horizon, ev, den=1 << horizon,
-        monotone_main=True, monotone_stage=True, proper=True,
+        monotone_main=True, monotone_stage=True,
     )
 
 

@@ -48,9 +48,6 @@ class TotalCostFunctional:
     den: int
     support_bound: int | None = None  # positions beyond this are priced 0
 
-    def value(self, bit: OracleBit, x: int, s: int) -> Fraction:
-        return Fraction(self.eval_fn(bit, x, s)[0], self.den)
-
 
 def totalize(c: CostFunctional) -> TotalCostFunctional:
     """Stage-limited totalization: the value at the largest settled time.

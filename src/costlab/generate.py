@@ -152,8 +152,8 @@ def dominated_cost_pair(rng: random.Random, S: int, N: int) -> tuple[CostFn, Cos
     gamma = [0] + [rng.randint(1, 1 << 8) for _ in range(S)]
     delta = [0] + [rng.randint(0, N * g - 1) for g in gamma[1:]]
     return (
-        additive_cost("dominating", accumulate(gamma), 1 << SCALE, proper=True),
-        additive_cost("dominated", accumulate(delta), 1 << SCALE, proper=True),
+        additive_cost("dominating", accumulate(gamma), 1 << SCALE),
+        additive_cost("dominated", accumulate(delta), 1 << SCALE),
     )
 
 

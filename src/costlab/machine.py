@@ -1,10 +1,10 @@
 """Toy prefix-free machine layer.
 
 Bounded request sets, the machine-existence builder (leftmost-fit interval
-allocation on the unit interval), and staged complexity providers that supply
-``K_s(w)`` values and the domain measure ``omega(s)`` for everything else in
-the package.  All weights are exact rationals; there is no floating point
-anywhere in this module.
+allocation on the unit interval), and staged complexity providers, the
+baseline schedule's among them, that supply ``K_s(w)`` values and the domain
+measure ``omega(s)`` for everything else in the package.  All weights are
+exact rationals; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .complexity import KIndex
 from .errors import WeightOverflow
@@ -143,39 +143,29 @@ def kc_machine(rs: RequestSet, d: int) -> PrefixMachine:
     return _allocate(((r, y) for r, y, _stage in rs.entries), d)
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Constants of the deterministic baseline schedule.
+# The baseline schedule describes every w at stage w + 1 with length
+# 2 floor(log2(w + 2)) + 3, and every power 2^j again at stage
+# shortcut_stage(j) with length 2 floor(log2(j + 2)) + 5.  The infinite
+# schedule's Kraft mass is 2^-3 + 2^-5.
+BASELINE_WEIGHT = pow2(3) + pow2(5)
 
-    The infinite schedule's Kraft mass is 2^-main_offset + 2^-shortcut_offset;
-    the builder refuses configs where this exceeds 1.
-    """
 
-    main_offset: int = 3
-    shortcut_offset: int = 5
-    delay: Callable[[int], int] = field(default=lambda j: 2 ** (j + 1))
-
-    def main_length(self, w: int) -> int:
-        return 2 * floor_log2(w + 2) + self.main_offset
-
-    def shortcut_length(self, j: int) -> int:
-        return 2 * floor_log2(j + 2) + self.shortcut_offset
-
-    def infinite_weight(self) -> Fraction:
-        return pow2(self.main_offset) + pow2(self.shortcut_offset)
+def shortcut_stage(j: int) -> int:
+    """The stage at which the baseline describes 2^j by its shortcut."""
+    return 1 << (j + 1)
 
 
 class _Grant(NamedTuple):
-    """One honored description: measured at omega_stage, usable from k_stage.
+    """One honored description, measured from omega_stage on.
 
     Plain tuple order is the providers' grant order: by omega stage, then
-    length, then target (k_stage is max(omega_stage, target + 1)).
+    length, then target.  The index counts it from max(omega_stage,
+    target + 1) on (see ``costlab.complexity``).
     """
 
     omega_stage: int
     length: int
     target: int
-    k_stage: int
 
 
 class KProvider:
@@ -183,7 +173,8 @@ class KProvider:
 
     ``k(w, s)`` is the least description length for w granted before or at
     stage s, with the convention that it is infinite (None) whenever w >= s
-    or s lies beyond the horizon; ``index`` holds these values (see
+    or s lies beyond the horizon; ``index`` holds these values, built from
+    the grants' (target, length, omega_stage) descriptions (see
     ``costlab.complexity``).  ``omega(s)`` is the exact domain measure after
     stage s.  Providers are immutable after construction, apart from the
     index, which is built once on first use (a registered provider's is
@@ -201,12 +192,10 @@ class KProvider:
         horizon: int,
         grants: Iterable[_Grant],
         budget_used: Fraction,
-        config: BaselineConfig | None = None,
     ):
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         self.horizon = horizon
-        self.config = config
         self.grants: tuple[_Grant, ...] = tuple(sorted(grants))
         self.budget_used = budget_used
         if budget_used > 1:
@@ -226,7 +215,7 @@ class KProvider:
     @cached_property
     def index(self) -> KIndex:
         """The K_s index of the grants, built on the first query."""
-        return KIndex((g.target, g.length, g.k_stage) for g in self.grants)
+        return KIndex((g.target, g.length, g.omega_stage) for g in self.grants)
 
     def k(self, w: int, s: int) -> int | None:
         """K_s(w): infinite (None) for w >= s or s > horizon, else the best granted length."""
@@ -260,42 +249,28 @@ class KProvider:
 
 
 @lru_cache(maxsize=8)
-def baseline_provider(S: int, config: BaselineConfig | None = None) -> KProvider:
-    """Deterministic baseline schedule up to horizon S.
+def baseline_provider(S: int) -> KProvider:
+    """The baseline schedule up to horizon S, with budget ``BASELINE_WEIGHT``.
 
-    Every w is described at stage w + 1 with length 2*floor(log2(w+2)) +
-    main_offset; every power 2**j additionally receives a shortcut of length
-    2*floor(log2(j+2)) + shortcut_offset at stage delay(j).  The infinite
-    schedule's Kraft mass has the closed form checked below.
-
-    The provider is built once per (S, config) and shared by every caller
-    (the last eight are kept): it is immutable, and so is its index apart
-    from its frontier (see ``KProvider``).
+    The provider is built once per S and shared by every caller (the last
+    eight are kept): it is immutable, and so is its index apart from its
+    frontier (see ``KProvider``).
     """
     if S < 1:
         raise ValueError("horizon must be at least 1")
-    cfg = config or BaselineConfig()
-    if cfg.infinite_weight() > 1:
-        raise WeightOverflow(
-            f"baseline offsets give infinite Kraft mass {cfg.infinite_weight()} > 1"
-        )
-    grants = []
-    for w in range(S):
-        grants.append(_Grant(w + 1, cfg.main_length(w), w, w + 1))
+    grants = [_Grant(w + 1, 2 * floor_log2(w + 2) + 3, w) for w in range(S)]
     j = 0
-    while cfg.delay(j) <= S:
-        stage = cfg.delay(j)
-        w = 1 << j
-        grants.append(_Grant(stage, cfg.shortcut_length(j), w, max(stage, w + 1)))
+    while shortcut_stage(j) <= S:
+        grants.append(_Grant(shortcut_stage(j), 2 * floor_log2(j + 2) + 5, 1 << j))
         j += 1
-    return KProvider(S, grants, cfg.infinite_weight(), cfg)
+    return KProvider(S, grants, BASELINE_WEIGHT)
 
 
 def _request_grants(rs: RequestSet, d: int) -> list[_Grant]:
     """The grants honoring each request (r, y, t) with length r + d from stage t + 1."""
     if d < 0:
         raise ValueError("coding constant must be a natural")
-    return [_Grant(t + 1, r + d, y, max(t + 1, y + 1)) for r, y, t in rs.entries]
+    return [_Grant(t + 1, r + d, y) for r, y, t in rs.entries]
 
 
 def register_requests(p: KProvider, rs: RequestSet, d: int) -> KProvider:
@@ -316,8 +291,8 @@ def register_requests(p: KProvider, rs: RequestSet, d: int) -> KProvider:
             f"registering weight {added} on top of {p.budget_used} exceeds 1"
         )
     index = p.index.copy()
-    index.merge((g.target, g.length, g.k_stage) for g in grants)
-    q = KProvider(p.horizon, [*p.grants, *grants], budget, p.config)
+    index.merge((g.target, g.length, g.omega_stage) for g in grants)
+    q = KProvider(p.horizon, [*p.grants, *grants], budget)
     q.index = index
     return q
 

@@ -35,7 +35,7 @@ from .constructions import (
 from .core import CostFn, benign_witness, cost_fn, cost_of_trace, geometric_cost
 from .dual import audit_diagonalization, audit_dual, dual_construct
 from .errors import ParseError
-from .machine import baseline_provider, check_prefix_free, register_requests
+from .machine import baseline_provider, check_prefix_free, register_requests, shortcut_stage
 from .serialize import _lines, _nat, dump_ledger_csv, dump_schedule, dump_trace, dump_wishes_csv
 from .transforms import (
     change_set,
@@ -313,8 +313,9 @@ def run_kraft_audit(seed: int, S: int = 512) -> ScenarioResult:
 def run_slow_enum(seed: int = 0, J: int = 12) -> ScenarioResult:
     """Slow enumeration of the naturals: per-interval cost at least 1."""
     res = ScenarioResult("slow-enum", seed)
-    cfg_horizon = (1 << (J + 1)) + (1 << (J - 1)) + 1
-    p = baseline_provider(cfg_horizon)
+    if J < 1:
+        raise ValueError("at least one interval is needed")
+    p = baseline_provider(shortcut_stage(J) + (1 << (J - 1)) + 1)
     trace, ledger = slow_enum_N(p, J)
     res.add(
         "per-interval cost >= 1",

@@ -27,7 +27,7 @@ class Cursor:
         events, current, pos, end = index.events, self._current, self._pos, len(index.events)
         changes = []
         while pos < end and events[pos][0] <= s:
-            _stage, w, length = events[pos]
+            _stage, w, _old, length = events[pos]
             pos += 1
             changes.append((w, current.get(w), length))
             current[w] = length

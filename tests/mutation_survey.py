@@ -151,13 +151,6 @@ MUTANTS = [
         "a left-c.e. real's validation misses a drop of one unit",
     ),
     Mutant(
-        "src/costlab/catalog.py",
-        "proper=all(map(operator.lt, units, units[1:]))",
-        "proper=all(map(operator.le, units, units[1:]))",
-        ("tests/test_catalog.py",),
-        "additive_from_real calls a real with a repeated value proper",
-    ),
-    Mutant(
         "src/costlab/complexity.py",
         "if i and lengths[i - 1] <= length:",
         "if False:",
@@ -359,10 +352,31 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/complexity.py",
-        "out.append((stage, w, current.get(w), new))",
-        "out.append((stage, w, None, new))",
+        "events.append((stage, w, old, length))",
+        "events.append((stage, w, None, length))",
         ("tests/test_complexity.py",),
-        "KIndex.changes reports every change as its target's first",
+        "KIndex records every event as its target's first",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "events[at] = (stages[hi], w, length, lengths[hi])",
+        "pass",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "merge leaves the old length of the target's next event as it was",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "_stage, w, old, new = events[at]\n",
+        "_stage, w, _old, new = events[at]\n            old = None\n",
+        ("tests/test_constructions.py",),
+        "the separation walk takes every change as its target's first",
+    ),
+    Mutant(
+        "src/costlab/scenarios.py",
+        '    if J < 1:\n        raise ValueError("at least one interval is needed")\n    p = baseline_provider(',
+        "    p = baseline_provider(",
+        ("tests/test_serialize_cli.py",),
+        "run_slow_enum sizes its provider before it refuses J < 1",
     ),
     Mutant(
         "src/costlab/dual.py",

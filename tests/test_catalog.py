@@ -505,9 +505,3 @@ def test_real_column_validation_sees_a_drop_of_one_unit():
         LeftCEReal((0, 5), 4)
     with pytest.raises(ValueError, match="positive denominator"):
         LeftCEReal((0, 1), 0)
-
-
-def test_additive_from_real_is_proper_exactly_when_the_real_strictly_increases():
-    assert additive_from_real(LeftCEReal((0, 1, 2, 3), 4)).props.proper
-    assert not additive_from_real(LeftCEReal((0, 1, 1, 3), 4)).props.proper
-    assert not additive_from_real(LeftCEReal.of((ZERO, Fraction(1, 3), Fraction(1, 3)))).props.proper

@@ -54,7 +54,7 @@ def min_ref(table, x):
 
 
 def grant_descriptions(p):
-    return [(g.target, g.length, g.k_stage) for g in p.grants]
+    return [(g.target, g.length, g.omega_stage) for g in p.grants]
 
 
 @st.composite
@@ -416,8 +416,8 @@ def test_index_and_cursor_match_reference(desc, ops):
     index = KIndex(desc)
     top = max([max(t, w + 1) for w, _n, t in desc] + [0])
     tables = [k_table(desc, s) for s in range(top + 1)]
-    assert index.events == [  # one event per strict improvement
-        (s, w, n)
+    assert index.events == [  # one event per strict improvement, with the length it replaces
+        (s, w, tables[s - 1].get(w), n)
         for s in range(1, top + 1)
         for w, n in sorted(tables[s].items())
         if tables[s - 1].get(w) != n

@@ -47,6 +47,7 @@ from costlab.machine import (
     provider_from_requests,
     register_requests,
     request_set,
+    shortcut_stage,
 )
 from costlab.util import ZERO, bits_to_nat, pow2
 from unit_costs import units_cost
@@ -128,7 +129,7 @@ def test_slow_enum_interval_ledger():
     # delayed elements enter one per stage, strictly after the delay stage
     for s, x, _v in trace.events:
         if x > 2048:
-            assert s > p.config.delay(12)
+            assert s > shortcut_stage(12)
 
 
 def test_slow_enum_requires_shortcuts():
@@ -548,8 +549,8 @@ def reference_separation_run(b, p, d, V, *, x0=None, greedy=True):
     each description it makes, request or grant, takes effect, and idles
     while the latest lies beyond the current stage."""
     k = 1 << (b + d + 1)
-    live = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
-    stages = [stage for stage, _w, _n in live.events[-1:]]
+    live = KIndex((g.target, g.length, g.omega_stage) for g in p.grants)
+    stages = [stage for stage, _w, _old, _n in live.events[-1:]]
 
     def describe(w, n, t):
         live.merge([(w, n, t)])

@@ -13,7 +13,6 @@ from costlab.constructions import separation_run
 from costlab.errors import WeightOverflow
 from costlab.generate import left_ce_real, rng_for
 from costlab.machine import (
-    BaselineConfig,
     KProvider,
     RequestSet,
     _allocate,
@@ -298,11 +297,6 @@ def test_baseline_k_improves_only():
                 prev = k
 
 
-def test_baseline_rejects_overweight_config():
-    with pytest.raises(WeightOverflow):
-        baseline_provider(16, BaselineConfig(main_offset=0, shortcut_offset=0))
-
-
 def test_register_empty_is_identity():
     p = baseline_provider(32)
     q = register_requests(p, RequestSet(), 2)
@@ -325,10 +319,10 @@ def test_registered_index_keeps_only_improvements():
     # length 2 for w = 16 from stage 17 on supersedes both the main event
     # (17, 16, 11) at the same stage and the shortcut (32, 16, 9) after it
     base = baseline_provider(64)
-    assert [e for e in base.index.events if e[1] == 16] == [(17, 16, 11), (32, 16, 9)]
+    assert [e for e in base.index.events if e[1] == 16] == [(17, 16, None, 11), (32, 16, 11, 9)]
     p = register_requests(base, request_set([(2, 16, 3)]), 0)
-    assert [e for e in p.index.events if e[1] == 16] == [(17, 16, 2)]
-    fresh = KIndex((g.target, g.length, g.k_stage) for g in p.grants)
+    assert [e for e in p.index.events if e[1] == 16] == [(17, 16, None, 2)]
+    fresh = KIndex((g.target, g.length, g.omega_stage) for g in p.grants)
     assert p.index.events == fresh.events and p.index.scale == fresh.scale
 
 
@@ -353,7 +347,7 @@ def fresh_registration(p, rs, d):
     """A provider of p's grants and the requests' built from scratch: the
     reference for ``register_requests``."""
     grants = [*p.grants, *_request_grants(rs, d)]
-    return KProvider(p.horizon, grants, p.budget_used + pow2(d) * rs.weight, p.config)
+    return KProvider(p.horizon, grants, p.budget_used + pow2(d) * rs.weight)
 
 
 @st.composite
@@ -493,7 +487,7 @@ def test_provider_machine_refuses_grants_above_the_unit_budget():
     # the stated budget is 1/2, but the grants weigh 1/2 + 1/2 + 1/4: the
     # provider refuses them when built, where omega(8) would read 5/4, and
     # the allocator behind machine() refuses them on its own
-    grants = [_Grant(1, 1, 0, 1), _Grant(1, 1, 1, 2), _Grant(2, 2, 2, 3)]
+    grants = [_Grant(1, 1, 0), _Grant(1, 1, 1), _Grant(2, 2, 2)]
     with pytest.raises(WeightOverflow):
         KProvider(8, grants, Fraction(1, 2))
     with pytest.raises(WeightOverflow):
@@ -502,7 +496,7 @@ def test_provider_machine_refuses_grants_above_the_unit_budget():
 
 
 def test_provider_builds_on_grants_that_weigh_exactly_its_budget():
-    grants = [_Grant(1, 1, 1, 2), _Grant(2, 2, 2, 3)]  # 1/2 + 1/4
+    grants = [_Grant(1, 1, 1), _Grant(2, 2, 2)]  # 1/2 + 1/4
     assert KProvider(8, grants, Fraction(3, 4)).omega(8) == Fraction(3, 4)
     with pytest.raises(WeightOverflow):
         KProvider(8, grants, Fraction(3, 4) - pow2(60))

@@ -47,7 +47,7 @@ def test_implication_premise_fails_on_a_pair_that_fails_at_one_cell(monkeypatch)
     S = 40
 
     def pair(_rng, S, N):
-        c = additive_cost("c", range(S + 1), 1 << generate.SCALE, proper=True)
+        c = additive_cost("c", range(S + 1), 1 << generate.SCALE)
         d = additive_cost("d", (N * (t >= 17) for t in range(S + 1)), 1 << generate.SCALE)
         return c, d
 

@@ -182,6 +182,13 @@ def test_cli_run_rejects_a_negative_seed(tmp_path: Path, capsys):
     assert not out.exists()  # no manifest with an unparsable seed line
 
 
+def test_cli_run_refuses_a_slow_enumeration_with_no_interval(tmp_path: Path, capsys):
+    desc = tmp_path / "slow.txt"
+    desc.write_text("scenario slow-enum\nseed 0\nparam J 0\n")
+    assert main(["run", str(desc), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: at least one interval is needed\n"
+
+
 def test_cli_generate_rejects_a_negative_seed(tmp_path: Path, capsys):
     target = tmp_path / "scenario.txt"
     assert main(["generate", "scenario", "--seed", "-1", "-o", str(target)]) == 1

@@ -327,7 +327,7 @@ def reference_dual_construct(
             for v in range(e, n + 1):
                 if v <= floor:
                     continue
-                if c.value(d_bit, v, s) > Fraction(1, 2 * 3**e):
+                if Fraction(c.eval_fn(d_bit, v, s)[0], c.den) > Fraction(1, 2 * 3**e):
                     continue
                 m = sum(1 for kk in halting if kk < v)
                 x = triple_pair(e, v, m)
