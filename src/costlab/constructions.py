@@ -877,13 +877,15 @@ def separation_run(
                         checks[r].append((pi, r, Fraction(acc, 1 << top), (r + 1) * pow2(c + 1)))
                 responded = True
                 break
+            if b and last > cur:
+                continue  # let earlier descriptions register before adding more
             i = bisect.bisect_right(least, -total, key=neg)  # the first failing element
             if b == 0 and best[i] is not None:
                 # the sum beyond seq[i] exceeds its largest term: two positive
                 # terms lie there and never shrink, so this check never passes
                 status = "response_impossible"
             elif last > cur:
-                pass  # let earlier descriptions register before adding more
+                pass  # b = 0 waits too, once the impossibility test has passed
             elif not greedy:
                 status = "budget_exhausted"  # nothing can change anymore
             else:

@@ -146,10 +146,11 @@ def blank_phi(e: int) -> PhiMock:
 def scripted_phi(e: int, members: frozenset[int]) -> PhiMock:
     """Answers 1 exactly on a fixed set, independent of the oracle."""
     snap = frozenset(members)
+    ordered = tuple(sorted(snap))
     return PhiMock(
         f"scripted-{e}",
         lambda bit, y: (1 if y in snap else 0, y + e + 1),
-        lambda bit, upto: frozenset(y for y in snap if y <= upto),
+        lambda bit, upto: frozenset(ordered[: bisect.bisect_right(ordered, upto)]),
     )
 
 
@@ -237,6 +238,8 @@ def dual_construct(
     zp: Sequence[int],
     phis: Sequence[PhiMock],
     S: int,
+    *,
+    stop_once_all_activated: bool = False,
 ) -> DualState:
     """Stage loop of the dual construction with full wish ledgers.
 
@@ -261,6 +264,12 @@ def dual_construct(
     priced at most once per stage.  A requirement's witness x grows with its
     guess v and agreement with F holds on a prefix of x (see ``PhiMock``), so
     its scan stops at the first guess that disagrees.
+
+    With ``stop_once_all_activated`` the loop returns after the first stage
+    by whose end every requirement has activated at least once.  The state
+    covers the stages visited so far: every log and trace is a prefix of the
+    full run's, and ``starved`` is empty, as in the full run, since an
+    activation is never taken out of the log.
     """
     E = len(phis)
     L = math.lcm(c.den, 2 * 3 ** max(E - 1, 0))
@@ -287,6 +296,7 @@ def dual_construct(
     activations: list[tuple[int, int, int, int]] = []
     cancellations: list[tuple[int, int, int, int]] = []
     held_history: list[tuple[int, int, Fraction]] = []
+    ever: set[int] = set()  # requirements that have activated
     high_water = max(0, E, *zp)
 
     def d_bit(i: int) -> int:
@@ -343,7 +353,9 @@ def dual_construct(
                 continue
             u = high_water + 2
             high_water = u
-            alpha = alphas.get(units) or alphas.setdefault(units, Fraction(units, c.den))
+            alpha = alphas.get(units)
+            if alpha is None:
+                alpha = alphas[units] = Fraction(units, c.den)
             w = Wish(x, alpha, u, s, use)
             wishes.append(w)
             live_by_x.setdefault(x, []).append((price, w))
@@ -391,6 +403,7 @@ def dual_construct(
                 held_total[e] = Fraction(sum(per_x.values()), L)
                 active[e] = floor = v  # v > floor: the scan starts above it
                 activations.append((s, e, v, x))
+                ever.add(e)
                 if x not in f_members:
                     f_members.add(x)
                     bisect.insort(f_sorted, x)
@@ -400,12 +413,13 @@ def dual_construct(
         for e in sorted(active):
             held_history.append((s, e, held_total[e]))
 
+        if stop_once_all_activated and len(ever) == E:
+            break
         s = high_water = high_water + 1
 
     d_trace = EnumerationTrace(S, d_events)  # both appended in stage order
     f_trace = EnumerationTrace(S, f_events)
-    activated = {e for _s, e, _v, _x in activations}
-    starved = tuple(e for e in range(E) if e not in activated)
+    starved = tuple(e for e in range(E) if e not in ever)
     return DualState(
         S,
         d_trace,

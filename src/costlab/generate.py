@@ -251,6 +251,13 @@ def dual_inputs_scripted(rng: random.Random, entrants: int, requirements: int, S
     for at most max(6, requirements + 1) passes; the final scripts are honest
     fixed tables that happen to agree with the construction long enough to
     get diagonalized.
+
+    A pass reads only ``starved``, and F only when something is starved, so
+    its construction stops once every requirement has activated
+    (``stop_once_all_activated``).  That is exact: an activation is never
+    taken out of the log, so the full run would be starved of nothing too
+    and the loop ends at that pass either way; a pass that starves a
+    requirement never stops early, so the F it reads is the full run's.
     """
     from .dual import dual_construct  # looked up per call, so a traced run sees the passes
 
@@ -258,7 +265,7 @@ def dual_inputs_scripted(rng: random.Random, entrants: int, requirements: int, S
     scripts: list[frozenset[int]] = [frozenset() for _ in range(requirements)]
     for _ in range(max(6, requirements + 1)):
         phis = [scripted_phi(e, scripts[e]) for e in range(requirements)]
-        st = dual_construct(c, order, phis, S)
+        st = dual_construct(c, order, phis, S, stop_once_all_activated=True)
         if not st.starved:
             break
         e_star = st.starved[0]

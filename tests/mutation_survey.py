@@ -386,6 +386,27 @@ MUTANTS = [
         "the dual's activation floor is not raised by an activation at the same stage",
     ),
     Mutant(
+        "src/costlab/dual.py",
+        "if stop_once_all_activated and len(ever) == E:",
+        "if stop_once_all_activated and len(ever) == E - 1:",
+        ("tests/test_stage_loop_references.py",),
+        "the dual's early stop fires once all but one requirement have activated",
+    ),
+    Mutant(
+        "src/costlab/dual.py",
+        "ordered[: bisect.bisect_right(ordered, upto)]",
+        "ordered[: bisect.bisect_left(ordered, upto)]",
+        ("tests/test_stage_loop_references.py",),
+        "a scripted functional's support leaves out the member at its bound",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "if b and last > cur:",
+        "if last > cur:",
+        ("tests/test_constructions.py",),
+        "the separation game at b = 0 waits for a grant before testing impossibility",
+    ),
+    Mutant(
         "src/costlab/constructions.py",
         "*phi_by_stage, *(t + 1 for t in phi_by_stage)}",
         "*phi_by_stage}",

@@ -3,7 +3,8 @@
 The references below are the straightforward forms of the three stage loops:
 simplicity visits every (stage, requirement) pair, the complete model holds
 beta as Fractions, and the dual construction and its decoded values rescan
-the entries, entrants and wishes at each query.  The engines in ``costlab``
+the entries, entrants and wishes at each query.  The scripted pass loop's
+reference runs every construction in full.  The engines in ``costlab``
 must reproduce them exactly.
 """
 
@@ -15,10 +16,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
-from costlab import constructions
+from costlab import constructions, generate
 from costlab.catalog import LeftCEReal, additive_from_real
 from costlab.constructions import (
     CompleteModelResult,
@@ -674,14 +675,57 @@ def _same_dual(st: DualState, ref: DualState) -> None:
             assert gamma_eval(st, w.x, t) == reference_gamma_eval(st, w.x, t)
 
 
+def _same_prefix(cut: DualState, full: DualState) -> None:
+    """A state cut short once every requirement activated is the full run's up to the cut."""
+    E = len(full.phi_names)
+    first_all = None  # the first stage by whose end every requirement has activated
+    activated: set[int] = set()
+    for s, e, _v, _x in full.activations:
+        activated.add(e)
+        if len(activated) == E:
+            first_all = s
+            break
+    if first_all is None:
+        assert cut.visited_stages == full.visited_stages
+    else:
+        assert cut.visited_stages[-1] == first_all
+        assert cut.starved == ()
+    last = cut.visited_stages[-1] if cut.visited_stages else 0
+
+    def upto(rows):
+        return tuple(r for r in rows if r[0] <= last)
+
+    def seen_by(w: Wish):
+        # holders may change after the cut; a removal after it is not seen
+        removed = w.removed if w.removed is not None and w.removed <= last else None
+        return w.x, w.alpha, w.u, w.born, w.context_use, removed
+
+    assert cut.visited_stages == full.visited_stages[: len(cut.visited_stages)]
+    assert cut.halting_entries == upto(full.halting_entries)
+    assert cut.activations == upto(full.activations)
+    assert cut.cancellations == upto(full.cancellations)
+    assert cut.held_history == upto(full.held_history)
+    assert cut.d_trace.events == upto(full.d_trace.events)
+    assert cut.f_trace.events == upto(full.f_trace.events)
+    assert [seen_by(w) for w in cut.wishes] == [seen_by(w) for w in full.wishes if w.born <= last]
+    assert cut.starved == full.starved
+    assert cut.horizon == full.horizon and cut.phi_names == full.phi_names
+
+
 def test_dual_matches_scanning_reference():
+    cut_short = 0
     for order, phis, c, S in _dual_cases():
-        _same_dual(dual_construct(c, order, phis, S), reference_dual_construct(c, order, phis, S))
+        st = dual_construct(c, order, phis, S)
+        _same_dual(st, reference_dual_construct(c, order, phis, S))
+        cut = dual_construct(c, order, phis, S, stop_once_all_activated=True)
+        _same_prefix(cut, st)
+        cut_short += len(cut.visited_stages) < len(st.visited_stages)
+    assert cut_short
 
 
 @hst.composite
-def _wide_dual_inputs(draw):
-    """Staircase-like functionals over den = 2^70 * 3^k, beyond int64.
+def _wide_staircase(draw):
+    """(E, support, cost functional, entrant order, S) over den = 2^70 * 3^k, beyond int64.
 
     Each position is priced from a jump stage on: a staircase step
     2^-(x+2), a value next to one of the caps 1/(2*3^j) and 1/3^j, or 0.
@@ -704,6 +748,14 @@ def _wide_dual_inputs(draw):
     bound = draw(hst.sampled_from([support, None]))
     c = TotalCostFunctional("wide-staircase", ev, den, support_bound=bound)
     order = draw(hst.permutations(range(draw(hst.integers(1, 30)))))
+    S = draw(hst.one_of(hst.integers(1, 300), hst.just(10_000)))
+    return E, support, c, order, S
+
+
+@hst.composite
+def _wide_dual_inputs(draw):
+    """Wide staircases with mixed functionals, some scripted as the pass loop would."""
+    E, support, c, order, S = draw(_wide_staircase())
     phis = [
         draw(
             hst.sampled_from(
@@ -716,7 +768,6 @@ def _wide_dual_inputs(draw):
         )
         for e in range(E)
     ]
-    S = draw(hst.one_of(hst.integers(1, 300), hst.just(10_000)))
     # as in dual_inputs_scripted, script a starved requirement with the final F
     for _ in range(draw(hst.integers(0, 4))):
         ref = reference_dual_construct(c, order, phis, S)
@@ -731,7 +782,71 @@ def _wide_dual_inputs(draw):
 @given(_wide_dual_inputs())
 def test_dual_integer_prices_match_fraction_reference_beyond_int64(case):
     order, phis, c, S = case
-    _same_dual(dual_construct(c, order, phis, S), reference_dual_construct(c, order, phis, S))
+    st = dual_construct(c, order, phis, S)
+    _same_dual(st, reference_dual_construct(c, order, phis, S))
+    _same_prefix(dual_construct(c, order, phis, S, stop_once_all_activated=True), st)
+
+
+# ---- scripted pass loop and the early stop ----------------------------------
+
+EVERYWHERE = 1 << 64  # a support bound above every witness
+
+
+def reference_dual_scripts(
+    c: TotalCostFunctional, order: Sequence[int], requirements: int, S: int
+) -> tuple[list[frozenset[int]], str]:
+    """dual_inputs_scripted's pass loop with every pass run in full.
+
+    Returns the final scripts and why the loop ended: "settled" (nothing
+    starved), "unchanged" (the starved requirement's script did not change)
+    or "ran out" (of passes).
+    """
+    scripts = [frozenset() for _ in range(requirements)]
+    for _ in range(max(6, requirements + 1)):
+        st = dual_construct(c, order, [scripted_phi(e, scripts[e]) for e in range(requirements)], S)
+        if not st.starved:
+            return scripts, "settled"
+        e = st.starved[0]
+        updated = st.f_trace.final_set()
+        if scripts[e] == updated:
+            return scripts, "unchanged"
+        scripts[e] = updated
+    return scripts, "ran out"
+
+
+def _scripted_with(order, c, requirements: int, S: int) -> list[frozenset[int]]:
+    """The scripts dual_inputs_scripted settles on for a given staircase and order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generate, "dual_inputs", lambda _rng, _entrants, _reqs: (order, [], c))
+        _order, phis, _c = dual_inputs_scripted(random.Random(0), len(order), requirements, S)
+    return [phi.support(None, EVERYWHERE) for phi in phis]
+
+
+def test_scripted_pass_loop_matches_full_passes():
+    S = 10_000
+    for seed in range(10):
+        order, phis, c = dual_inputs_scripted(rng_for(seed, "dual-scripted"), 30, 5, S)
+        scripts, _end = reference_dual_scripts(c, order, 5, S)
+        assert [phi.support(None, EVERYWHERE) for phi in phis] == scripts
+
+
+def test_scripted_pass_loop_matches_full_passes_when_a_script_stays():
+    # 1/4 everywhere: requirement 0 (value cap 1/2) activates, requirement 1
+    # (cap 1/6) never does, so its script is F both times
+    quarter = TotalCostFunctional("quarter", lambda bit, x, s: (1, 1), 4, support_bound=8)
+    order = random.Random(7).sample(range(20), 20)
+    scripts, end = reference_dual_scripts(quarter, order, 2, 10_000)
+    assert end == "unchanged" and scripts[0] == frozenset() and scripts[1]
+    assert _scripted_with(order, quarter, 2, 10_000) == scripts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_staircase())
+def test_scripted_pass_loop_matches_full_passes_on_wide_inputs(case):
+    E, _support, c, order, S = case
+    scripts, end = reference_dual_scripts(c, order, E, S)
+    event(end)
+    assert _scripted_with(order, c, E, S) == scripts
 
 
 # The activation scan stops at the first guess v whose witness disagrees with
@@ -745,6 +860,15 @@ def test_dual_witness_strictly_increases_with_guess(e, halting):
     h = sorted(halting)
     xs = [triple_pair(e, v, bisect.bisect_left(h, v)) for v in range(100)]
     assert all(a < b for a, b in zip(xs, xs[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(0, 5), hst.sets(hst.integers(0, 60)))
+@example(0, set())
+def test_scripted_support_matches_the_filter(e, members):
+    phi = scripted_phi(e, frozenset(members))
+    for upto in range(-1, max(members, default=0) + 2):
+        assert phi.support(None, upto) == frozenset(y for y in members if y <= upto)
 
 
 @settings(max_examples=200, deadline=None)
