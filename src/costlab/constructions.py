@@ -721,7 +721,11 @@ def separation_run(
     exhausts the stage budget, the expected outcome for honest providers.
     A failing check waits while an event of the provider's index or a grant
     is still to take effect, even a grant that improves nothing; then the
-    greedy opponent grants target cur + 1 from stage cur + 2.  The builder's
+    greedy opponent grants target cur + 1 from stage cur + 2.  At b >= 1 the
+    wait jumps: an event at or below x0, or one no shorter than the last
+    element's best, cannot make a failing check pass, so the game walks at
+    once to the stage before the first other event, capped at the stage
+    before the last one to take effect and at the stage budget.  The builder's
     requests take effect before every check, so they never hold it up.
     The declared full-contradiction length 2^k is reported, never attempted.
 
@@ -878,7 +882,23 @@ def separation_run(
                 responded = True
                 break
             if b and last > cur:
-                continue  # let earlier descriptions register before adding more
+                # let earlier descriptions register before adding more, walking
+                # at once past events that keep a failing check failing: one at
+                # or below x0 moves nothing, and one no shorter than the last
+                # element's best raises total by its change and a cap by at most that
+                bl, stop = best[-1], min(last - 1, cur + V - used)
+                for j in range(at, len(events)):
+                    t, w, _old, new = events[j]
+                    if t > stop:
+                        break
+                    if w > x0 and (bl is None or new < bl):
+                        stop = t - 1
+                        break
+                if stop > cur:
+                    used += stop - cur
+                    cur = stop
+                    walk(cur)
+                continue
             i = bisect.bisect_right(least, -total, key=neg)  # the first failing element
             if b == 0 and best[i] is not None:
                 # the sum beyond seq[i] exceeds its largest term: two positive

@@ -317,8 +317,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/catalog.py",
-        "                if q[x] > qm:\n                    qm = q[x]\n                x -= 1\n",
-        "                x -= 1\n",
+        "                    if q[x] > qm:\n                        qm = q[x]\n                    x -= 1\n",
+        "                    x -= 1\n",
         ("tests/test_complexity.py",),
         "the domination grid's c_max walk leaves the maximum of q as it was",
     ),
@@ -433,6 +433,57 @@ MUTANTS = [
         "pass",
         ("tests/test_scenarios.py",),
         "a failing instance adds no line of its own",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "1 << (scale - new) > cap:",
+        "1 << (scale - new) > 2 * cap:",
+        ("tests/test_complexity.py",),
+        "equivalent: a run that takes a rising weight leaves c_max low below it, but a later "
+        "walk stops short there only at a weight at least its own that is plain, so counted "
+        "in c_K, or was carried down already; so no c_max violation changes",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        " and all(map(operator.le, hrun[1:], bounds)):",
+        ":",
+        ("tests/test_complexity.py",),
+        "the domination grid applies a run whose measure check fails inside it",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "if max(qm, q[a - 2] + weights[0]) <= T[1] and all(",
+        "if all(",
+        ("tests/test_complexity.py",),
+        "the domination grid applies a run whose c_max check fails inside it",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "min(last - 1, cur + V - used)",
+        "min(last, cur + V - used)",
+        ("tests/test_constructions.py",),
+        "the separation wait jumps to last, past its check",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "if w > x0 and (bl is None or new < bl):",
+        "if w > seq[-1] and (bl is None or new < bl):",
+        ("tests/test_constructions.py",),
+        "the separation wait jumps past an event at or below the last element",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "(bl is None or new < bl)",
+        "bl is None",
+        ("tests/test_constructions.py",),
+        "the separation wait jumps past a length shorter than the last element's best",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "min(last - 1, cur + V - used)",
+        "min(last - 1, cur + V - used + 1)",
+        ("tests/test_constructions.py",),
+        "the separation wait jumps one stage past the budget",
     ),
 ]
 

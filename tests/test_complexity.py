@@ -1,5 +1,6 @@
 """The K_s index against a brute-force reference read straight from the grants."""
 
+import bisect
 import random
 from fractions import Fraction
 
@@ -267,6 +268,62 @@ def test_domination_sweep_matches_loop_with_long_spans(entries):
     rep = domination_grid_report(p)
     assert rep.omega_violations
     assert rep == reference_domination_grid_report(p)
+
+
+@pytest.mark.parametrize(
+    "provider",
+    [
+        # 80's registered length 4 gives stage 81 a weight 2^11 times its
+        # neighbours', so the plain stages on each side form two runs
+        lambda: register_requests(baseline_provider(120), request_set([(4, 80, 80)]), 0),
+        # 20 is paid for at stage 6 and described at 21 at 2^-10, above the
+        # 2^-12 of each target in [6, 18], so the measure check fails there
+        # at every stage of the plain run 21..60, which starts right after
+        # stage 20's rise to 19's weight 2^-9 and ends at the horizon
+        lambda: provider_from_requests(
+            request_set(
+                sorted(
+                    [(12, y, y) for y in range(2, 19)] + [(9, 19, 19), (10, 20, 5)]
+                    + [(10, y, y) for y in range(21, 60)],
+                    key=lambda e: e[2],
+                )
+            ),
+            0,
+            60,
+        ),
+        # the run after the last shortcut, at stage 64, ends at the horizon
+        lambda: baseline_provider(100),
+    ],
+    ids=["rising weight mid-run", "violation in a run", "run ending at the horizon"],
+)
+def test_domination_sweep_matches_references_at_run_edges(provider):
+    p = provider()
+    rep = domination_grid_report(p)
+    assert rep == reference_domination_grid_report(p)
+    assert (rep.omega_violations, rep.max_violations) == fraction_domination_reference(p)
+
+
+def test_domination_sweep_reports_a_c_max_violation_inside_a_run(monkeypatch):
+    # a non-improving change (40, 30, 3, 3), injected in (stage, w) order,
+    # raises c_max(x, s) to 2^-3 for every x < 30 and leaves c_K as it was;
+    # the baseline's plain stages 41..63 then fail the c_max check, so the
+    # run they form must go through the per-stage body
+    p = baseline_provider(100)
+    honest = domination_grid_report(p)
+    changes = KIndex.changes
+
+    def injected(self, s):
+        found = changes(self, s)
+        i = bisect.bisect_left(found, (40, 30))
+        return found[:i] + ([(40, 30, 3, 3)] if s >= 40 else []) + found[i:]
+
+    monkeypatch.setattr(KIndex, "changes", injected)
+    rep = domination_grid_report(p)
+    ck = cost_k(p)
+    expected = [(x, s) for s in range(40, 101) for x in range(30) if ck(x, s) < pow2(3)]
+    assert {41, 63} <= {s for _x, s in expected}  # the run's stages fail too
+    assert rep.omega_violations == honest.omega_violations
+    assert rep.max_violations == tuple(expected)
 
 
 @settings(max_examples=40, deadline=None)

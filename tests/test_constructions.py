@@ -679,6 +679,17 @@ _SCHEDULE_FREE = provider_from_requests(RequestSet(), 0, 1024)
         ("described element late", lambda: _late_descriptions(
             (10, 1, 12), (10, 6, 20), (10, 8, 25)
         ), 1, 1, 3000, {"x0": 2}),
+        # from x0 = 512 a b = 1 game on this baseline waits from stage 518 for
+        # its last event, at stage 1024, in one jump; these cut the jump short
+        ("jump cut by the budget", lambda: baseline_provider(1024), 1, 1, 300, {}),
+        # 514, between the elements 512 and 515, gets length 3 at stage 601
+        ("jump cut by an event below the last element", lambda: register_requests(
+            baseline_provider(1024), request_set([(3, 514, 600)]), 0
+        ), 1, 1, 100_000, {"x0": 512}),
+        # 700 gets length 3 from stage 701, shorter than the best 9 beyond 515
+        ("jump cut by a shorter length", lambda: register_requests(
+            baseline_provider(1024), request_set([(3, 700, 600)]), 0
+        ), 1, 1, 100_000, {"x0": 512}),
     ],
     ids=lambda case: case[0],
 )

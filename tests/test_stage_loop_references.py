@@ -13,13 +13,14 @@ from __future__ import annotations
 import bisect
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
-from costlab import constructions, generate
+from costlab import constructions, dual, generate
 from costlab.catalog import LeftCEReal, additive_from_real
 from costlab.constructions import (
     CompleteModelResult,
@@ -847,6 +848,27 @@ def test_scripted_pass_loop_matches_full_passes_on_wide_inputs(case):
     scripts, end = reference_dual_scripts(c, order, E, S)
     event(end)
     assert _scripted_with(order, c, E, S) == scripts
+
+
+@pytest.mark.parametrize("requirements", [2, 5, 8])
+def test_scripted_pass_loop_ends_when_its_passes_run_out(monkeypatch, requirements):
+    # a stub construction that starves requirement 0 with a fresh F on every
+    # pass: the loop never settles and never sees a script stay, so it ends
+    # after max(6, requirements + 1) constructions with the last F as 0's script
+    seen = []
+
+    def starving(_c, _order, phis, _S, **_flags):
+        seen.append([phi.support(None, EVERYWHERE) for phi in phis])
+        n = len(seen)
+        return SimpleNamespace(starved=(0,), f_trace=SimpleNamespace(final_set=lambda: {n}))
+
+    monkeypatch.setattr(dual, "dual_construct", starving)
+    _order, phis, _c = dual_inputs_scripted(rng_for(0, "pass-cap"), 10, requirements, 100)
+    passes = max(6, requirements + 1)
+    blank = [frozenset()] * (requirements - 1)
+    scripts_of_0 = [frozenset(), *(frozenset({n}) for n in range(1, passes))]
+    assert seen == [[script, *blank] for script in scripts_of_0]
+    assert [phi.support(None, EVERYWHERE) for phi in phis] == [frozenset({passes}), *blank]
 
 
 # The activation scan stops at the first guess v whose witness disagrees with
