@@ -25,7 +25,7 @@ from .util import ONE, least_length
 
 @dataclass(frozen=True)
 class LeftCEReal:
-    """Nondecreasing stage sequence units[s] / den, bounded by a declared cap.
+    """Nonempty nondecreasing stage sequence units[s] / den, bounded by a declared cap.
 
     The additive cost's integer column (see ``additive_from_real``), kept in lowest terms so
     that two reals are equal exactly when their values and caps are; ``of`` takes rationals.
@@ -39,13 +39,15 @@ class LeftCEReal:
         units, den = tuple(self.units), self.den
         if den < 1:
             raise ValueError("a left-c.e. real needs a positive denominator")
+        if not units:
+            raise ValueError("a left-c.e. real needs at least one stage")
         # C-level scan of each value against its predecessor (the first against 0); the
         # Python-level search for the first drop runs only on an invalid column
         if any(map(operator.gt, (0, *units), units)):
             v = next(v for prev, v in zip((0, *units), units) if v < prev)
             kind = "nonnegative" if v < 0 else "nondecreasing"
             raise ValueError(f"left-c.e. approximations are {kind}")
-        if units and Fraction(units[-1], den) > self.cap:
+        if Fraction(units[-1], den) > self.cap:
             raise ValueError("sequence exceeds its declared cap")
         g = math.gcd(den, *units)
         if g > 1:

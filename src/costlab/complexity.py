@@ -4,15 +4,16 @@ A ``KIndex`` holds, per target w, the stages at which K_s(w) changes with
 its value from each, so ``k(w, s)`` is one bisect, and the improvement
 events in stage order.  ``sum_at(x, s)`` (the sum of 2^-K_s(w) over
 x < w <= s, as an int in units of 2^-scale) and ``min_at(x, s)`` (the
-least such K_s(w)) read tables of the improvement rows, built in one pass
-over the events on first use.  As K_s(w) exists only for w < s, a row made
-by stage x + 1 has its target at or below x and never counts for x.  A
-*prompt* row, made at stage w + 1, counts for x whenever it is made in
-(x + 1, s]; a *delayed* row, made later, counts only if its target also
-lies beyond x.  So ``sum_at`` is one difference of an exact-int prefix
-column of prompt weights plus the weight changes of the window's delayed
-rows that count, and ``min_at`` the least length of the same rows, with the
-prompt lengths read in whole blocks of 64 from their minima.
+least such K_s(w)) read tables of the improvement rows.  As K_s(w) exists
+only for w < s, a row made by stage x + 1 has its target at or below x and
+never counts for x.  A *prompt* row, made at stage w + 1, counts for x
+whenever it is made in (x + 1, s]; a *delayed* row, made later, counts
+only if its target also lies beyond x.  So ``sum_at`` is one difference of
+an exact-int prefix column of prompt weights plus the weight changes of
+the window's delayed rows that count, and ``min_at`` the least length of
+the same rows, with the prompt lengths read in whole blocks of 64 from
+their minima.  One constructor, ``_Rows.of``, makes these columns from the
+rows, which the first query gathers in one pass over the events.
 
 Every index is canonical: its events are the strict improvements of
 K_s(w), one per target and stage, as in the staged Kraft-Chaitin
@@ -24,9 +25,9 @@ beyond which a merge must lie.  ``merge`` is the one way to
 extend an index: a registered provider merges its requests into a
 ``copy`` of its base's index, and the separation game its requests and
 grants into a copy of its provider's.  A copy shares the per-target lists
-and the tables, which are replaced and never mutated: the first query
-after a merge patches the rows of the targets it improved into new
-tables, or builds them anew when the scale changed.
+and the tables, which are replaced and never mutated.  A merge marks the
+targets it improves, and the next query splices their rows into copies of
+the last rows for the same constructor, or builds anew if the scale changed.
 
 Conventions:
 
@@ -40,6 +41,7 @@ Conventions:
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -56,13 +58,27 @@ class _Rows(NamedTuple):
 
     scale: int  # the weights are in units of 2^-scale
     prompt_stages: list[int]
-    prompt_prefix: list[int]  # [i]: the scaled weights of the first i prompt rows
     prompt_lengths: list[int]
+    prompt_weights: list[int]  # scaled weights
+    prompt_prefix: list[int]  # [i]: the sum of the first i prompt weights
     prompt_minima: list[int]  # [j]: the least of prompt_lengths[64 j : 64 (j + 1)]
     delayed_stages: list[int]
     delayed_targets: list[int]
     delayed_lengths: list[int]
     delayed_weights: list[int]  # scaled weight changes
+
+    @classmethod
+    def of(
+        cls, scale: int, stages: list[int], lengths: list[int], weights: list[int],
+        delayed: list[tuple[int, int, int, int]],
+    ) -> _Rows:
+        """The tables of the prompt rows' columns and the delayed rows, given
+        as (stage, w, length, weight change) in any order: it sorts them."""
+        delayed.sort()
+        prefix = list(accumulate(weights, initial=0))
+        minima = [min(lengths[i : i + _BLOCK]) for i in range(0, len(lengths), _BLOCK)]
+        columns = [list(c) for c in zip(*delayed)] or [[], [], [], []]
+        return cls(scale, stages, lengths, weights, prefix, minima, *columns)
 
 
 class KIndex:
@@ -90,9 +106,8 @@ class KIndex:
         self.events = events
         # the longest length held, so 2^-K is 2^(scale - K) / 2^scale
         self.scale = max((new for _stage, _w, _old, new in events), default=0)
-        self._rows: _Rows | None = None  # None until the next query builds or patches them
-        self._stale: _Rows | None = None  # the tables a merge left behind, to patch
-        self._touched: set[int] = set()  # targets merged into since the tables were made
+        self._rows: _Rows | None = None  # the last tables, None until the first query
+        self._touched: set[int] = set()  # targets merged into since: the tables are stale
 
     def k(self, w: int, s: int) -> int | None:
         """K_s(w): the least length of w counting by stage s, None if there is none."""
@@ -107,112 +122,60 @@ class KIndex:
 
     def _tables(self) -> _Rows:
         """The improvement rows split into prompt and delayed: built on first
-        use, and after a merge patched from the tables it left, unless the
-        merge changed the scale."""
-        if self._rows is None:
-            stale = self._stale
-            if stale is not None and stale.scale == self.scale:
-                self._rows = self._patched(stale)
-            else:
-                self._rows = self._build()
-            self._stale, self._touched = None, set()
+        use, and after a merge spliced from the last tables, unless the merge
+        changed the scale."""
+        rows = self._rows
+        if rows is None or self._touched:
+            same = rows is not None and rows.scale == self.scale
+            self._rows = self._patched(rows) if same else self._build()
+            self._touched = set()
         return self._rows
 
     def _build(self) -> _Rows:
         """The rows in one pass over the events, which lie in stage order."""
-        scale, total = self.scale, 0
-        rows = _Rows(scale, [], [0], [], [], [], [], [], [])
+        scale, stages, lengths, delayed = self.scale, [], [], []
         for stage, w, old, new in self.events:
             if stage == w + 1:  # no earlier row for w: old is None
-                total += 1 << (scale - new)
-                rows.prompt_stages.append(stage)
-                rows.prompt_prefix.append(total)
-                rows.prompt_lengths.append(new)
+                stages.append(stage)
+                lengths.append(new)
             else:
-                rows.delayed_stages.append(stage)
-                rows.delayed_targets.append(w)
-                rows.delayed_lengths.append(new)
-                rows.delayed_weights.append(weight_change(scale, old, new))
-        lengths = rows.prompt_lengths
-        rows.prompt_minima.extend(
-            min(lengths[i : i + _BLOCK]) for i in range(0, len(lengths), _BLOCK)
-        )
-        return rows
+                delayed.append((stage, w, new, weight_change(scale, old, new)))
+        return _Rows.of(scale, stages, lengths, [1 << (scale - n) for n in lengths], delayed)
 
     def _patched(self, rows: _Rows) -> _Rows:
-        """``rows`` with the rows of every touched target replaced by its
-        current ones, at the same scale, in new lists: a copy may share ``rows``.
+        """``rows``, at the same scale, with each touched target's rows made
+        again from its lists, in new lists: a copy may share ``rows``.
 
-        A merge changes the rows of the targets it improves and no others.
         A target keeps its prompt row once it has one, since only a
         description at stage w + 1 removes it and that one takes its place
-        with a shorter length; so each touched target replaces its prompt
-        row or inserts one.  The prefix column shifts by the weights gained
-        from the first such row on, and a block's minimum is recomputed from
-        the first inserted row, which moves the rows after it, or lowered to
-        a replaced row's length.  The delayed rows of a touched target are
-        made again from its lists, the first weighed against its prompt row.
+        with a shorter length; so the prompt row is replaced or inserted at
+        its place in stage order, and the delayed rows are made anew, the
+        first weighed against the prompt row.
         """
-        scale, by_target = self.scale, self._by_target
-        stages, prefix, lengths = rows.prompt_stages, rows.prompt_prefix, rows.prompt_lengths
-        new_stages: list[int] = []
-        new_prefix, new_lengths = [0], []
-        start = shift = 0  # start: the next base row to copy, shifted up by shift
-        inserted = None  # the first inserted row's position
-        replaced: list[int] = []
+        scale, touched = self.scale, self._touched
+        stages, lengths = rows.prompt_stages[:], rows.prompt_lengths[:]
+        weights = rows.prompt_weights[:]
         delayed = [
             row
             for row in zip(
                 rows.delayed_stages, rows.delayed_targets,
                 rows.delayed_lengths, rows.delayed_weights,
             )
-            if row[1] not in self._touched
+            if row[1] not in touched
         ]
-        for w in sorted(self._touched):
-            w_stages, w_lengths = by_target[w]
+        for w in touched:
+            w_stages, w_lengths = self._by_target[w]
             old = None
             for stage, length in zip(w_stages, w_lengths):
                 if stage != w + 1:
                     delayed.append((stage, w, length, weight_change(scale, old, length)))
                 old = length
-            if w_stages[0] != w + 1:
-                continue  # no prompt row
-            length = w_lengths[0]
-            i = bisect.bisect_left(stages, w + 1, start)
-            present = i < len(stages) and stages[i] == w + 1
-            if present and lengths[i] == length:
-                continue  # the prompt row is unchanged
-            new_stages += stages[start:i]
-            new_lengths += lengths[start:i]
-            new_prefix += [v + shift for v in prefix[start + 1 : i + 1]]
-            if present:
-                shift -= 1 << (scale - lengths[i])
-                replaced.append(len(new_lengths))
-                start = i + 1
-            else:
-                if inserted is None:
-                    inserted = len(new_lengths)
-                start = i
-            weight = 1 << (scale - length)
-            shift += weight
-            new_stages.append(w + 1)
-            new_lengths.append(length)
-            new_prefix.append(new_prefix[-1] + weight)
-        new_stages += stages[start:]
-        new_lengths += lengths[start:]
-        new_prefix += [v + shift for v in prefix[start + 1 :]]
-        # the blocks before the first inserted row hold the same rows, or lower ones
-        kept = len(rows.prompt_minima) if inserted is None else inserted // _BLOCK
-        minima = rows.prompt_minima[:kept]
-        minima += (
-            min(new_lengths[i : i + _BLOCK]) for i in range(kept * _BLOCK, len(new_lengths), _BLOCK)
-        )
-        for i in replaced:
-            if i // _BLOCK < kept:
-                minima[i // _BLOCK] = min(minima[i // _BLOCK], new_lengths[i])
-        delayed.sort()
-        columns = [list(c) for c in zip(*delayed)] or [[], [], [], []]
-        return _Rows(scale, new_stages, new_prefix, new_lengths, minima, *columns)
+            if w_stages[0] == w + 1:
+                i = bisect.bisect_left(stages, w + 1)
+                row = slice(i, i + 1 if i < len(stages) and stages[i] == w + 1 else i)
+                stages[row], lengths[row] = [w + 1], [w_lengths[0]]
+                weights[row] = [1 << (scale - w_lengths[0])]
+        return _Rows.of(scale, stages, lengths, weights, delayed)
 
     @staticmethod
     def _late(rows: _Rows, x: int, s: int, column: list[int]) -> Iterator[int]:
@@ -261,7 +224,7 @@ class KIndex:
         mutates, and has its own event list, so a merge into one index leaves
         the other unchanged; and frontier 0, so it accepts a description at
         any stage.  The query tables are shared too, built first if they were
-        not: ``merge`` patches them, in new lists, and never mutates them.
+        not: the query after a merge splices new ones and never mutates them.
         """
         twin = KIndex()
         twin._by_target = dict(self._by_target)
@@ -282,9 +245,9 @@ class KIndex:
         description costs a few bisects, which probe with (stage, w) as old
         may be None, and list splices.  The stages must lie beyond
         ``frontier`` and need not come in order.  The target's lists are
-        replaced, never mutated, since a copy may share them.  The query
-        tables are patched on the next query: the rows of the improved
-        targets are replaced, or the tables built anew when the scale changed.
+        replaced, never mutated, since a copy may share them.  The improved
+        targets are marked, for the next query to splice their rows into the
+        tables, or to build them anew when the scale changed.
         """
         events, lost = self.events, -1  # lost: the longest length removed
         for w, length, stage in descriptions:
@@ -310,8 +273,6 @@ class KIndex:
                 at = bisect.bisect_left(events, (stages[hi], w))
                 events[at] = (stages[hi], w, length, lengths[hi])
             self.scale = max(self.scale, length)
-            if self._rows is not None:
-                self._stale, self._rows = self._rows, None
             self._touched.add(w)
         if lost == self.scale:  # the longest event may be gone
             self.scale = max((new for _stage, _w, _old, new in events), default=0)

@@ -12,8 +12,8 @@ from typing import Iterable
 
 from .catalog import LeftCEReal
 from .core import ApproximationTrace, CostLedger, EnumerationTrace
-from .errors import ParseError
-from .machine import RequestSet, request_set
+from .errors import ParseError, WeightOverflow
+from .machine import RequestSet, kc_add
 
 
 def dump_schedule(rs: RequestSet) -> str:
@@ -22,14 +22,19 @@ def dump_schedule(rs: RequestSet) -> str:
 
 
 def load_schedule(text: str) -> RequestSet:
-    items = []
+    """The request set of `stage r y` lines, each checked as it is added, so
+    an out-of-order stage or the weight's first excess names its line."""
+    rs = RequestSet()
     for no, line in _lines(text):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(no, f"expected `stage r y`, got {line!r}")
         stage, r, y = (_nat(no, p) for p in parts)
-        items.append((r, y, stage))
-    return request_set(items)
+        try:
+            rs = kc_add(rs, r, y, stage)
+        except (ValueError, WeightOverflow) as exc:
+            raise ParseError(no, str(exc)) from exc
+    return rs
 
 
 def dump_trace(a: ApproximationTrace) -> str:

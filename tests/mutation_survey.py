@@ -261,24 +261,24 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/complexity.py",
-        "new_prefix += [v + shift for v in prefix[start + 1 :]]",
-        "new_prefix += prefix[start + 1 :]",
+        "weights[row] = [1 << (scale - w_lengths[0])]",
+        "weights[row] = weights[row] or [1 << (scale - w_lengths[0])]",
         ("tests/test_complexity.py", "tests/test_machine.py"),
-        "the patched prefix column is not shifted after the last patched row",
+        "a replaced prompt row keeps its old weight",
     ),
     Mutant(
         "src/costlab/complexity.py",
-        "minima[i // _BLOCK] = min(minima[i // _BLOCK], new_lengths[i])",
-        "minima[i // _BLOCK] = minima[i // _BLOCK]",
+        "stages[i] == w + 1 else i)",
+        "stages[i] == w + 1 else i + 1)",
         ("tests/test_complexity.py", "tests/test_machine.py"),
-        "a replaced prompt row leaves its block's minimum as it was",
+        "an inserted prompt row overwrites the row after its place",
     ),
     Mutant(
         "src/costlab/complexity.py",
-        "else inserted // _BLOCK",
-        "else inserted // _BLOCK + 1",
+        "if rows is None or self._touched:",
+        "if rows is None:",
         ("tests/test_complexity.py", "tests/test_machine.py"),
-        "the block of the first inserted prompt row keeps its old minimum",
+        "a query after a merge reads the last tables as they were",
     ),
     Mutant(
         "src/costlab/complexity.py",
@@ -286,6 +286,20 @@ MUTANTS = [
         "delayed.append((stage, w, length, weight_change(scale, None, length)))",
         ("tests/test_complexity.py", "tests/test_machine.py"),
         "a spliced delayed row is weighed as its target's first row",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "if row[1] not in touched",
+        "if True",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "a touched target's old delayed rows stay beside its new ones",
+    ),
+    Mutant(
+        "src/costlab/complexity.py",
+        "delayed.sort()",
+        "pass",
+        ("tests/test_complexity.py", "tests/test_machine.py"),
+        "the constructor leaves spliced delayed rows out of stage order",
     ),
     Mutant(
         "src/costlab/machine.py",

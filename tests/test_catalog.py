@@ -416,6 +416,8 @@ def test_non_additive_rejected():
 
 def left_ce_check_reference(seq, cap):
     """The former validation loop: a sign test and a predecessor test per stage."""
+    if not seq:
+        return "a left-c.e. real needs at least one stage"
     prev = None
     for v in seq:
         if v < 0:
@@ -423,7 +425,7 @@ def left_ce_check_reference(seq, cap):
         if prev is not None and v < prev:
             return "left-c.e. approximations are nondecreasing"
         prev = v
-    if seq and seq[-1] > cap:
+    if seq[-1] > cap:
         return "sequence exceeds its declared cap"
     return None
 

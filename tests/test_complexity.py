@@ -397,6 +397,10 @@ descriptions = st.lists(
 @example([(3, 9, 4), (5, 2, 6)], [(3, 1, 0)])
 # a duplicate of an event and a same-stage description one longer improve nothing
 @example([(1, 7, 0), (1, 5, 9)], [(1, 7, 0), (1, 6, 2), (1, 8, 2)])
+# one merge replaces w = 5's prompt row and inserts rows before the first and after the last
+@example([(5, 3, 0), (8, 4, 0)], [(5, 2, 0), (2, 3, 0), (20, 3, 0)])
+# w = 68's prompt row, replaced, lies in the last partial block of 64
+@example([(w, 9, 0) for w in range(70)], [(68, 1, 0)])
 def test_merge_equals_a_fresh_build(base, extra):
     index = KIndex(base)
     index.sum_at(0, 40)  # the copy shares these tables

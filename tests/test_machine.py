@@ -400,6 +400,16 @@ BLOCKS_SHIFTED = (
 DELAYED_ROW_SPLICED = (baseline_provider(64), request_set([(10, 16, 20)]), 0)
 # A new target with a length beyond the base's scale rebuilds the tables.
 SCALE_RAISED = (baseline_provider(64), request_set([(30, 100, 10)]), 0)
+# The base has prompt rows for w = 5 and 9 only: w = 2 and 15 land before and after them.
+ENDS_INSERTED = (
+    provider_from_requests(request_set([(9, 5, 0), (9, 9, 0)]), 0, 20),
+    request_set([(9, 2, 0), (9, 15, 0)]),
+    0,
+)
+# w = 197's prompt row lies in the last partial block of BLOCKS_SHIFTED's base.
+LAST_BLOCK_REPLACED = (BLOCKS_SHIFTED[0], request_set([(8, 197, 0)]), 0)
+# A length-14 description of w = 40, whose prompt row is 13 long, improves nothing.
+NOTHING_IMPROVED = (baseline_provider(64), request_set([(14, 40, 3)]), 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,6 +418,9 @@ SCALE_RAISED = (baseline_provider(64), request_set([(30, 100, 10)]), 0)
 @example(BLOCKS_SHIFTED)
 @example(DELAYED_ROW_SPLICED)
 @example(SCALE_RAISED)
+@example(ENDS_INSERTED)
+@example(LAST_BLOCK_REPLACED)
+@example(NOTHING_IMPROVED)
 def test_registration_equals_a_fresh_build(case):
     base, rs, d = case
     before = copy.deepcopy(base.index._tables())
@@ -430,8 +443,12 @@ def test_registration_equals_a_fresh_build(case):
         (BLOCKS_SHIFTED, False),
         (DELAYED_ROW_SPLICED, False),
         (SCALE_RAISED, True),
+        (NOTHING_IMPROVED, False),
     ],
-    ids=["replaced-prompt-row", "blocks-shifted", "delayed-row-spliced", "scale-raised"],
+    ids=[
+        "replaced-prompt-row", "blocks-shifted", "delayed-row-spliced", "scale-raised",
+        "nothing-improved",
+    ],
 )
 def test_registration_patches_its_base_tables(monkeypatch, case, rebuilt):
     base, rs, d = case

@@ -235,3 +235,22 @@ def test_cli_check_detects_corruption(tmp_path: Path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("horizon 10\n2 1 5\n")
     assert main(["check", "trace", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("real", "", "line 1: a left-c.e. real needs at least one stage"),
+        ("real", "# comments only\n\n", "line 1: a left-c.e. real needs at least one stage"),
+        ("schedule", "1 3 5\n0 3 6\n", "line 2: request stages must be nondecreasing"),
+        ("schedule", "1 0 5\n1 0 6\n", "line 2: adding 2^-0 lifts the weight to 2 > 1"),
+    ],
+    ids=["empty-real", "comments-only-real", "stage-order", "overweight"],
+)
+def test_cli_check_names_the_line_of_a_malformed_artifact(
+    tmp_path: Path, capsys, kind, text, message
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["check", kind, str(bad)]) == 2
+    assert capsys.readouterr().err == f"invalid {kind}: {message}\n"
