@@ -5,23 +5,23 @@ machine by leftmost-fit allocation of dyadic intervals, so Kraft budgets and
 prefix-freeness can be audited exhaustively.
 """
 
-from fractions import Fraction
+from itertools import accumulate
 
 from costlab.machine import (
-    RequestSet,
     baseline_provider,
     check_prefix_free,
-    kc_add,
     kc_machine,
     register_requests,
     request_set,
 )
+from costlab.util import pow2
 
 print("== building a bounded request set ==")
-rs = RequestSet()
-for r in range(1, 6):
-    rs = kc_add(rs, r, 100 + r, r)
-    print(f"  requested a length-{r} description of {100 + r}; weight now {rs.weight}")
+rs = request_set([(r, 100 + r, r) for r in range(1, 6)])
+prefix_weights = accumulate(pow2(r) for r, _y, _stage in rs.entries)
+for (r, y, _stage), weight in zip(rs.entries, prefix_weights):
+    print(f"  requested a length-{r} description of {y}; weight now {weight}")
+print(f"  the set's weight: {rs.weight}")
 
 machine = kc_machine(rs, 0)
 print("\n== the realized machine ==")

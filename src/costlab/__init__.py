@@ -45,7 +45,6 @@ from .machine import (
     RequestSet,
     baseline_provider,
     check_prefix_free,
-    kc_add,
     kc_machine,
     register_requests,
 )

@@ -61,7 +61,7 @@ class _Rows(NamedTuple):
     prompt_lengths: list[int]
     prompt_weights: list[int]  # scaled weights
     prompt_prefix: list[int]  # [i]: the sum of the first i prompt weights
-    prompt_minima: list[int]  # [j]: the least of prompt_lengths[64 j : 64 (j + 1)]
+    prompt_minima: list[int]  # [j]: the least of prompt_lengths[64 j : 64 (j + 1)], a whole block
     delayed_stages: list[int]
     delayed_targets: list[int]
     delayed_lengths: list[int]
@@ -76,7 +76,7 @@ class _Rows(NamedTuple):
         as (stage, w, length, weight change) in any order: it sorts them."""
         delayed.sort()
         prefix = list(accumulate(weights, initial=0))
-        minima = [min(lengths[i : i + _BLOCK]) for i in range(0, len(lengths), _BLOCK)]
+        minima = [min(lengths[i : i + _BLOCK]) for i in range(0, len(lengths) - _BLOCK + 1, _BLOCK)]
         columns = [list(c) for c in zip(*delayed)] or [[], [], [], []]
         return cls(scale, stages, lengths, weights, prefix, minima, *columns)
 

@@ -29,7 +29,7 @@ from .errors import (
     NoWitness,
     ScheduleInsufficient,
 )
-from .machine import KProvider, RequestSet, kc_add, register_requests, request_set, shortcut_stage
+from .machine import KProvider, RequestSet, register_requests, request_set, shortcut_stage
 from .util import ZERO, bits_to_nat, drop_trailing_zeros, pow2
 
 
@@ -238,10 +238,7 @@ def infinite_ce_divergence(
         raise ValueError(f"function table must cover indices up to {needed - 1}")
     if len(set(f[:needed])) != needed:
         raise ValueError("function table must be injective")
-    rs = RequestSet()
-    for r in range(R + 1):
-        y = max(f[i] for i in range(0, (1 << (r + 1)) + 1))
-        rs = kc_add(rs, r + 1, y, r + 1)
+    rs = request_set((r + 1, max(f[: (1 << (r + 1)) + 1]), r + 1) for r in range(R + 1))
     extended = register_requests(p, rs, d)
     ck = cost_k(extended)
     sums = []
@@ -590,7 +587,7 @@ def sjt_reduction(
         raise BudgetExceeded(
             f"trace cost {ledger.total} exceeds the declared budget 2^{u}"
         )
-    rs = RequestSet()
+    entries = []
     for s, x, _v in a.events:
         e_found = x
         for e in range(0, x):
@@ -598,7 +595,8 @@ def sjt_reduction(
                 e_found = e
                 break
         prefix = "".join(str(y.value(i, s)) for i in range(e_found))
-        rs = kc_add(rs, u + h(e_found), bits_to_nat(prefix), s)
+        entries.append((u + h(e_found), bits_to_nat(prefix), s))
+    rs = request_set(entries)
 
     e0 = next((e for e in range(y.horizon + 1) if h(e) > u + d), None)
     s0 = None
@@ -835,7 +833,7 @@ def separation_run(
         for i in range(lo, n):
             least[i] = min(least[i - 1], cap[i]) if i else cap[0]
 
-    requests = RequestSet()
+    requests: list[tuple[int, int, int]] = []
     grants: list[tuple[int, int, int]] = []
     cur = x0 + 1
     walk(cur)
@@ -844,10 +842,13 @@ def separation_run(
 
     while used < V and len(seq) - 1 < declared:
         xv = seq[-1]
-        if requests.weight + pow2(k) > 1 or measure + pow2(k + d) > 1:
+        # the requests need no weight test: each round appends to seq or ends
+        # the run, so it starts with len(seq) - 1 < declared = 2^k requests of
+        # length k, and with its own they weigh at most 2^k * 2^-k = 1
+        if measure + pow2(k + d) > 1:
             status = "measure_exhausted"
             break
-        requests = kc_add(requests, k, xv + 1, cur)
+        requests.append((k, xv + 1, cur))
         # it takes effect by cur + 2, as xv <= cur, and last leaves it out:
         # nothing beyond xv is described yet, so the wait walks a stage and
         # the check loop another, and the walk has passed it at every check
@@ -933,7 +934,7 @@ def separation_run(
         k,
         declared,
         tuple(seq),
-        requests,
+        request_set(requests),
         tuple(grants),
         status,
         tuple(c for per_cap in checks for c in per_cap),

@@ -26,7 +26,7 @@ INF = None  # complexity value for "no description yet"
 
 @dataclass(frozen=True)
 class RequestSet:
-    """Append-only schedule of (length, target) description requests.
+    """A schedule of (length, target) description requests in stage order.
 
     ``weight`` is the exact sum of 2^-r over the entries, computed once on
     construction, and never exceeds 1 (bounded request set condition).
@@ -36,43 +36,36 @@ class RequestSet:
     weight: Fraction = field(init=False)
 
     def __post_init__(self):
-        last_stage = 0
-        for r, y, stage in self.entries:
-            if r < 0 or y < 0 or stage < 0:
-                raise ValueError("request fields must be naturals")
-            if stage < last_stage:
-                raise ValueError("request stages must be nondecreasing")
-            last_stage = stage
-        w = dyadic_sum(r for r, _y, _stage in self.entries)
-        if w > 1:
-            raise WeightOverflow(f"request weight {w} exceeds 1")
-        object.__setattr__(self, "weight", w)
+        """Check each entry in turn: natural fields, a stage no less than the
+        last, and a running weight of at most 1, kept as an int in units of
+        2^-top, top the longest length so far.  The first bad entry raises
+        ValueError or WeightOverflow with its index as ``position``."""
+        total, top, one, last = 0, 0, 1, 0  # one = 2^top
+        for i, (r, y, stage) in enumerate(self.entries):
+            if r < 0 or y < 0 or stage < last:
+                if r < 0 or y < 0 or stage < 0:
+                    exc = ValueError("request fields must be naturals")
+                else:
+                    exc = ValueError("request stages must be nondecreasing")
+                break
+            last = stage
+            if r > top:
+                total <<= r - top
+                top, one = r, 1 << r
+            total += one >> r
+            if total > one:
+                exc = WeightOverflow(
+                    f"adding 2^-{r} lifts the weight to {Fraction(total, one)} > 1"
+                )
+                break
+        else:
+            object.__setattr__(self, "weight", Fraction(total, one))
+            return
+        exc.position = i
+        raise exc
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def kc_add(rs: RequestSet, r: int, y: int, stage: int) -> RequestSet:
-    """Append a request, updating the weight exactly.
-
-    Only the new entry is checked: ``rs`` is already a validated request set,
-    so an append does not recheck the whole set.  Raises WeightOverflow when
-    the new weight would exceed 1, signalling that the caller's schedule is
-    not a bounded request set.
-    """
-    if r < 0 or y < 0 or stage < 0:
-        raise ValueError("request fields must be naturals")
-    if rs.entries and stage < rs.entries[-1][2]:
-        raise ValueError("request stages must be nondecreasing")
-    new_weight = rs.weight + pow2(r)
-    if new_weight > 1:
-        raise WeightOverflow(
-            f"adding 2^-{r} lifts the weight to {new_weight} > 1"
-        )
-    out = object.__new__(RequestSet)  # skips __post_init__'s full recheck
-    object.__setattr__(out, "entries", rs.entries + ((r, y, stage),))
-    object.__setattr__(out, "weight", new_weight)
-    return out
 
 
 def request_set(items: Iterable[tuple[int, int, int]]) -> RequestSet:

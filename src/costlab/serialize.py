@@ -13,7 +13,7 @@ from typing import Iterable
 from .catalog import LeftCEReal
 from .core import ApproximationTrace, CostLedger, EnumerationTrace
 from .errors import ParseError, WeightOverflow
-from .machine import RequestSet, kc_add
+from .machine import RequestSet
 
 
 def dump_schedule(rs: RequestSet) -> str:
@@ -22,19 +22,21 @@ def dump_schedule(rs: RequestSet) -> str:
 
 
 def load_schedule(text: str) -> RequestSet:
-    """The request set of `stage r y` lines, each checked as it is added, so
-    an out-of-order stage or the weight's first excess names its line."""
-    rs = RequestSet()
+    """The request set of `stage r y` lines of decimal ints.  The request
+    set's own check rejects a negative field, an out-of-order stage or the
+    weight's first excess, and the error names the line of its entry."""
+    entries, line_nos = [], []
     for no, line in _lines(text):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(no, f"expected `stage r y`, got {line!r}")
-        stage, r, y = (_nat(no, p) for p in parts)
         try:
-            rs = kc_add(rs, r, y, stage)
-        except (ValueError, WeightOverflow) as exc:
-            raise ParseError(no, str(exc)) from exc
-    return rs
+            stage, r, y = map(int, line.split())
+        except ValueError as exc:
+            raise ParseError(no, f"expected `stage r y`, got {line!r}") from exc
+        entries.append((r, y, stage))
+        line_nos.append(no)
+    try:
+        return RequestSet(tuple(entries))
+    except (ValueError, WeightOverflow) as exc:
+        raise ParseError(line_nos[exc.position], str(exc)) from exc
 
 
 def dump_trace(a: ApproximationTrace) -> str:

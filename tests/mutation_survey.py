@@ -1,10 +1,11 @@
 """Mutation survey: does the test suite see a deliberately broken program?
 
-Each mutant is (file, old text, new text, test files).  For each one the
-survey copies ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` into
-a temporary directory, replaces the one occurrence of the old text in the
-copy, runs the named test files there with pytest and prints ``killed``
-when they fail or ``survived`` when they pass.  An unmutated control run
+Each mutant is (file, old text, new text, tests), the tests named by file
+or by test id (``file::test``).  For each one the survey copies ``src/``,
+``tests/``, ``demos/`` and ``pyproject.toml`` into a temporary directory,
+replaces the one occurrence of the old text in the copy, runs the named
+tests there with pytest and prints ``killed`` when they fail or
+``survived`` when they pass.  An unmutated control run
 comes first, since a kill means nothing when the tests fail anyway.  A
 mutant whose note starts with ``equivalent:`` is expected to survive and
 every other one to be killed; the survey exits 1 when a verdict differs.
@@ -317,10 +318,31 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/machine.py",
-        "w = dyadic_sum(r for r, _y, _stage in self.entries)",
-        "w = dyadic_sum(r for r, _y, _stage in self.entries[1:])",
+        "total += one >> r",
+        "total += one >> r if i else 0",
         ("tests/test_machine.py",),
         "a request set's weight leaves out its first request",
+    ),
+    Mutant(
+        "src/costlab/machine.py",
+        "or stage < last:",
+        "or stage <= last:",
+        ("tests/test_machine.py::test_request_set_rejects_decreasing_stage",),
+        "a request set rejects a stage equal to the last",
+    ),
+    Mutant(
+        "src/costlab/machine.py",
+        "if total > one:",
+        "if total >= one:",
+        ("tests/test_machine.py::test_request_set_rejects_weight_above_one",),
+        "a request set rejects a weight of exactly 1",
+    ),
+    Mutant(
+        "src/costlab/serialize.py",
+        "line_nos[exc.position]",
+        "line_nos[exc.position - 1]",
+        ("tests/test_serialize_cli.py::test_schedule_error_names_its_line_after_a_run_of_good_lines",),
+        "a schedule's request error names the line before its entry's",
     ),
     Mutant(
         "src/costlab/catalog.py",
@@ -503,7 +525,7 @@ MUTANTS = [
 
 
 def run_tests(copy: Path, tests: tuple[str, ...]) -> bool:
-    """Whether the named test files pass in the copy."""
+    """Whether the named tests pass in the copy."""
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
         cwd=copy,

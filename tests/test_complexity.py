@@ -547,6 +547,18 @@ def test_sums_and_minima_over_whole_blocks_match_reference():
             assert p.index.min_at(x, s) == min_ref(table, x)
 
 
+def test_block_minima_cover_whole_blocks_only():
+    # 150 prompt rows make two whole blocks of 64 and a partial one of 22,
+    # whose short length min_at reads from the rows themselves, before and
+    # after a merge splices in another prompt row
+    index = KIndex([(w, 3 if w == 140 else 50, w + 1) for w in range(150)])
+    assert len(index._tables().prompt_minima) == 2
+    assert index.min_at(0, 151) == 3 and index.min_at(0, 140) == 50
+    index.merge([(150, 40, 151)])
+    assert len(index._tables().prompt_minima) == 2
+    assert index.min_at(0, 152) == 3 and index.min_at(141, 152) == 40
+
+
 def test_horizon_conventions():
     # KProvider.k has no value beyond the horizon; cost_k and cost_max clamp
     # s to the horizon instead, so both differ from a provider queried there

@@ -43,7 +43,6 @@ from costlab.machine import (
     KProvider,
     RequestSet,
     baseline_provider,
-    kc_add,
     provider_from_requests,
     register_requests,
     request_set,
@@ -565,7 +564,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, greedy=True):
             raise ScheduleInsufficient("no cheap starting point below the horizon")
         x0 = probe
     seq = [x0]
-    requests = RequestSet()
+    requests = []
     grants = []
     cur = x0 + 1
     status = "running"
@@ -576,10 +575,10 @@ def reference_separation_run(b, p, d, V, *, x0=None, greedy=True):
 
     while used < V and len(seq) - 1 < 1 << k:
         xv = seq[-1]
-        if requests.weight + pow2(k) > 1 or measure + pow2(k + d) > 1:
+        if request_set(requests).weight + pow2(k) > 1 or measure + pow2(k + d) > 1:
             status = "measure_exhausted"
             break
-        requests = kc_add(requests, k, xv + 1, cur)
+        requests.append((k, xv + 1, cur))
         describe(xv + 1, k + d, cur + 1)
         measure += pow2(k + d)
         while sum_value(live, xv, cur) < pow2(k + d) and used < V:
@@ -641,7 +640,7 @@ def reference_separation_run(b, p, d, V, *, x0=None, greedy=True):
             lhs = sum((pow2(max(kw, cap)) for kw in kws if kw is not None), ZERO)
             checks.append((pi, r, lhs, (r + 1) * pow2(cap + 1)))
     return SeparationResult(
-        k, 1 << k, tuple(seq), requests, tuple(grants), status, tuple(checks), used
+        k, 1 << k, tuple(seq), request_set(requests), tuple(grants), status, tuple(checks), used
     )
 
 

@@ -2,6 +2,7 @@
 
 import copy
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,6 @@ from costlab.machine import (
     _request_grants,
     baseline_provider,
     check_prefix_free,
-    kc_add,
     kc_machine,
     provider_from_requests,
     register_requests,
@@ -75,30 +75,26 @@ def scanning_machine(entries, d):
 
 
 def test_single_request_weight():
-    rs = kc_add(RequestSet(), 1, 7, 0)
+    rs = request_set([(1, 7, 0)])
     assert rs.weight == Fraction(1, 2)
 
 
 def test_overflow_on_third_request():
-    rs = kc_add(kc_add(RequestSet(), 1, 0, 0), 1, 1, 0)
-    assert rs.weight == 1
+    assert request_set([(1, 0, 0), (1, 1, 0)]).weight == 1
     with pytest.raises(WeightOverflow):
-        kc_add(rs, 2, 2, 0)
+        request_set([(1, 0, 0), (1, 1, 0), (2, 2, 0)])
 
 
 def test_geometric_schedule_weight():
     # oracle: direct rational summation of 2^-r for r = 1..10
     expected = sum((pow2(r) for r in range(1, 11)), Fraction(0))
-    rs = RequestSet()
-    for r in range(1, 11):
-        rs = kc_add(rs, r, r, r)
+    rs = request_set((r, r, r) for r in range(1, 11))
     assert rs.weight == expected == 1 - pow2(10)
 
 
 def test_stage_monotonicity_enforced():
-    rs = kc_add(RequestSet(), 3, 0, 5)
     with pytest.raises(ValueError):
-        kc_add(rs, 3, 1, 4)
+        request_set([(3, 0, 5), (3, 1, 4)])
 
 
 def test_machine_single_forced_length():
@@ -143,12 +139,9 @@ def test_machine_deterministic():
 @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=24))
 @example([2, 2, 2, 2])  # an allocator that keeps "01" free hands it out three times
 def test_machine_existence_on_random_schedules(lengths):
-    rs = RequestSet()
-    for i, r in enumerate(lengths):
-        try:
-            rs = kc_add(rs, r, i, i)
-        except WeightOverflow:
-            break
+    # the longest prefix whose weight stays at most 1
+    cut = next((i for i, w in enumerate(accumulate(map(pow2, lengths))) if w > 1), len(lengths))
+    rs = request_set((r, i, i) for i, r in enumerate(lengths[:cut]))
     m = kc_machine(rs, 0)
     assert m.kraft_sum() == rs.weight <= 1
     assert check_prefix_free(m.domain()) == []
@@ -206,7 +199,11 @@ def test_allocator_runs_out_where_the_reference_does(lengths, d):
 
 
 @pytest.mark.parametrize(
-    "entries", [[(2, 0, 0), (-1, 1, 1)], [(2, -1, 0)], [(2, 0, -1)], [(-1, 0, 0)]]
+    "entries",
+    [
+        [(2, 0, 0), (-1, 1, 1)], [(2, -1, 0)], [(2, 0, -1)], [(-1, 0, 0)],
+        [(2, 0, 0), (2, -1, 1)], [(2, 0, 0), (2, 1, -1)],
+    ],
 )
 def test_request_set_rejects_negative_field(entries):
     with pytest.raises(ValueError, match="naturals"):
@@ -216,6 +213,7 @@ def test_request_set_rejects_negative_field(entries):
 def test_request_set_rejects_decreasing_stage():
     with pytest.raises(ValueError, match="nondecreasing"):
         request_set([(3, 0, 5), (70, 1, 6), (3, 2, 4)])
+    assert request_set([(3, 0, 5), (3, 1, 5)]).weight == Fraction(1, 4)
 
 
 def test_request_set_rejects_weight_above_one():
@@ -226,35 +224,60 @@ def test_request_set_rejects_weight_above_one():
     assert request_set([(1, 0, 0), (70, 1, 0)]).weight == Fraction(1, 2) + pow2(70)
 
 
-@settings(max_examples=80, deadline=None)
-@given(bounded_schedules())
-def test_kc_add_chain_matches_request_set(entries):
-    rs = RequestSet()
-    for r, y, stage in entries:
-        rs = kc_add(rs, r, y, stage)
-    assert rs == request_set(entries)
-    assert rs.weight == request_set(entries).weight
+def reference_check(entries):
+    """The request rules on Fraction prefix sums: the weight of a bounded
+    request set, or the exception type, message and position of the first
+    bad entry."""
+    weight, last = Fraction(0), 0
+    for i, (r, y, stage) in enumerate(entries):
+        if min(r, y, stage) < 0:
+            return ValueError, "request fields must be naturals", i
+        if stage < last:
+            return ValueError, "request stages must be nondecreasing", i
+        last = stage
+        weight += pow2(r)
+        if weight > 1:
+            return WeightOverflow, f"adding 2^-{r} lifts the weight to {weight} > 1", i
+    return weight
 
 
-@pytest.mark.parametrize("field", [(-1, 1, 1), (2, -1, 1), (2, 1, -1)])
-def test_kc_add_rejects_negative_field(field):
-    rs = request_set([(2, 0, 0)])
-    with pytest.raises(ValueError, match="naturals"):
-        kc_add(rs, *field)
+@st.composite
+def request_lists(draw):
+    """Entries on both sides of each rule: lengths up to 130 (beyond int64)
+    whose weight may pass 1, and now and then one entry with a negative
+    field, or with the last stage or one below it."""
+    lengths = draw(st.lists(st.integers(2, 8) | st.integers(0, 130), max_size=20))
+    steps = draw(st.lists(st.integers(0, 2), min_size=len(lengths), max_size=len(lengths)))
+    entries = [(r, y, stage) for y, (r, stage) in enumerate(zip(lengths, accumulate(steps)))]
+    if entries and draw(st.booleans()):
+        i = draw(st.integers(0, len(entries) - 1))
+        r, y, stage = entries[i]
+        last = entries[i - 1][2] if i else 0
+        negative = [(-1, y, stage), (r, -1, stage), (r, y, -1)]
+        entries[i] = draw(st.sampled_from(negative) | st.just((r, y, last - 1)) | st.just((r, y, last)))
+    return entries
 
 
-def test_kc_add_rejects_decreasing_stage():
-    rs = request_set([(3, 0, 5), (70, 1, 6)])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        kc_add(rs, 3, 2, 5)
-
-
-def test_kc_add_rejects_weight_above_one():
-    # the full set plus 2^-70 exceeds 1 by that much only
-    rs = request_set([(1, 0, 0), (1, 1, 0)])
-    with pytest.raises(WeightOverflow):
-        kc_add(rs, 70, 2, 0)
-    assert kc_add(request_set([(1, 0, 0), (2, 1, 0)]), 2, 2, 0).weight == 1
+@settings(max_examples=200, deadline=None)
+@given(request_lists())
+@example([(1, 0, 0), (2, 1, 0), (2, 2, 0)])  # weight exactly 1
+@example([(1, 0, 0), (1, 1, 0), (130, 2, 0)])  # 1 + 2^-130
+@example([(130, 0, 0), (1, 1, 0), (1, 2, 0)])  # a shorter length after a longer one
+@example([(3, 0, 5), (3, 1, 5), (3, 2, 4)])  # an equal stage, then a lower one
+@example([(0, 0, 0), (0, 1, 0), (-1, 2, 0)])  # the excess comes before the negative field
+def test_request_check_matches_fraction_reference(entries):
+    expected = reference_check(entries)
+    if isinstance(expected, Fraction):
+        rs = request_set(entries)
+        assert rs.entries == tuple(entries)
+        assert rs.weight == expected
+        return
+    kind, message, position = expected
+    with pytest.raises((ValueError, WeightOverflow)) as info:
+        request_set(entries)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+    assert info.value.position == position
 
 
 def test_baseline_infinity_convention():

@@ -17,7 +17,10 @@ def test_every_mutant_applies_at_exactly_one_place():
     mutants = load_survey().MUTANTS
     stale = [m.note for m in mutants if (ROOT / m.file).read_text().count(m.old) != 1]
     assert stale == []
-    assert all((ROOT / t).is_file() for m in mutants for t in m.tests)
+    for t in (t for m in mutants for t in m.tests):
+        path, _, name = t.partition("::")  # a test file, or a test id in it
+        assert (ROOT / path).is_file()
+        assert not name or f"def {name}(" in (ROOT / path).read_text()
 
 
 def test_the_survey_fails_on_a_verdict_other_than_the_expected_one(monkeypatch):

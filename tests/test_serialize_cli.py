@@ -33,6 +33,29 @@ def test_schedule_parse_error_position():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("5 3 9", "request stages must be nondecreasing"),
+        ("1000 5 9", "adding 2^-5 lifts the weight to 129/128 > 1"),
+    ],
+)
+def test_schedule_error_names_its_line_after_a_run_of_good_lines(bad, message):
+    # 1000 requests of length 10 weigh 1000/1024, and comments and blank
+    # lines among them shift the line numbers by more than a constant
+    lines = []
+    for s in range(1000):
+        if s % 7 == 0:
+            lines.append(f"# stage {s}" if s % 2 else "")
+        lines.append(f"{s} 10 {s}")
+    lines.append(bad)
+    lines.append("1000 60 1")
+    with pytest.raises(ParseError) as err:
+        load_schedule("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {len(lines) - 1}: {message}"
+    assert err.value.line_no == len(lines) - 1
+
+
 def test_trace_roundtrip_with_initial():
     a = ApproximationTrace(30, [(3, 2, 1), (7, 2, 0)], initial={5})
     b = load_trace(dump_trace(a))
