@@ -199,11 +199,7 @@ def test_allocator_runs_out_where_the_reference_does(lengths, d):
 
 
 @pytest.mark.parametrize(
-    "entries",
-    [
-        [(2, 0, 0), (-1, 1, 1)], [(2, -1, 0)], [(2, 0, -1)], [(-1, 0, 0)],
-        [(2, 0, 0), (2, -1, 1)], [(2, 0, 0), (2, 1, -1)],
-    ],
+    "entries", [[(2, 0, 0), (-1, 1, 1)], [(2, -1, 0)], [(2, 0, -1)], [(-1, 0, 0)]]
 )
 def test_request_set_rejects_negative_field(entries):
     with pytest.raises(ValueError, match="naturals"):
@@ -222,6 +218,31 @@ def test_request_set_rejects_weight_above_one():
         request_set([(1, 0, 0), (1, 1, 0), (70, 2, 0)])
     assert request_set([(1, 0, 0), (2, 1, 0), (2, 2, 0)]).weight == 1
     assert request_set([(1, 0, 0), (70, 1, 0)]).weight == Fraction(1, 2) + pow2(70)
+
+
+# The cases of the former one-entry append: a bad entry after a valid request
+# set is rejected, and its position names the appended entry.
+
+
+@pytest.mark.parametrize("field", [(-1, 1, 1), (2, -1, 1), (2, 1, -1)])
+def test_kc_add_rejects_negative_field(field):
+    with pytest.raises(ValueError, match="naturals") as info:
+        request_set([(2, 0, 0), field])
+    assert info.value.position == 1
+
+
+def test_kc_add_rejects_decreasing_stage():
+    with pytest.raises(ValueError, match="nondecreasing") as info:
+        request_set([(3, 0, 5), (70, 1, 6), (3, 2, 5)])
+    assert info.value.position == 2
+
+
+def test_kc_add_rejects_weight_above_one():
+    # the full set plus 2^-70 exceeds 1 by that much only
+    with pytest.raises(WeightOverflow, match="adding 2\\^-70 lifts the weight") as info:
+        request_set([(1, 0, 0), (1, 1, 0), (70, 2, 0)])
+    assert info.value.position == 2
+    assert request_set([(1, 0, 0), (2, 1, 0), (2, 2, 0)]).weight == 1
 
 
 def reference_check(entries):
