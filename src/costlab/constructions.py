@@ -727,6 +727,13 @@ def separation_run(
     requests take effect before every check, so they never hold it up.
     The declared full-contradiction length 2^k is reported, never attempted.
 
+    The walk adds each run of harmless events at once: one beyond the last
+    element, no shorter than its best and the first claim cap, moves only the
+    weight beyond x0 and the last segment's claim sums; any other takes the
+    per-event body.  A jump is that walk stopping before the first event that
+    could make a failing check pass.  The unit measure left is an int, exact
+    for every measure test when floored in units of 2^-(scale + b) (``room``).
+
     At b = 0 the sequence never reaches a third element, whatever the
     provider or the opponent.  Each element x_i must be answered by one
     description w > x_i with 2^-K_s(w) >= c_K(x_i, s), and a sum of
@@ -750,7 +757,6 @@ def separation_run(
     # the idle rule's stage: the latest at which an event of the provider's
     # index or a grant takes effect, whether or not the grant improves anything
     last = live.events[-1][0] if live.events else 0
-    measure = p.budget_used
 
     if x0 is None:
         probe = 1
@@ -775,9 +781,9 @@ def separation_run(
     # the served traffic, whose descriptions land beyond every element),
     # lowers best on the run of elements below w whose best exceeds it, and
     # recomputes least from the least element whose cap moved: O(1) beyond
-    # the elements it moves.  A stage passes when total <= least[-1], in
-    # O(1), and a failing one finds its first failing element by bisection
-    # on the nonincreasing least.
+    # the elements it moves, and a run of harmless changes moves only total
+    # and seg[-1], once.  A stage passes when total <= least[-1], in O(1), and
+    # a failing one finds its first failing element by bisection on least.
     # One scale serves the whole run: every element has its request of length
     # k + d beyond it by its first check, so a failing check has best <= k + d
     # and need > 2^(b - best), and the grant it asks for is shorter than k + d.
@@ -791,24 +797,41 @@ def separation_run(
     # take effect beyond its stage.
     top = max(scale, k + b + d)
     claim_caps = [k + b + d - r for r in range(min(2, k) + 1)]
+    bounds = [(r + 1) * pow2(c + 1) for r, c in enumerate(claim_caps)]
     seg, checks = [[0] * len(claim_caps)], [[] for _ in claim_caps]
+    # The unit measure left, floored in units of 2^-(scale + b): no length the
+    # game weighs exceeds scale + b (see _grant_length), so each test asks for
+    # an int A, and A > y exactly when A > floor(y), as floor(y - A) = floor(y) - A.
+    room = (1 - p.budget_used) * (1 << (scale + b)) // 1
 
     # by position: a merge lands beyond the frontier, past the events walked
     events, at = live.events, 0
 
-    def walk(s: int) -> None:
+    def walk(s: int, wait: bool = False) -> int:
+        """Apply the events up to stage s and return s; with ``wait``, stop before
+        the first that could make a failing check pass and return its stage - 1."""
         nonlocal total, at
         live.frontier = s
         n = lo = len(seq)  # lo: the least element whose cap moved
-        end = len(events)
-        while at < end and events[at][0] <= s:
-            _stage, w, old, new = events[at]
+        end, xl, run = len(events), seq[-1], 0
+        # best only falls in a walk; while it is None, no length (<= scale) is harmless
+        floor = max(claim_caps[0], scale + 1 if best[-1] is None else best[-1])
+        while at < end:
+            t, w, old, new = events[at]
+            if t > s:
+                break
             at += 1
-            if w <= x0:
-                continue  # no element lies below w
             delta = 1 << (scale - new)
             if old is not None:
                 delta -= 1 << (scale - old)
+            if new >= floor and w > xl:
+                run += delta
+                continue
+            if w <= x0:
+                continue  # no element lies below w
+            if wait and (best[-1] is None or new < best[-1]):
+                at, s = at - 1, t - 1
+                break
             total += delta
             pos = bisect.bisect_left(seq, w)
             for i in range(pos, n):
@@ -830,8 +853,12 @@ def separation_run(
                 for r, c in enumerate(claim_caps):
                     gone = 0 if old is None else 1 << (top - max(old, c))
                     sums[r] += (1 << (top - max(new, c))) - gone
+        if run:
+            total += run
+            seg[-1] = [v + (run << (top - scale)) for v in seg[-1]]
         for i in range(lo, n):
             least[i] = min(least[i - 1], cap[i]) if i else cap[0]
+        return s
 
     requests: list[tuple[int, int, int]] = []
     grants: list[tuple[int, int, int]] = []
@@ -845,7 +872,7 @@ def separation_run(
         # the requests need no weight test: each round appends to seq or ends
         # the run, so it starts with len(seq) - 1 < declared = 2^k requests of
         # length k, and with its own they weigh at most 2^k * 2^-k = 1
-        if measure + pow2(k + d) > 1:
+        if 1 << (scale + b - k - d) > room:
             status = "measure_exhausted"
             break
         requests.append((k, xv + 1, cur))
@@ -853,7 +880,7 @@ def separation_run(
         # nothing beyond xv is described yet, so the wait walks a stage and
         # the check loop another, and the walk has passed it at every check
         live.merge([(xv + 1, k + d, cur + 1)])
-        measure += pow2(k + d)
+        room -= 1 << (scale + b - k - d)
         while total - low[-1] < 1 << (scale - k - d) and used < V:
             cur += 1
             used += 1
@@ -875,30 +902,20 @@ def separation_run(
                 least.append(total - 1)
                 seg.append([0] * len(claim_caps))
                 m = len(seq) - 1
-                for r, c in enumerate(claim_caps):
+                for r in range(len(claim_caps)):
                     pi = m - (1 << r)
                     if pi >= 0:
                         acc = sum(t[r] for t in seg[pi:m])
-                        checks[r].append((pi, r, Fraction(acc, 1 << top), (r + 1) * pow2(c + 1)))
+                        checks[r].append((pi, r, Fraction(acc, 1 << top), bounds[r]))
                 responded = True
                 break
             if b and last > cur:
-                # let earlier descriptions register before adding more, walking
-                # at once past events that keep a failing check failing: one at
-                # or below x0 moves nothing, and one no shorter than the last
-                # element's best raises total by its change and a cap by at most that
-                bl, stop = best[-1], min(last - 1, cur + V - used)
-                for j in range(at, len(events)):
-                    t, w, _old, new = events[j]
-                    if t > stop:
-                        break
-                    if w > x0 and (bl is None or new < bl):
-                        stop = t - 1
-                        break
-                if stop > cur:
-                    used += stop - cur
-                    cur = stop
-                    walk(cur)
+                # let earlier descriptions register before adding more: the walk
+                # passes events that keep a failing check failing (one at or below
+                # x0, or one no shorter than the last element's best, raises total
+                # by its change and a cap by at most that) and stops at any other
+                stop = walk(min(last - 1, cur + V - used), True)
+                used, cur = used + stop - cur, stop
                 continue
             i = bisect.bisect_right(least, -total, key=neg)  # the first failing element
             if b == 0 and best[i] is not None:
@@ -913,12 +930,12 @@ def separation_run(
                 L = _grant_length(b, total - low[i], scale)
                 if L is None:
                     status = "response_impossible"
-                elif pow2(L) > 1 - measure:
+                elif 1 << (scale + b - L) > room:
                     status = "measure_exhausted"
                 else:
                     live.merge([(cur + 1, L, cur + 2)])
                     last = cur + 2
-                    measure += pow2(L)
+                    room -= 1 << (scale + b - L)
                     grants.append((cur + 2, cur + 1, L))
             if status != "running":
                 break

@@ -69,8 +69,9 @@ class RequestSet:
 
 
 def request_set(items: Iterable[tuple[int, int, int]]) -> RequestSet:
-    """The request set of a complete schedule, validated once."""
-    return RequestSet(tuple((r, y, stage) for r, y, stage in items))
+    """The request set of a complete schedule, validated once; an entry of
+    other than three fields fails the check's unpacking with ValueError."""
+    return RequestSet(tuple(map(tuple, items)))
 
 
 @dataclass(frozen=True)

@@ -125,12 +125,13 @@ def dump_events_csv(a: ApproximationTrace) -> str:
     return "\n".join(out) + "\n"
 
 
-def _lines(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line
+def _lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines that are neither blank nor comments, numbered from 1."""
+    return [
+        (no, line)
+        for no, line in enumerate(map(str.strip, text.splitlines()), 1)
+        if line and line[0] != "#"
+    ]
 
 
 def _nat(no: int, token: str) -> int:

@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
     note: str = ""
 
 
+SEPARATION_REFERENCE = "tests/test_constructions.py::test_separation_matches_reference_loop"
+
 MUTANTS = [
     Mutant(
         "src/costlab/machine.py",
@@ -402,8 +404,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/constructions.py",
-        "_stage, w, old, new = events[at]\n",
-        "_stage, w, _old, new = events[at]\n            old = None\n",
+        "t, w, old, new = events[at]\n",
+        "t, w, _old, new = events[at]\n            old = None\n",
         ("tests/test_constructions.py",),
         "the separation walk takes every change as its target's first",
     ),
@@ -497,29 +499,64 @@ MUTANTS = [
         "src/costlab/constructions.py",
         "min(last - 1, cur + V - used)",
         "min(last, cur + V - used)",
-        ("tests/test_constructions.py",),
+        (SEPARATION_REFERENCE,),
         "the separation wait jumps to last, past its check",
     ),
     Mutant(
         "src/costlab/constructions.py",
-        "if w > x0 and (bl is None or new < bl):",
-        "if w > seq[-1] and (bl is None or new < bl):",
-        ("tests/test_constructions.py",),
+        "if wait and (best[-1] is None or new < best[-1]):",
+        "if wait and w > xl and (best[-1] is None or new < best[-1]):",
+        (SEPARATION_REFERENCE,),
         "the separation wait jumps past an event at or below the last element",
     ),
     Mutant(
         "src/costlab/constructions.py",
-        "(bl is None or new < bl)",
-        "bl is None",
-        ("tests/test_constructions.py",),
+        "(best[-1] is None or new < best[-1])",
+        "best[-1] is None",
+        (SEPARATION_REFERENCE,),
         "the separation wait jumps past a length shorter than the last element's best",
     ),
     Mutant(
         "src/costlab/constructions.py",
         "min(last - 1, cur + V - used)",
         "min(last - 1, cur + V - used + 1)",
-        ("tests/test_constructions.py",),
+        (SEPARATION_REFERENCE,),
         "the separation wait jumps one stage past the budget",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "seg[-1] = [v + (run << (top - scale)) for v in seg[-1]]",
+        "seg[-1] = [v for v in seg[-1]]",
+        (SEPARATION_REFERENCE,),
+        "the separation walk's bulk step skips the last segment's claim sums",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "floor = max(claim_caps[0], scale + 1",
+        "floor = max(0, scale + 1",
+        (SEPARATION_REFERENCE,),
+        "the separation walk's bulk step takes a length the first claim cap clips",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "if new >= floor and w > xl:",
+        "if new >= floor and w > x0:",
+        (SEPARATION_REFERENCE,),
+        "the separation walk's bulk step takes an event at or below the last element",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "if 1 << (scale + b - k - d) > room:",
+        "if 1 << (scale + b - k - d) >= room:",
+        (SEPARATION_REFERENCE,),
+        "the separation game refuses a request the measure left just covers",
+    ),
+    Mutant(
+        "src/costlab/constructions.py",
+        "elif 1 << (scale + b - L) > room:",
+        "elif 1 << (scale + b - L) >= room:",
+        (SEPARATION_REFERENCE,),
+        "the separation game refuses a grant the measure left just covers",
     ),
 ]
 

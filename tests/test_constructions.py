@@ -647,6 +647,12 @@ def reference_separation_run(b, p, d, V, *, x0=None, greedy=True):
 _SCHEDULE_FREE = provider_from_requests(RequestSet(), 0, 1024)
 
 
+def _registered_baseline(*desc):
+    """The baseline at horizon 1024 with ``desc`` registered, (length,
+    target, stage) triples."""
+    return register_requests(baseline_provider(1024), request_set(desc), 0)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -682,13 +688,45 @@ _SCHEDULE_FREE = provider_from_requests(RequestSet(), 0, 1024)
         # its last event, at stage 1024, in one jump; these cut the jump short
         ("jump cut by the budget", lambda: baseline_provider(1024), 1, 1, 300, {}),
         # 514, between the elements 512 and 515, gets length 3 at stage 601
-        ("jump cut by an event below the last element", lambda: register_requests(
-            baseline_provider(1024), request_set([(3, 514, 600)]), 0
+        ("jump cut by an event below the last element", lambda: _registered_baseline(
+            (3, 514, 600)
         ), 1, 1, 100_000, {"x0": 512}),
         # 700 gets length 3 from stage 701, shorter than the best 9 beyond 515
-        ("jump cut by a shorter length", lambda: register_requests(
-            baseline_provider(1024), request_set([(3, 700, 600)]), 0
+        ("jump cut by a shorter length", lambda: _registered_baseline((3, 700, 600)),
+         1, 1, 100_000, {"x0": 512}),
+        # the walk adds a run of baseline descriptions beyond the last element,
+        # 515, in one step; each event below interrupts such a run and takes the
+        # per-event body: 700 gets length 9 from stage 701, which the first
+        # claim cap, 10, clips
+        ("run holds a clipped length", lambda: _registered_baseline((9, 700, 600)),
+         1, 1, 100_000, {"x0": 512}),
+        # 514, between the elements 512 and 515, gets length 10 from stage 601
+        ("run holds an event below the last element", lambda: _registered_baseline(
+            (10, 514, 600)
         ), 1, 1, 100_000, {"x0": 512}),
+        # 300, below x0, gets length 9 from stage 600
+        ("run holds an event below x0", lambda: _registered_baseline((9, 300, 600)),
+         1, 1, 100_000, {"x0": 512}),
+        # at stage 1030, 1002 gets length 4 amid lengths 12 beyond the last
+        # element: the jump stops before it, and the walk of stage 1030 takes
+        # it in the body and the rest as a run
+        ("run holds a shorter length", lambda: _registered_baseline(
+            *[(4 if y == 1002 else 12, y, 1030) for y in range(1000, 1006)], (12, 1100, 1200)
+        ), 1, 1, 100_000, {"x0": 512}),
+        # the last ten events, at stage 1030, form one run
+        ("run reaches the end of the events", lambda: _registered_baseline(
+            *[(12, y, 1030) for y in range(1000, 1010)]
+        ), 1, 1, 100_000, {"x0": 512}),
+        # the measure left is 1/3 of a unit of 2^-10 above the weight of a
+        # request, then of a grant, when the run asks for it: the floored room
+        # grants it as the rational does
+        ("measure at a request's boundary", lambda: KProvider(
+            1024, (), 1 - Fraction(49, 3072)
+        ), 1, 1, 3000, {"x0": 2}),
+        ("measure at a grant's boundary", lambda: KProvider(
+            1024, (), 1 - Fraction(43, 3072)
+        ), 1, 1, 3000, {"x0": 2}),
+        ("budget 1/3", lambda: KProvider(1024, (), Fraction(1, 3)), 1, 1, 3000, {"x0": 2}),
     ],
     ids=lambda case: case[0],
 )

@@ -206,6 +206,13 @@ def test_request_set_rejects_negative_field(entries):
         request_set(entries)
 
 
+@pytest.mark.parametrize("entries", [[(2, 0, 0), (2, 1)], [(2, 0, 0, 0)], [[2, 0]]])
+def test_request_set_rejects_an_entry_of_other_than_three_fields(entries):
+    with pytest.raises(ValueError, match="values to unpack"):
+        request_set(entries)
+    assert request_set([[2, 0, 0], iter((2, 1, 0))]).entries == ((2, 0, 0), (2, 1, 0))
+
+
 def test_request_set_rejects_decreasing_stage():
     with pytest.raises(ValueError, match="nondecreasing"):
         request_set([(3, 0, 5), (70, 1, 6), (3, 2, 4)])
