@@ -115,7 +115,8 @@ def additive_from_real(b: LeftCEReal) -> CostFn:
 def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:
     """Recover the stage sequence b(s) = c(0, s) of an additive cost function.
 
-    Raises NonAdditive when the telescoping identity fails on sampled triples.
+    Raises NonAdditive when the telescoping identity fails on a triple
+    x < y < z <= min(horizon, 24).
     """
     if not c.props.additive:
         raise NonAdditive(f"{c.name} is not declared additive")
@@ -125,20 +126,24 @@ def real_from_additive(c: CostFn, cap: Fraction | None = None) -> LeftCEReal:
 
 
 def check_additivity(c: CostFn, bound: int) -> None:
-    """Exhaustive telescoping check on all triples x < y < z <= bound.
+    """Telescoping check c(x, y) + c(y, z) == c(x, z) on all triples x < y < z <= bound.
 
-    c is evaluated at every point; the sums compare its integer units.
+    The triples all hold iff those with x = 0 do: given these, a triple
+    with x >= 1 reads c(x, y) + c(y, z) = (c(0, y) - c(0, x)) + (c(0, z) -
+    c(0, y)) = c(0, z) - c(0, x) = c(x, z), by the triples (0, x, y),
+    (0, y, z) and (0, x, z).  So the first failing triple in order, if any,
+    has x = 0, and the check compares each cell c(y, z), 0 < y < z, with
+    the difference c(0, z) - c(0, y) of the prefix column: O(bound^2)
+    comparisons of c's integer units, on cells all evaluated first.
     """
-    scaled = [[c.units(x, s) for s in range(bound + 1)] for x in range(bound + 1)]
-    for x in range(bound + 1):
-        row_x = scaled[x]
-        for y in range(x + 1, bound + 1):
-            row_y, head = scaled[y], row_x[y]
-            for z in range(y + 1, bound + 1):
-                if head + row_y[z] != row_x[z]:
-                    raise NonAdditive(
-                        f"{c.name}: c({x},{y}) + c({y},{z}) != c({x},{z})"
-                    )
+    # cells[x][z - x - 1] = c(x, z) for x < z <= bound
+    cells = [[c.units(x, z) for z in range(x + 1, bound + 1)] for x in range(bound)]
+    for y in range(1, bound):
+        head, tail = cells[0][y - 1], cells[0][y:]  # c(0, y), and c(0, z) for z > y
+        row = cells[y]
+        if [head + v for v in row] != tail:
+            z = next(z for z, v, w in zip(range(y + 1, bound + 1), row, tail) if head + v != w)
+            raise NonAdditive(f"{c.name}: c(0,{y}) + c({y},{z}) != c(0,{z})")
 
 
 def cost_g(g: Callable[[int], int], horizon: int, cap: Fraction = Fraction(1)) -> CostFn:
@@ -309,10 +314,9 @@ def domination_grid_report(p: KProvider) -> DominationReport:
     weight, and q takes the same raises.  As q only rises, its maximum
     over x <= s is one running value, raised with each cell.  The running
     maxima of h over x are recomputed from the least target a stage
-    changed; a stage that changed none below s extends them by cell s.
-    Each stage compares the two maxima with its two bounds: an exact
-    maximum over every x <= s, so every point (x, s) is compared.  Only a
-    failing stage scans its cells for the violations.
+    changed.  Each stage compares the two maxima with its two bounds: an
+    exact maximum over every x <= s, so every point (x, s) is compared.
+    Only a failing stage scans its cells for the violations.
 
     Most stages of a served provider are plain: their one change is the
     first description (t, t - 1, None, new) of the target just below them.
@@ -409,16 +413,12 @@ def domination_grid_report(p: KProvider) -> DominationReport:
             cmx.append(0)
             if total > qm:
                 qm = total
-            if lo == s:  # no h below s moved: extend its running maxima by cell s
-                hm = max(hmax[-1], bound)
+            hm = hmax[lo - 1] if lo else h[0]
+            del hmax[lo:]
+            for x in range(lo, s + 1):
+                if h[x] > hm:
+                    hm = h[x]
                 hmax.append(hm)
-            else:
-                hm = hmax[lo - 1] if lo else h[0]
-                del hmax[lo:]
-                for x in range(lo, s + 1):
-                    if h[x] > hm:
-                        hm = h[x]
-                    hmax.append(hm)
             if hm > bound:
                 omega_bad.extend((x, s) for x, v in enumerate(h) if v > bound)
             if qm > total:

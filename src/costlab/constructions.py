@@ -182,18 +182,12 @@ def slow_enum_N(p: KProvider, J: int) -> tuple[EnumerationTrace, IntervalLedger]
     """
     if J < 1:
         raise ValueError("at least one interval is needed")
-    j0 = None
+    j0 = 1  # the least interval from which on every shortcut is in place
     for j in range(1, J + 1):
-        ok = True
-        for jj in range(j, J + 1):
-            kv = p.k(1 << jj, shortcut_stage(jj))
-            if kv is None or kv > jj - 1:
-                ok = False
-                break
-        if ok:
-            j0 = j
-            break
-    if j0 is None:
+        kv = p.k(1 << j, shortcut_stage(j))
+        if kv is None or kv > j - 1:
+            j0 = j + 1
+    if j0 > J:
         raise ScheduleInsufficient(
             f"no interval up to {J} has its power-of-two shortcut in time"
         )
@@ -759,14 +753,17 @@ def separation_run(
     last = live.events[-1][0] if live.events else 0
 
     if x0 is None:
-        probe = 1
-        # c_K(probe, horizon) > 2^-min(k + d + 2, 60), on ints over 2^scale
+        probe, cheap = 1, min(k + d + 2, 60)
+        # c_K(probe, horizon) > 2^-cheap, on ints over 2^scale
         while probe < p.horizon and (
-            p.index.sum_at(probe, p.horizon) << min(k + d + 2, 60) > 1 << p.index.scale
+            p.index.sum_at(probe, p.horizon) << cheap > 1 << p.index.scale
         ):
             probe <<= 1
         if probe >= p.horizon:
-            raise ScheduleInsufficient("no cheap starting point below the horizon")
+            raise ScheduleInsufficient(
+                f"no cheap starting point below the horizon: c_K(x, {p.horizon}) > 2^-{cheap}"
+                f" at every power of two x below {p.horizon}"
+            )
         x0 = probe
 
     # The game's state in complement form, as integers scaled by 2^scale:
@@ -845,14 +842,9 @@ def separation_run(
             if i < lo:
                 lo = i + 1
             sums = seg[pos - 1]  # w lies in (seq[pos - 1], seq[pos]]
-            if new >= claim_caps[0]:  # no cap clips either length: each sum moves by delta
-                change = delta << (top - scale)
-                for r in range(len(sums)):
-                    sums[r] += change
-            else:
-                for r, c in enumerate(claim_caps):
-                    gone = 0 if old is None else 1 << (top - max(old, c))
-                    sums[r] += (1 << (top - max(new, c))) - gone
+            for r, c in enumerate(claim_caps):
+                gone = 0 if old is None else 1 << (top - max(old, c))
+                sums[r] += (1 << (top - max(new, c))) - gone
         if run:
             total += run
             seg[-1] = [v + (run << (top - scale)) for v in seg[-1]]

@@ -190,6 +190,8 @@ class ApproximationTrace:
             raise ValueError("horizon must be at least 1")
         self.horizon = horizon
         self.initial = frozenset(initial)
+        if min(self.initial, default=0) < 0:
+            raise ValueError("initial positions must be naturals")
         evs = tuple(events)
         last = 0
         per_x: dict[int, list[tuple[int, int]]] = {}

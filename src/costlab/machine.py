@@ -250,8 +250,6 @@ def baseline_provider(S: int) -> KProvider:
     eight are kept): it is immutable, and so is its index apart from its
     frontier (see ``KProvider``).
     """
-    if S < 1:
-        raise ValueError("horizon must be at least 1")
     grants = [_Grant(w + 1, 2 * floor_log2(w + 2) + 3, w) for w in range(S)]
     j = 0
     while shortcut_stage(j) <= S:

@@ -348,10 +348,10 @@ MUTANTS = [
     ),
     Mutant(
         "src/costlab/catalog.py",
-        "hm = max(hmax[-1], bound)",
-        "hm = bound",
+        "hm = hmax[lo - 1] if lo else h[0]",
+        "hm = hmax[lo] if lo else h[0]",
         ("tests/test_complexity.py",),
-        "the domination grid's idle stage forgets the cells below it",
+        "the domination grid restarts its running maxima of h from the cell it recomputes",
     ),
     Mutant(
         "src/costlab/catalog.py",
@@ -361,11 +361,32 @@ MUTANTS = [
         "the domination grid's c_max walk leaves the maximum of q as it was",
     ),
     Mutant(
+        "src/costlab/catalog.py",
+        "head, tail = cells[0][y - 1], cells[0][y:]",
+        "head, tail = cells[0][y], cells[0][y:]",
+        ("tests/test_cost_units.py::test_check_additivity_on_exact_ints_over_the_lcm",),
+        "check_additivity reads the prefix difference c(0, z) - c(0, y) one step late",
+    ),
+    Mutant(
+        "src/costlab/catalog.py",
+        "for y in range(1, bound):",
+        "for y in range(2, bound):",
+        ("tests/test_cost_units.py::test_check_additivity_on_exact_ints_over_the_lcm",),
+        "check_additivity skips the middle y = 1 of its triples (0, y, z)",
+    ),
+    Mutant(
+        "src/costlab/scenarios.py",
+        'res.expect(triples_check, False, f"real {i} additivity", str(exc))',
+        "pass",
+        ("tests/test_scenarios.py::test_additive_algebra_reports_a_real_that_fails_additivity",),
+        "criterion 3 ignores a NonAdditive",
+    ),
+    Mutant(
         "src/costlab/constructions.py",
-        "if new >= claim_caps[0]:",
-        "if new >= claim_caps[-1]:",
-        ("tests/test_constructions.py",),
-        "the separation claim ledger skips the caps for a length between them",
+        "            j0 = j + 1\n",
+        "            j0 = j\n",
+        ("tests/test_constructions.py::test_slow_enum_interval_ledger",),
+        "slow_enum_N's j0 is one below the interval after the last missing shortcut",
     ),
     Mutant(
         "src/costlab/machine.py",

@@ -131,6 +131,17 @@ def test_slow_enum_interval_ledger():
             assert s > shortcut_stage(12)
 
 
+def test_separation_names_the_starting_bound_it_could_not_meet():
+    # b = 2, d = 1: k = 16, so the start needs c_K(x0, S) <= 2^-19
+    message = (
+        "no cheap starting point below the horizon: c_K(x, 4096) > 2^-19"
+        " at every power of two x below 4096"
+    )
+    with pytest.raises(ScheduleInsufficient) as err:
+        separation_run(2, baseline_provider(4096), 1, 100)
+    assert str(err.value) == message
+
+
 def test_slow_enum_requires_shortcuts():
     with pytest.raises(ScheduleInsufficient):
         slow_enum_N(baseline_provider(2000), 9)

@@ -7,8 +7,9 @@ where the den is beyond int64, and the trailing-zero ``Fraction`` view with
 on the K_s index; it is compared with the prefix-column evaluator it
 replaced.  The additive constructor is compared with plain Fraction
 arithmetic in any evaluation order, and its lazy grid with its pointwise
-values.  The potential path of ``implication_transfer`` (two additive costs
-over one denominator) is compared with its pointwise path, and it reads no
+values; ``check_additivity`` with the cubic triple search it replaced.
+The potential path of ``implication_transfer`` (two additive costs over
+one denominator) is compared with its pointwise path, and it reads no
 grid.
 """
 
@@ -259,6 +260,60 @@ def test_check_additivity_on_exact_ints_over_the_lcm():
     )
     with pytest.raises(NonAdditive, match=r"c\(0,1\) \+ c\(1,6\) != c\(0,6\)"):
         check_additivity(bent, 6)
+
+
+def reference_check_additivity(c, bound):
+    """The cubic telescoping check: every cell of the square evaluated, then
+    every triple x < y < z <= bound compared in order."""
+    scaled = [[c.units(x, s) for s in range(bound + 1)] for x in range(bound + 1)]
+    for x in range(bound + 1):
+        row_x = scaled[x]
+        for y in range(x + 1, bound + 1):
+            row_y, head = scaled[y], row_x[y]
+            for z in range(y + 1, bound + 1):
+                if head + row_y[z] != row_x[z]:
+                    raise NonAdditive(f"{c.name}: c({x},{y}) + c({y},{z}) != c({x},{z})")
+
+
+def _additivity_verdict(check, c, bound):
+    try:
+        check(c, bound)
+    except NonAdditive as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def perturbed_additive_costs(draw):
+    """An additive column of 1-12 stages, steps up to 2^70, with up to three
+    cells x < s given other values: near misses by one unit or any value."""
+    steps = st.one_of(st.integers(0, 5), st.integers(0, 1 << 70))
+    column = list(accumulate(draw(st.lists(steps, max_size=11)), initial=0))
+    h = len(column) - 1
+    base = additive_cost("drawn", column, 1 << 70)
+    moved = {}
+    for _ in range(draw(st.integers(0, 3 if h else 0))):
+        x = draw(st.integers(0, h - 1))
+        s = draw(st.integers(x + 1, h))
+        near = st.integers(-1, 1).map(lambda e, u=base.eval_fn(x, s): max(0, u + e))
+        moved[x, s] = draw(st.one_of(near, st.integers(0, 1 << 71)))
+
+    def ev(x, s):
+        return moved.get((x, s), base.eval_fn(x, s))
+
+    return cost_fn("perturbed", base.horizon, ev, den=base.den), base
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_additive_costs())
+def test_check_additivity_matches_the_triple_reference(drawn):
+    c, base = drawn
+    for bound in range(len(base.column)):
+        want = _additivity_verdict(reference_check_additivity, c, bound)
+        assert _additivity_verdict(check_additivity, c, bound) == want
+        cells = [(x, s) for s in range(bound + 1) for x in range(s)]
+        if all(c.units(x, s) == base.units(x, s) for x, s in cells):
+            assert want is None
 
 
 def _out_of_domain_costs():

@@ -10,8 +10,15 @@ from pathlib import Path
 import pytest
 
 from costlab import generate, scenarios
-from costlab.core import ApproximationTrace, additive_cost
-from costlab.scenarios import SCENARIOS, Scenario, run_conjunction, run_dual, run_implication
+from costlab.core import ApproximationTrace, additive_cost, cost_fn
+from costlab.scenarios import (
+    SCENARIOS,
+    Scenario,
+    run_additive_algebra,
+    run_conjunction,
+    run_dual,
+    run_implication,
+)
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -70,6 +77,28 @@ def _failing_on(calls, fn, spoil):
         return spoil(out) if next(position) in calls else out
 
     return wrapped
+
+
+def test_additive_algebra_reports_a_real_that_fails_additivity(monkeypatch):
+    # the second real's cost is one unit off at (5, 40), beyond the bound 24 of
+    # real_from_additive's own check and off the column c(0, s) it reads back
+    def bend(c):
+        def ev(x, s):
+            return c.eval_fn(x, s) + ((x, s) == (5, 40))
+
+        return cost_fn("bent", c.horizon, ev, den=c.den, additive=True)
+
+    monkeypatch.setattr(
+        scenarios, "additive_from_real", _failing_on({1}, scenarios.additive_from_real, bend)
+    )
+    res = run_additive_algebra(0, count=3, bound=40)
+    assert [line.render()[:7] + line.label for line in res.checks] == [
+        "[FAIL] real 1 additivity",
+        "[FAIL] exact additivity on all triples",
+        "[PASS] real <-> cost roundtrip identity",
+        "[PASS] runtime < 10 s",
+    ]
+    assert res.checks[0].detail == "bent: c(0,5) + c(5,40) != c(0,40)"
 
 
 def test_conjunction_reports_a_failing_instance_and_its_checks(monkeypatch):

@@ -62,6 +62,14 @@ def test_trace_roundtrip_with_initial():
     assert b.events == a.events and b.initial == a.initial and b.horizon == 30
 
 
+def test_trace_rejects_a_negative_initial_position_so_every_dump_loads():
+    with pytest.raises(ValueError, match="initial positions must be naturals"):
+        ApproximationTrace(10, [(3, 2, 1)], initial=[-1, 4])
+    a = ApproximationTrace(10, [(3, 2, 1)], initial=[0, 4])
+    b = load_trace(dump_trace(a))
+    assert (b.horizon, b.events, b.initial) == (10, a.events, frozenset({0, 4}))
+
+
 def test_trace_missing_horizon():
     with pytest.raises(ParseError):
         load_trace("3 2 1\n")
